@@ -76,6 +76,21 @@ class _ScalarConfidence:
         return 2.0 * float(self.link.probability(gap)) - 1.0
 
 
+def _value_and_grad_norm(obj):
+    return lambda t, th: (float(obj.value(th)), float(np.linalg.norm(obj.gradient(th))))
+
+
+def _assert_trajectory(traj, values, grad_norms, accepted, queries, theta):
+    """Every field of an unstrided trajectory equals the hand-rolled replay."""
+    horizon = len(values)
+    assert np.array_equal(traj.steps, np.arange(1, horizon + 1))
+    assert np.array_equal(traj.values, np.array(values))
+    assert np.array_equal(traj.grad_norms, np.array(grad_norms))
+    assert np.array_equal(traj.accepted, np.array(accepted))
+    assert np.array_equal(traj.queries, queries)
+    assert np.array_equal(traj.theta_final, theta)
+
+
 class TestLogStride:
     def test_frozen_values(self):
         assert log_stride(1) == 1
@@ -157,20 +172,21 @@ class TestNcrsRun:
         traj = ncrs_run(
             SignOracle(obj, 0.3, _stream(203, "oracle")),
             15, theta1, sched, 400, _stream(203, "algorithm"),
+            instrument=_value_and_grad_norm(obj),
         )
         oracle = SignOracle(obj, 0.3, _stream(203, "oracle"))
         gen = _stream(203, "algorithm").gen
         theta = theta1.copy()
-        accepted = []
+        values, grad_norms, accepted = [], [], []
         for t in range(1, 401):
+            values.append(float(obj.value(theta)))
+            grad_norms.append(float(np.linalg.norm(obj.gradient(theta))))
             candidate = theta + sched.step_at(t) * gen.standard_normal(15)
             take = oracle.compare(theta, candidate) > 0
             accepted.append(take)
             if take:
                 theta = candidate
-        assert np.array_equal(traj.theta_final, theta)
-        assert np.array_equal(traj.accepted, np.array(accepted))
-        assert traj.total_queries == 400
+        _assert_trajectory(traj, values, grad_norms, accepted, np.arange(1, 401), theta)
 
     def test_perfect_oracle_never_increases_value(self):
         obj = _quadratic(204)
@@ -275,6 +291,31 @@ class TestNcrsVoteRun:
         assert np.all(np.diff(traj.values) <= 1e-12)
         assert float(obj.value(traj.theta_final)) < float(obj.value(theta1)) / 10.0
 
+    def test_matches_independent_reimplementation(self):
+        """Replay a noisy_engage run at 5 votes: same streams, hand-rolled loop."""
+        obj = _quadratic(223)
+        theta1 = initial_point(obj, _stream(223, "init"))
+        link = LinkFunction(kind="logistic")
+        traj = ncrs_vote_run(
+            ConfidenceOracle(obj, "noisy_engage", link, _stream(223, "oracle")),
+            15, theta1, 0.15, 5, 300, _stream(223, "algorithm"),
+            instrument=_value_and_grad_norm(obj),
+        )
+        oracle = ConfidenceOracle(obj, "noisy_engage", link, _stream(223, "oracle"))
+        gen = _stream(223, "algorithm").gen
+        theta = theta1.copy()
+        values, grad_norms, accepted = [], [], []
+        for _ in range(300):
+            values.append(float(obj.value(theta)))
+            grad_norms.append(float(np.linalg.norm(obj.gradient(theta))))
+            candidate = theta + 0.15 * gen.standard_normal(15)
+            take = float(np.sum(oracle.compare_batch(theta, candidate, 5))) > 0.0
+            accepted.append(take)
+            if take:
+                theta = candidate
+        assert 0 < sum(accepted) < 300
+        _assert_trajectory(traj, values, grad_norms, accepted, 5 * np.arange(1, 301), theta)
+
     def test_scalar_fallback_matches_batch_path(self):
         obj = _quadratic(222)
         theta1 = initial_point(obj, _stream(222, "init"))
@@ -302,16 +343,18 @@ class TestRsgfRun:
         obj = _quadratic(230, d=8, k=3)
         theta1 = initial_point(obj, _stream(230, "init"))
         alpha, mu = 0.02, 1e-4
-        traj = rsgf_run(obj.value, 8, theta1, alpha, mu, 50, _stream(230, "algorithm"))
+        traj = rsgf_run(obj.value, 8, theta1, alpha, mu, 50, _stream(230, "algorithm"),
+                        instrument=_value_and_grad_norm(obj))
         gen = _stream(230, "algorithm").gen
         theta = theta1.copy()
+        values, grad_norms = [], []
         for _ in range(50):
+            values.append(float(obj.value(theta)))
+            grad_norms.append(float(np.linalg.norm(obj.gradient(theta))))
             s = gen.standard_normal(8)
             slope = (float(obj.value(theta + mu * s)) - float(obj.value(theta))) / mu
             theta = theta - alpha * slope * s
-        assert np.array_equal(traj.theta_final, theta)
-        assert traj.total_queries == 100
-        assert traj.accepted.all()
+        _assert_trajectory(traj, values, grad_norms, [True] * 50, 2 * np.arange(1, 51), theta)
 
     def test_stays_near_stationary_point(self):
         obj = _quadratic(231, d=10, k=3)
