@@ -1,15 +1,19 @@
 """Comparison-driven random search and a value-based two-point baseline.
 
 The two comparison algorithms are ambient-blind: they receive an ambient
-dimension, a starting point, a step schedule, and an oracle whose interface
-exposes only compare / compare_batch / query_count.  No objective value,
-gradient, or intrinsic dimension is visible to them; problem structure can
-enter only through how the harness builds the schedule.  The instrument
-callback is likewise opaque: whatever floats it returns are stored in the
-trajectory and never influence a decision.
+dimension, a starting point, a step schedule, and an oracle of which they
+use only compare and query_count (ncrs_run) or compare_batch and
+query_count (ncrs_vote_run).  No objective value, gradient, or intrinsic
+dimension is visible to them; problem structure can enter only through how
+the harness builds the schedule.  The instrument callback is likewise
+opaque: whatever floats it returns are stored in the trajectory and never
+influence a decision.
 
 rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
+
+All three share one loop, _search, and differ only in the decision rule
+that turns (t, theta, direction) into the next iterate.
 """
 from __future__ import annotations
 
@@ -129,43 +133,47 @@ class Trajectory:
         return int(self.queries[-1]) if len(self.queries) else 0
 
 
-class _TrajectoryBuilder:
-    def __init__(self, horizon: int):
-        self.stride = log_stride(horizon)
-        self.horizon = horizon
-        self.steps: list[int] = []
-        self.values: list[float] = []
-        self.grad_norms: list[float] = []
-        self.accepted: list[bool] = []
-        self.queries: list[int] = []
+def _search(
+    dim: int,
+    theta1: np.ndarray,
+    horizon: int,
+    rng: RngStream,
+    instrument: Instrument | None,
+    move: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
+    queries: Callable[[int], int],
+) -> Trajectory:
+    """The random line search shared by the three algorithms.
 
-    def wants(self, t: int) -> bool:
-        return (t - 1) % self.stride == 0 or t == self.horizon
-
-    def add(self, t: int, value: float, grad_norm: float, accepted: bool, queries: int):
-        self.steps.append(t)
-        self.values.append(value)
-        self.grad_norms.append(grad_norm)
-        self.accepted.append(accepted)
-        self.queries.append(queries)
-
-    def build(self, theta_final: np.ndarray, config: dict | None = None) -> Trajectory:
-        return Trajectory(
-            steps=np.asarray(self.steps, dtype=np.int64),
-            values=np.asarray(self.values, dtype=np.float64),
-            grad_norms=np.asarray(self.grad_norms, dtype=np.float64),
-            accepted=np.asarray(self.accepted, dtype=bool),
-            queries=np.asarray(self.queries, dtype=np.int64),
-            theta_final=np.asarray(theta_final, dtype=np.float64),
-            config=dict(config or {}),
-        )
-
-
-def _probe(instrument: Instrument | None, t: int, theta: np.ndarray) -> tuple[float, float]:
-    if instrument is None:
-        return math.nan, math.nan
-    value, grad_norm = instrument(t, theta)
-    return float(value), float(grad_norm)
+    Iteration t draws one Gaussian direction s and sets
+    (theta, accepted) = move(t, theta, s).  Every log_stride(horizon)-th
+    iteration and the last one are recorded: the instrument reading of theta
+    before the move, the accept flag, and queries(t), the cumulative query
+    count after the move.
+    """
+    theta = np.array(theta1, dtype=np.float64)
+    if theta.shape != (dim,):
+        raise ValueError(f"theta1 must have shape ({dim},)")
+    if horizon < 1:
+        raise ValueError("horizon must be a positive integer")
+    stride = log_stride(horizon)
+    steps = np.arange(1, horizon + 1, stride, dtype=np.int64)
+    if steps[-1] != horizon:
+        steps = np.append(steps, horizon)
+    values = np.full(len(steps), math.nan)
+    grad_norms = np.full(len(steps), math.nan)
+    accepted = np.zeros(len(steps), dtype=bool)
+    counts = np.zeros(len(steps), dtype=np.int64)
+    record = 0
+    for t in range(1, horizon + 1):
+        logged = (t - 1) % stride == 0 or t == horizon
+        if logged and instrument is not None:
+            values[record], grad_norms[record] = instrument(t, theta)
+        theta, accept = move(t, theta, gaussian_vector(rng, dim))
+        if logged:
+            accepted[record] = accept
+            counts[record] = queries(t)
+            record += 1
+    return Trajectory(steps, values, grad_norms, accepted, counts, theta)
 
 
 def ncrs_run(
@@ -183,25 +191,19 @@ def ncrs_run(
     theta + alpha_t * s is compared against theta, and it replaces theta
     exactly when the oracle prefers it.
     """
-    theta = np.array(theta1, dtype=np.float64)
-    if theta.shape != (dim,):
-        raise ValueError(f"theta1 must have shape ({dim},)")
-    if horizon < 1 or horizon > schedule.horizon:
+    if not 1 <= horizon <= schedule.horizon:
         raise ValueError("horizon must be in [1, schedule.horizon]")
-    builder = _TrajectoryBuilder(horizon)
-    queries_before = oracle.query_count
-    for t in range(1, horizon + 1):
-        logged = builder.wants(t)
-        if logged:
-            value, grad_norm = _probe(instrument, t, theta)
-        direction = gaussian_vector(rng, dim)
+
+    def move(t, theta, direction):
         candidate = theta + schedule.step_at(t) * direction
-        accept = oracle.compare(theta, candidate) > 0
-        if accept:
-            theta = candidate
-        if logged:
-            builder.add(t, value, grad_norm, accept, oracle.query_count - queries_before)
-    return builder.build(theta)
+        if oracle.compare(theta, candidate) > 0:
+            return candidate, True
+        return theta, False
+
+    before = oracle.query_count
+    return _search(
+        dim, theta1, horizon, rng, instrument, move, lambda t: oracle.query_count - before
+    )
 
 
 def ncrs_vote_run(
@@ -214,38 +216,26 @@ def ncrs_vote_run(
     rng: RngStream,
     instrument: Instrument | None = None,
 ) -> Trajectory:
-    """Confidence-vote random search: `votes` queries on one pair per iteration.
+    """Confidence-vote random search: one compare_batch of `votes` queries per iteration.
 
     The candidate is accepted exactly when the summed score is positive; a
     zero sum keeps the current point.
     """
-    theta = np.array(theta1, dtype=np.float64)
-    if theta.shape != (dim,):
-        raise ValueError(f"theta1 must have shape ({dim},)")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if votes < 1:
         raise ValueError("votes must be at least 1")
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
-    builder = _TrajectoryBuilder(horizon)
-    queries_before = oracle.query_count
-    for t in range(1, horizon + 1):
-        logged = builder.wants(t)
-        if logged:
-            value, grad_norm = _probe(instrument, t, theta)
-        direction = gaussian_vector(rng, dim)
+
+    def move(t, theta, direction):
         candidate = theta + alpha * direction
-        if hasattr(oracle, "compare_batch"):
-            total = float(np.sum(oracle.compare_batch(theta, candidate, votes)))
-        else:
-            total = float(sum(oracle.compare(theta, candidate) for _ in range(votes)))
-        accept = total > 0.0
-        if accept:
-            theta = candidate
-        if logged:
-            builder.add(t, value, grad_norm, accept, oracle.query_count - queries_before)
-    return builder.build(theta)
+        if np.sum(oracle.compare_batch(theta, candidate, votes)) > 0.0:
+            return candidate, True
+        return theta, False
+
+    before = oracle.query_count
+    return _search(
+        dim, theta1, horizon, rng, instrument, move, lambda t: oracle.query_count - before
+    )
 
 
 def rsgf_run(
@@ -263,26 +253,14 @@ def rsgf_run(
     theta <- theta - alpha * ((f(theta + mu s) - f(theta)) / mu) * s, with
     two value queries per iteration.
     """
-    theta = np.array(theta1, dtype=np.float64)
-    if theta.shape != (dim,):
-        raise ValueError(f"theta1 must have shape ({dim},)")
     if alpha <= 0 or mu <= 0:
         raise ValueError("alpha and mu must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
-    builder = _TrajectoryBuilder(horizon)
-    queries = 0
-    for t in range(1, horizon + 1):
-        logged = builder.wants(t)
-        if logged:
-            value, grad_norm = _probe(instrument, t, theta)
-        direction = gaussian_vector(rng, dim)
+
+    def move(t, theta, direction):
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
-        queries += 2
-        theta = theta - alpha * slope * direction
-        if logged:
-            builder.add(t, value, grad_norm, True, queries)
-    return builder.build(theta)
+        return theta - alpha * slope * direction, True
+
+    return _search(dim, theta1, horizon, rng, instrument, move, lambda t: 2 * t)
 
 
 def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:

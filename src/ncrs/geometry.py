@@ -102,10 +102,6 @@ class Subspace:
         return v @ self.basis.T
 
 
-def project(subspace: Subspace, v: np.ndarray) -> np.ndarray:
-    return subspace.project(v)
-
-
 def random_subspace(
     rng: RngStream,
     d: int,

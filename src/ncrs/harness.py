@@ -28,6 +28,7 @@ import numpy as np
 import yaml
 
 from .algorithms import (
+    SCHEDULE_KINDS,
     StepSchedule,
     Trajectory,
     constant_schedule,
@@ -215,8 +216,8 @@ def validate_config(raw: dict) -> dict:
         "algorithm.horizon_scale must be > 0",
     )
     _require(
-        a["schedule"] in ("constant", "theory_constant", "cosine_decay"),
-        "algorithm.schedule must be constant, theory_constant, or cosine_decay",
+        a["schedule"] in SCHEDULE_KINDS,
+        f"algorithm.schedule must be one of {SCHEDULE_KINDS}",
     )
     if a["alpha0"] != "auto":
         _require(_is_num(a["alpha0"]) and a["alpha0"] > 0, "algorithm.alpha0 must be > 0 or 'auto'")
@@ -255,6 +256,7 @@ def validate_config(raw: dict) -> dict:
                 _require(isinstance(values, list), f"{where} must be a list")
                 for s in values:
                     _require(_is_int(s) and s >= 0, f"{where} entries must be nonnegative integers")
+                _require(len(set(values)) == len(values), f"{where} entries must be distinct")
             elif key in axis_names:
                 _require(isinstance(values, list), f"{where} must be a list")
             else:

@@ -59,23 +59,6 @@ class _SilentOracle:
         return np.zeros(n)
 
 
-class _ScalarConfidence:
-    """Deterministic link scores without a compare_batch method, to exercise
-    the scalar fallback in the vote loop."""
-
-    def __init__(self, objective, link):
-        self.objective = objective
-        self.link = link
-        self.query_count = 0
-
-    def compare(self, x, y):
-        self.query_count += 1
-        gap = float(self.objective.value(x)) - float(self.objective.value(y))
-        if gap == 0.0:
-            return 0.0
-        return 2.0 * float(self.link.probability(gap)) - 1.0
-
-
 def _value_and_grad_norm(obj):
     return lambda t, th: (float(obj.value(th)), float(np.linalg.norm(obj.gradient(th))))
 
@@ -315,18 +298,6 @@ class TestNcrsVoteRun:
                 theta = candidate
         assert 0 < sum(accepted) < 300
         _assert_trajectory(traj, values, grad_norms, accepted, 5 * np.arange(1, 301), theta)
-
-    def test_scalar_fallback_matches_batch_path(self):
-        obj = _quadratic(222)
-        theta1 = initial_point(obj, _stream(222, "init"))
-        link = LinkFunction(kind="logistic")
-        batch = ConfidenceOracle(obj, "deterministic_link", link, _stream(222, "oracle"))
-        scalar = _ScalarConfidence(obj, link)
-        a = ncrs_vote_run(batch, 15, theta1, 0.15, 3, 200, _stream(222, "algorithm"))
-        b = ncrs_vote_run(scalar, 15, theta1, 0.15, 3, 200, _stream(222, "algorithm"))
-        assert np.array_equal(a.theta_final, b.theta_final)
-        assert np.array_equal(a.accepted, b.accepted)
-        assert batch.query_count == scalar.query_count == 600
 
     def test_validation(self):
         oracle = _SilentOracle()

@@ -95,6 +95,7 @@ class TestValidateConfig:
         {"target": {"kind": "speed"}},
         {"target": {"value": 0}},
         {"sweep": {"seeds": [1, -2]}},
+        {"sweep": {"seeds": [1, 1]}},
         {"sweep": {"k": 5}},  # axis must be a list
         {"sweep": 3},
         {"problem": "fast"},
