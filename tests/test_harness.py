@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -306,6 +307,36 @@ class TestCsv:
         path = tmp_path / "deep" / "nest" / "run.csv"
         write_trajectory_csv(traj, path)
         assert path.exists()
+
+
+def _digest_configs():
+    ncrs = _tiny_config(horizon=300)
+    ncrs["problem"].update(inner="quadratic_cosine", tau=0.1, nuisance_dim=2)
+    ncrs["oracle"]["advantage"] = 0.3
+    vote = _tiny_config(kind="ncrs_vote", horizon=200, votes=3, alpha=0.05)
+    vote["oracle"]["kind"] = "noisy_engage"
+    rsgf = _tiny_config(kind="rsgf", horizon=200, alpha="auto")
+    return {"ncrs": ncrs, "ncrs_vote": vote, "rsgf": rsgf}
+
+
+class TestCsvDigests:
+    """Pin the exact CSV bytes of one small run per algorithm.
+
+    The ncrs config draws from all five streams (its tau > 0 adds the
+    nuisance term).  A digest changes only when a run's bytes change, so
+    an intended change re-pins it and says why.
+    """
+
+    @pytest.mark.parametrize("name,digest", [
+        ("ncrs", "e3b47e397ec41f67fa6c41d7dfbaf2f85117c623f3d2ba903060651cf86e4126"),
+        ("ncrs_vote", "ddd4c38b02b45cc8eb61a357a2a91e94c5400cea2a038de2557bfe3b55f658bf"),
+        ("rsgf", "638776decabf514b4f9b0f79a078c5616c54d5ae169f1401b72d5585f10bfb13"),
+    ])
+    def test_run_one_csv_bytes(self, tmp_path, name, digest):
+        traj, _ = run_one(_digest_configs()[name], master_seed=3)
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(traj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCellsAndHashes:
