@@ -43,13 +43,6 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, role: str) -> "RngStream":
-        """Child stream for a named role; id mixes this stream's id with the tag."""
-        digest = hashlib.blake2b(
-            f"{self.stream_id}:{role}".encode(), digest_size=8
-        ).digest()
-        return RngStream(self.master_seed, int.from_bytes(digest, "little"))
-
 
 def gaussian_vector(rng: RngStream, d: int) -> np.ndarray:
     """Draw one standard Gaussian vector in R^d."""

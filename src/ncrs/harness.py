@@ -1,11 +1,12 @@
 """Config-driven benchmark runs and sweeps.
 
-A run is a pure function of (config, master seed, run index): problem
-geometry, starting point, algorithm directions, and oracle noise each draw
-from their own named stream, so trajectories are bit-reproducible and
-independent of scheduling.  Sweeps fan runs over a worker pool and merge
-results by run index; the aggregate JSON depends only on the plan and the
-seeds, never on timing or worker count.
+A run is a pure function of (cell config, master seed): problem geometry,
+starting point, algorithm directions, and oracle noise each draw from their
+own stream keyed by (seed, role), so a trajectory is bit-reproducible and
+independent of the sweep it sits in, the worker count, and scheduling.  The
+cells of one sweep share problem draws per seed (common random numbers).
+Sweeps fan runs over a worker pool; the aggregate JSON depends only on the
+plan and the seeds, never on timing or worker count.
 
 The config is a YAML mapping with sections problem / oracle / algorithm /
 target and an optional sweep section holding axis lists; the full grammar
@@ -21,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,15 @@ SWEEP_AXES = (
     ("advantage", ("oracle", "advantage")),
     ("votes", ("algorithm", "votes")),
 )
+
+# Real-valued keys, stored as float by validate_config so that 0 and 0.0
+# name the same cell; "auto" values stay as they are.
+REAL_KEYS = {
+    "problem": ("amplitude", "frequency", "tau", "init_radius_scale"),
+    "oracle": ("advantage", "scale"),
+    "algorithm": ("horizon_scale", "alpha0", "alpha", "mu", "max_rate", "min_rate"),
+    "target": ("value",),
+}
 
 CSV_HEADER = "t,f,grad_norm,accepted,queries"
 
@@ -146,10 +156,11 @@ def _is_num(v) -> bool:
 def validate_config(raw: dict) -> dict:
     """Merge a raw mapping over the defaults and validate every field.
 
-    Returns the normalized config.  Raises ConfigError naming the first
-    offending key.  The sweep section, when present, may hold lists for the
-    axes d / k / tau / advantage / votes plus a seeds list; every axis
-    combination is validated here as its own config before any run starts.
+    Returns the normalized config, with every REAL_KEYS value as a float.
+    Raises ConfigError naming the first offending key.  The sweep section,
+    when present, may hold lists for the axes d / k / tau / advantage / votes
+    plus a seeds list; every axis combination is validated here as its own
+    config before any run starts.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -223,8 +234,8 @@ def validate_config(raw: dict) -> dict:
         _require(_is_num(a["alpha0"]) and a["alpha0"] > 0, "algorithm.alpha0 must be > 0 or 'auto'")
     elif a["kind"] == "ncrs":
         _require(
-            a["schedule"] == "theory_constant",
-            "algorithm.alpha0=auto is defined only for the theory_constant schedule",
+            a["schedule"] != "constant",
+            "algorithm.alpha0=auto is not defined for the constant schedule",
         )
     if a["alpha"] != "auto":
         _require(_is_num(a["alpha"]) and a["alpha"] > 0, "algorithm.alpha must be > 0 or 'auto'")
@@ -246,6 +257,11 @@ def validate_config(raw: dict) -> dict:
     _require(t["kind"] in TARGET_KINDS, f"target.kind must be one of {TARGET_KINDS}")
     _require(_is_num(t["value"]) and t["value"] > 0, "target.value must be > 0")
 
+    for section, keys in REAL_KEYS.items():
+        for key in keys:
+            if _is_int(cfg[section][key]):
+                cfg[section][key] = float(cfg[section][key])
+
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep must be a mapping of axis lists")
@@ -262,8 +278,7 @@ def validate_config(raw: dict) -> dict:
             else:
                 raise ConfigError(f"unknown config key: {where}")
         cfg["sweep"] = copy.deepcopy(sweep)
-        for cell_cfg, _ in expand_cells(cfg):
-            validate_config(cell_cfg)  # reject bad combinations before any run
+        expand_cells(cfg)  # rejects bad combinations before any run
     return cfg
 
 
@@ -311,11 +326,10 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
 
 @dataclass
 class RunSummary:
-    """Per-run results; the running-average series mirrors the trajectory."""
+    """Per-run results of run_one."""
 
     config: dict
     seed: int
-    run_index: int
     epsilon: float
     horizon: int
     iterations_to_target: int | None
@@ -323,14 +337,12 @@ class RunSummary:
     final_running_avg: float
     total_queries: int
     wall_time: float
-    running_avg: np.ndarray = field(repr=False, default=None)
     error: str | None = None
 
     def to_json(self) -> dict:
         return {
             "config": self.config,
             "seed": self.seed,
-            "run_index": self.run_index,
             "epsilon": self.epsilon,
             "horizon": self.horizon,
             "iterations_to_target": self.iterations_to_target,
@@ -383,44 +395,41 @@ def fit_scaling(cells: list[tuple[float, float, float]]) -> tuple[float, float, 
     return float(slope), float(intercept), r2
 
 
-def _streams(master_seed: int, run_index: int) -> dict[str, RngStream]:
+def _streams(master_seed: int) -> dict[str, RngStream]:
+    # one id per role: a run's streams never depend on its place in a sweep
     return {
-        role: RngStream(master_seed, stream_id_for(run_index, role))
+        role: RngStream(master_seed, stream_id_for(0, role))
         for role in ("subspace", "nuisance", "init", "algorithm", "oracle")
     }
 
 
 def _build_problem(cfg: dict, streams: dict[str, RngStream]) -> tuple[RidgeObjective, np.ndarray]:
     p = cfg["problem"]
-    inner = InnerFunction(
-        kind=p["inner"], amplitude=float(p["amplitude"]), frequency=float(p["frequency"])
-    )
-    tau = float(p["tau"])
+    inner = InnerFunction(kind=p["inner"], amplitude=p["amplitude"], frequency=p["frequency"])
     objective = random_ridge_objective(
         streams["subspace"],
-        int(p["d"]),
-        int(p["k"]),
+        p["d"],
+        p["k"],
         inner,
-        tau=tau,
-        nuisance_dim=int(p["nuisance_dim"]) if tau > 0 else 0,
+        tau=p["tau"],
+        nuisance_dim=p["nuisance_dim"] if p["tau"] > 0 else 0,
         nuisance_rng=streams["nuisance"],
     )
-    theta1 = initial_point(objective, streams["init"], float(p["init_radius_scale"]))
+    theta1 = initial_point(objective, streams["init"], p["init_radius_scale"])
     return objective, theta1
 
 
-def run_one(
-    cfg: dict, master_seed: int, run_index: int = 0
-) -> tuple[Trajectory, RunSummary]:
+def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     """Execute one run described by a validated config.
 
-    Streams are keyed by (master_seed, hash(run_index, role)) for the roles
-    subspace / nuisance / init / algorithm / oracle, making the trajectory a
-    pure function of (config, master_seed, run_index).
+    Streams are keyed by (master_seed, role) for the roles subspace /
+    nuisance / init / algorithm / oracle, making the trajectory a pure
+    function of (config, master_seed): a sweep's run of this cell and seed
+    gives the same bytes.
     """
     cfg = validate_config(cfg)
     cfg.pop("sweep", None)
-    streams = _streams(master_seed, run_index)
+    streams = _streams(master_seed)
     objective, theta1 = _build_problem(cfg, streams)
     d = objective.ambient_dim
     k = objective.intrinsic_dim
@@ -429,19 +438,19 @@ def run_one(
     grad0 = float(np.linalg.norm(objective.gradient(theta1)))
     value0 = float(objective.value(theta1))
     tgt = cfg["target"]
-    epsilon = float(tgt["value"]) * (grad0 if tgt["kind"] == "relative" else 1.0)
+    epsilon = tgt["value"] * (grad0 if tgt["kind"] == "relative" else 1.0)
     if epsilon <= 0:
         raise ConfigError("resolved target epsilon is not positive")
     value_gap = value0 - objective.lower_bound
 
     a = cfg["algorithm"]
     o = cfg["oracle"]
-    advantage = float(o["advantage"])
+    advantage = o["advantage"]
     if a["horizon"] == "auto":
         # Horizon recipe T = O(k / (p^2 eps^2)): horizon_scale * pi * L * gap
         # * k / (p^2 eps^2), with the run's own certified gap and target.
         horizon = math.ceil(
-            float(a["horizon_scale"])
+            a["horizon_scale"]
             * math.pi
             * smoothness
             * value_gap
@@ -449,7 +458,7 @@ def run_one(
             / (advantage**2 * epsilon**2)
         )
     else:
-        horizon = int(a["horizon"])
+        horizon = a["horizon"]
 
     def instrument(t: int, theta: np.ndarray) -> tuple[float, float]:
         return (
@@ -463,47 +472,30 @@ def run_one(
         schedule = _build_schedule(a, k, horizon, value_gap, smoothness)
         traj = ncrs_run(oracle, d, theta1, schedule, horizon, streams["algorithm"], instrument)
     elif a["kind"] == "ncrs_vote":
-        link = LinkFunction(kind=o["link"], scale=float(o["scale"]))
+        link = LinkFunction(kind=o["link"], scale=o["scale"])
         oracle = ConfidenceOracle(objective, o["kind"], link, streams["oracle"])
         traj = ncrs_vote_run(
-            oracle,
-            d,
-            theta1,
-            float(a["alpha"]),
-            int(a["votes"]),
-            horizon,
-            streams["algorithm"],
-            instrument,
+            oracle, d, theta1, a["alpha"], a["votes"], horizon, streams["algorithm"], instrument
         )
     else:
         alpha = a["alpha"]
         stable = rsgf_stable_step(smoothness, k)
         if alpha == "auto":
             alpha = stable
-        elif float(alpha) > stable * (1 + 1e-12):
+        elif alpha > stable * (1 + 1e-12):
             logger.warning(
-                "rsgf step size %.6g exceeds the certified stable bound %.6g",
-                float(alpha),
-                stable,
+                "rsgf step size %.6g exceeds the certified stable bound %.6g", alpha, stable
             )
         traj = rsgf_run(
-            objective.value,
-            d,
-            theta1,
-            float(alpha),
-            float(a["mu"]),
-            horizon,
-            streams["algorithm"],
-            instrument,
+            objective.value, d, theta1, alpha, a["mu"], horizon, streams["algorithm"], instrument
         )
     wall = time.perf_counter() - start
 
-    traj.config = {"run": copy.deepcopy(cfg), "seed": master_seed, "run_index": run_index}
+    traj.config = {"run": copy.deepcopy(cfg), "seed": master_seed}
     avg = running_average(traj.grad_norms)
     summary = RunSummary(
         config=traj.config,
         seed=master_seed,
-        run_index=run_index,
         epsilon=epsilon,
         horizon=horizon,
         iterations_to_target=iterations_to_target(traj, epsilon),
@@ -511,7 +503,6 @@ def run_one(
         final_running_avg=float(avg[-1]) if avg.size else math.nan,
         total_queries=traj.total_queries,
         wall_time=wall,
-        running_avg=avg,
     )
     return traj, summary
 
@@ -520,16 +511,14 @@ def _build_schedule(
     a: dict, k: int, horizon: int, value_gap: float, smoothness: float
 ) -> StepSchedule:
     if a["schedule"] == "constant":
-        return constant_schedule(float(a["alpha0"]), horizon)
+        return constant_schedule(a["alpha0"], horizon)
     if a["schedule"] == "theory_constant":
         alpha0 = a["alpha0"]
         if alpha0 == "auto":
             # minimizes the horizon bound: alpha0* = sqrt(2 gap / L)
             alpha0 = math.sqrt(2.0 * value_gap / smoothness)
-        return theory_schedule(float(alpha0), k, horizon)
-    return cosine_schedule(
-        float(a["max_rate"]), float(a["min_rate"]), int(a["decay_steps"]), horizon
-    )
+        return theory_schedule(alpha0, k, horizon)
+    return cosine_schedule(a["max_rate"], a["min_rate"], a["decay_steps"], horizon)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
@@ -556,7 +545,9 @@ def expand_cells(cfg: dict) -> list[tuple[dict, dict]]:
     """All (cell config, axis values) combinations of the sweep section.
 
     Axis order is d, k, tau, advantage, votes; the cell config is the base
-    config with the axis values substituted and no sweep section.
+    config with the axis values substituted and no sweep section, validated
+    and so normalized like any config.  Raises ConfigError for the first
+    cell that does not validate.
     """
     sweep = cfg.get("sweep", {}) or {}
     base = {key: copy.deepcopy(val) for key, val in cfg.items() if key != "sweep"}
@@ -570,20 +561,19 @@ def expand_cells(cfg: dict) -> list[tuple[dict, dict]]:
             section, key = dict(SWEEP_AXES)[name]
             cell_cfg[section][key] = value
             axes[name] = value
-        cells.append((cell_cfg, axes))
+        cells.append((validate_config(cell_cfg), axes))
     return cells
 
 
-def _sweep_worker(args: tuple[dict, int, int, str]) -> dict:
-    cell_cfg, seed, run_index, csv_path = args
+def _sweep_worker(args: tuple[dict, int, str]) -> dict:
+    cell_cfg, seed, csv_path = args
     try:
-        traj, summary = run_one(cell_cfg, seed, run_index)
+        traj, summary = run_one(cell_cfg, seed)
         write_trajectory_csv(traj, csv_path)
         return summary.to_json()
     except Exception as exc:  # recorded per-run; the sweep continues
         return {
             "seed": seed,
-            "run_index": run_index,
             "error": f"{type(exc).__name__}: {exc}",
             "iterations_to_target": None,
             "final_running_avg": None,
@@ -609,8 +599,9 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     aggregate JSON, and return the aggregate.
 
     Layout: <out_dir>/<cell-hash>/<seed>.csv and <out_dir>/aggregate.json.
-    The aggregate depends only on (plan, seeds): identical for any worker
-    count, as runs derive their randomness from (seed, run index) alone.
+    Runs derive their randomness from (cell config, seed) alone, so each CSV
+    equals what run_one (and `ncrs run`) gives that cell and seed, and the
+    aggregate depends only on (plan, seeds), identical for any worker count.
     """
     cfg = validate_config(cfg)
     if workers < 1:
@@ -620,14 +611,11 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     seeds = list(cfg.get("sweep", {}).get("seeds", [1, 2, 3, 4, 5]))
     cells = expand_cells(cfg)
 
-    jobs = []
-    run_index = 0
-    for cell_cfg, axes in cells:
-        chash = cell_hash(cell_cfg)
-        for seed in seeds:
-            csv_path = str(out_dir / chash / f"{seed}.csv")
-            jobs.append((cell_cfg, seed, run_index, csv_path))
-            run_index += 1
+    jobs = [
+        (cell_cfg, seed, str(out_dir / cell_hash(cell_cfg) / f"{seed}.csv"))
+        for cell_cfg, _ in cells
+        for seed in seeds
+    ]
 
     if workers == 1 or len(jobs) <= 1:
         results = [_sweep_worker(job) for job in jobs]

@@ -49,14 +49,6 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_substream_is_deterministic_and_distinct(self):
-        s = RngStream(7, stream_id_for(2, "check:descent"))
-        a = s.substream("inner").gen.standard_normal(16)
-        b = RngStream(7, stream_id_for(2, "check:descent")).substream("inner").gen.standard_normal(16)
-        c = s.substream("other").gen.standard_normal(16)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)

@@ -2,12 +2,15 @@ import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 from ncrs.algorithms import Trajectory
+from ncrs.cli import main
 from ncrs.harness import (
     CSV_HEADER,
     ConfigError,
@@ -281,6 +284,13 @@ class TestRunOne:
         with pytest.raises(ConfigError):
             run_one({"problem": {"d": 0}}, master_seed=0)
 
+    def test_cosine_decay_runs_with_default_alpha0(self):
+        # the cosine schedule never reads alpha0, so its "auto" default stands
+        cfg = _tiny_config(schedule="cosine_decay", max_rate=0.1, min_rate=0.01, decay_steps=5)
+        assert validate_config(cfg)["algorithm"]["alpha0"] == "auto"
+        traj, summary = run_one(cfg, master_seed=1)
+        assert summary.horizon == 300 and traj.steps[-1] == 300
+
 
 class TestCsv:
     def test_format_and_round_trip(self, tmp_path):
@@ -365,6 +375,16 @@ class TestCellsAndHashes:
         assert len(cell_hash(a)) == 12
         int(cell_hash(a), 16)
 
+    def test_int_and_float_values_hash_alike(self):
+        default = cell_hash(validate_config({}))
+        assert default == "eaad7e6c3133"
+        overridden = apply_overrides(validate_config({}), ["problem.tau=0"])
+        assert type(overridden["problem"]["tau"]) is float
+        assert cell_hash(overridden) == default
+        [(cell_cfg, _)] = expand_cells(validate_config({"sweep": {"tau": [0]}}))
+        assert type(cell_cfg["problem"]["tau"]) is float
+        assert cell_hash(cell_cfg) == default
+
 
 class TestRunSweep:
     def _sweep_config(self):
@@ -397,6 +417,25 @@ class TestRunSweep:
         for csv_path in sorted((tmp_path / "serial").rglob("*.csv")):
             twin = tmp_path / "parallel" / csv_path.relative_to(tmp_path / "serial")
             assert csv_path.read_bytes() == twin.read_bytes()
+
+    def test_cell_csv_is_independent_of_sweep_layout(self, tmp_path):
+        # the advantage=0.5 cell at seed 2 sits at a different position in
+        # each sweep, and ncrs run knows no sweep at all
+        cfg = _tiny_config()
+        cfg["sweep"] = {"advantage": [0.25, 0.5], "seeds": [1, 2]}
+        run_sweep(cfg, tmp_path / "two_cells")
+        cfg["sweep"] = {"advantage": [0.5], "seeds": [1, 2]}
+        run_sweep(cfg, tmp_path / "one_cell")
+        cell = _tiny_config()
+        cell["oracle"]["advantage"] = 0.5
+        config_path = tmp_path / "cell.yaml"
+        config_path.write_text(yaml.safe_dump(cell))
+        assert main(["run", "--config", str(config_path), "--seed", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        rel = Path(cell_hash(validate_config(cell))) / "2.csv"
+        expected = (tmp_path / "run" / rel).read_bytes()
+        assert (tmp_path / "two_cells" / rel).read_bytes() == expected
+        assert (tmp_path / "one_cell" / rel).read_bytes() == expected
 
     def test_default_seed_roster(self, tmp_path):
         cfg = _tiny_config(horizon=50)
