@@ -116,8 +116,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     cfg = apply_overrides(cfg, args.overrides)
-    if args.workers < 1:
-        raise ConfigError("--workers must be a positive integer")
     aggregate = run_sweep(cfg, args.out, workers=args.workers)
     print(json.dumps(aggregate, sort_keys=True))
     failed = any(any(e is not None for e in cell["errors"]) for cell in aggregate["cells"])

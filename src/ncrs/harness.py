@@ -10,19 +10,21 @@ plan and the seeds, never on timing or worker count.
 
 The config is a YAML mapping with sections problem / oracle / algorithm /
 target and an optional sweep section holding axis lists; the full grammar
-is documented in the README.  Unknown keys are rejected by name.
+is documented in the README; CONFIG_KEYS holds every key's default, type
+and range.  Unknown keys are rejected by name.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +67,48 @@ SWEEP_AXES = (
     ("votes", ("algorithm", "votes")),
 )
 
-# Real-valued keys, stored as float by validate_config so that 0 and 0.0
-# name the same cell; "auto" values stay as they are.
-REAL_KEYS = {
-    "problem": ("amplitude", "frequency", "tau", "init_radius_scale"),
-    "oracle": ("advantage", "scale"),
-    "algorithm": ("horizon_scale", "alpha0", "alpha", "mu", "max_rate", "min_rate"),
-    "target": ("value",),
-}
-
 CSV_HEADER = "t,f,grad_norm,accepted,queries"
+
+# Every config key, once: section -> key -> (default, rule).  A rule is a
+# tuple of allowed names, or "int|real >=|> bound", optionally followed by
+# "or auto".  validate_config checks every key against its rule whatever the
+# schedule or algorithm, and stores reals as floats so that 0 and 0.0 name
+# the same cell; the rules that couple keys follow the walk there.
+CONFIG_KEYS = {
+    "problem": {
+        "d": (50, "int >= 1"),
+        "k": (5, "int >= 1"),
+        "inner": ("pure_quadratic", INNER_KINDS),
+        "amplitude": (1.0, "real >= 0"),
+        "frequency": (3.0, "real > 0"),
+        "tau": (0.0, "real >= 0"),
+        "nuisance_dim": (0, "int >= 0"),
+        "init_radius_scale": (3.0, "real > 0"),
+    },
+    "oracle": {
+        "kind": ("sign", ORACLE_KINDS),
+        "advantage": (0.5, "real > 0"),
+        "link": ("logistic", LINK_KINDS),
+        "scale": (1.0, "real > 0"),
+    },
+    "algorithm": {
+        "kind": ("ncrs", ALGORITHM_KINDS),
+        "horizon": (10_000, "int >= 1 or auto"),
+        "horizon_scale": (2.0, "real > 0"),
+        "schedule": ("theory_constant", SCHEDULE_KINDS),
+        "alpha0": ("auto", "real > 0 or auto"),
+        "alpha": (0.05, "real > 0 or auto"),
+        "votes": (1, "int >= 1"),
+        "mu": (1.0e-4, "real > 0"),
+        "max_rate": (0.0, "real >= 0"),
+        "min_rate": (0.0, "real >= 0"),
+        "decay_steps": (0, "int >= 0"),
+    },
+    "target": {
+        "kind": ("relative", TARGET_KINDS),
+        "value": (0.25, "real > 0"),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -82,62 +116,8 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
-    return {
-        "problem": {
-            "d": 50,
-            "k": 5,
-            "inner": "pure_quadratic",
-            "amplitude": 1.0,
-            "frequency": 3.0,
-            "tau": 0.0,
-            "nuisance_dim": 0,
-            "init_radius_scale": 3.0,
-        },
-        "oracle": {
-            "kind": "sign",
-            "advantage": 0.5,
-            "link": "logistic",
-            "scale": 1.0,
-        },
-        "algorithm": {
-            "kind": "ncrs",
-            "horizon": 10_000,
-            "horizon_scale": 2.0,
-            "schedule": "theory_constant",
-            "alpha0": "auto",
-            "alpha": 0.05,
-            "votes": 1,
-            "mu": 1.0e-4,
-            "max_rate": 0.0,
-            "min_rate": 0.0,
-            "decay_steps": 0,
-        },
-        "target": {
-            "kind": "relative",
-            "value": 0.25,
-        },
-    }
-
-
-def _reject_unknown_keys(raw: dict, allowed: dict, path: str = "") -> None:
-    for key, value in raw.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(allowed[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {where} must be a mapping")
-            _reject_unknown_keys(value, allowed[key], where)
-
-
-def _merge_defaults(raw: dict, defaults: dict) -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in raw.items():
-        if isinstance(defaults.get(key), dict) and isinstance(value, dict):
-            merged[key] = _merge_defaults(value, defaults[key])
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+    """The defaults of CONFIG_KEYS as a fresh nested mapping."""
+    return {sec: {key: d for key, (d, _) in keys.items()} for sec, keys in CONFIG_KEYS.items()}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -149,14 +129,30 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_num(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)) and math.isfinite(v)
+def _checked(where: str, value, rule):
+    """value if it satisfies rule, as a float for a real rule; else ConfigError."""
+    if isinstance(rule, tuple):
+        _require(value in rule, f"{where} must be one of {rule}")
+        return value
+    if value == "auto" and rule.endswith(" or auto"):
+        return value
+    kind, op, bound = rule.split()[:3]
+    if kind == "real" and isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            # YAML 1.1 reads 1e-3 (no dot) as a string; a huge int overflows
+            value = float(value)
+        except (ValueError, OverflowError):
+            pass
+    typed = (isinstance(value, float) and math.isfinite(value)) if kind == "real" else _is_int(value)
+    in_range = typed and (value > float(bound) if op == ">" else value >= float(bound))
+    _require(in_range, f"{where} must be {rule}, got {value!r}")
+    return value
 
 
 def validate_config(raw: dict) -> dict:
-    """Merge a raw mapping over the defaults and validate every field.
+    """Fill a raw mapping with the defaults of CONFIG_KEYS and validate it.
 
-    Returns the normalized config, with every REAL_KEYS value as a float.
+    Returns the normalized config, with every real-valued key as a float.
     Raises ConfigError naming the first offending key.  The sweep section,
     when present, may hold lists for the axes d / k / tau / advantage / votes
     plus a seeds list; every axis combination is validated here as its own
@@ -164,24 +160,21 @@ def validate_config(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    raw = copy.deepcopy(raw)
-    sweep = raw.pop("sweep", None)
-    skeleton = default_config()
-    _reject_unknown_keys(raw, skeleton)
-    cfg = _merge_defaults(raw, skeleton)
+    for section in raw:
+        _require(section in CONFIG_KEYS or section == "sweep", f"unknown config key: {section}")
+    cfg = {}
+    for section, keys in CONFIG_KEYS.items():
+        given = raw.get(section, {})
+        _require(isinstance(given, dict), f"config section {section} must be a mapping")
+        for key in given:
+            _require(key in keys, f"unknown config key: {section}.{key}")
+        cfg[section] = {
+            key: _checked(f"{section}.{key}", given.get(key, default), rule)
+            for key, (default, rule) in keys.items()
+        }
 
-    p = cfg["problem"]
-    _require(_is_int(p["d"]) and p["d"] >= 1, "problem.d must be a positive integer")
-    _require(_is_int(p["k"]) and p["k"] >= 1, "problem.k must be a positive integer")
+    p, o, a = cfg["problem"], cfg["oracle"], cfg["algorithm"]
     _require(p["k"] <= p["d"], f"problem.k={p['k']} exceeds problem.d={p['d']}")
-    _require(p["inner"] in INNER_KINDS, f"problem.inner must be one of {INNER_KINDS}")
-    _require(_is_num(p["amplitude"]) and p["amplitude"] >= 0, "problem.amplitude must be >= 0")
-    _require(_is_num(p["frequency"]) and p["frequency"] > 0, "problem.frequency must be > 0")
-    _require(_is_num(p["tau"]) and p["tau"] >= 0, "problem.tau must be >= 0")
-    _require(
-        _is_int(p["nuisance_dim"]) and p["nuisance_dim"] >= 0,
-        "problem.nuisance_dim must be a nonnegative integer",
-    )
     if p["tau"] > 0:
         _require(p["nuisance_dim"] >= 1, "problem.tau > 0 requires problem.nuisance_dim >= 1")
         _require(
@@ -189,22 +182,7 @@ def validate_config(raw: dict) -> dict:
             f"problem.k + problem.nuisance_dim must not exceed problem.d="
             f"{p['d']} (got {p['k']} + {p['nuisance_dim']})",
         )
-    _require(
-        _is_num(p["init_radius_scale"]) and p["init_radius_scale"] > 0,
-        "problem.init_radius_scale must be > 0",
-    )
-
-    o = cfg["oracle"]
-    _require(o["kind"] in ORACLE_KINDS, f"oracle.kind must be one of {ORACLE_KINDS}")
-    _require(
-        _is_num(o["advantage"]) and 0 < o["advantage"] <= 0.5,
-        "oracle.advantage must lie in (0, 0.5]",
-    )
-    _require(o["link"] in LINK_KINDS, f"oracle.link must be one of {LINK_KINDS}")
-    _require(_is_num(o["scale"]) and o["scale"] > 0, "oracle.scale must be > 0")
-
-    a = cfg["algorithm"]
-    _require(a["kind"] in ALGORITHM_KINDS, f"algorithm.kind must be one of {ALGORITHM_KINDS}")
+    _require(o["advantage"] <= 0.5, "oracle.advantage must lie in (0, 0.5]")
     if a["kind"] == "ncrs":
         _require(o["kind"] == "sign", "algorithm.kind=ncrs needs oracle.kind=sign")
     if a["kind"] == "ncrs_vote":
@@ -217,51 +195,21 @@ def validate_config(raw: dict) -> dict:
             a["kind"] == "ncrs" and o["kind"] == "sign",
             "algorithm.horizon=auto is defined only for ncrs with a sign oracle",
         )
-    else:
-        _require(
-            _is_int(a["horizon"]) and a["horizon"] >= 1,
-            "algorithm.horizon must be a positive integer or 'auto'",
-        )
-    _require(
-        _is_num(a["horizon_scale"]) and a["horizon_scale"] > 0,
-        "algorithm.horizon_scale must be > 0",
-    )
-    _require(
-        a["schedule"] in SCHEDULE_KINDS,
-        f"algorithm.schedule must be one of {SCHEDULE_KINDS}",
-    )
-    if a["alpha0"] != "auto":
-        _require(_is_num(a["alpha0"]) and a["alpha0"] > 0, "algorithm.alpha0 must be > 0 or 'auto'")
-    elif a["kind"] == "ncrs":
+    if a["alpha0"] == "auto" and a["kind"] == "ncrs":
         _require(
             a["schedule"] != "constant",
             "algorithm.alpha0=auto is not defined for the constant schedule",
         )
-    if a["alpha"] != "auto":
-        _require(_is_num(a["alpha"]) and a["alpha"] > 0, "algorithm.alpha must be > 0 or 'auto'")
-    else:
+    if a["alpha"] == "auto":
         _require(a["kind"] == "rsgf", "algorithm.alpha=auto is defined only for rsgf")
-    _require(_is_int(a["votes"]) and a["votes"] >= 1, "algorithm.votes must be a positive integer")
-    _require(_is_num(a["mu"]) and a["mu"] > 0, "algorithm.mu must be > 0")
     if a["kind"] == "ncrs" and a["schedule"] == "cosine_decay":
         _require(
-            _is_num(a["max_rate"]) and _is_num(a["min_rate"]) and 0 < a["min_rate"] <= a["max_rate"],
+            0 < a["min_rate"] <= a["max_rate"],
             "cosine_decay needs 0 < algorithm.min_rate <= algorithm.max_rate",
         )
-        _require(
-            _is_int(a["decay_steps"]) and a["decay_steps"] >= 1,
-            "cosine_decay needs algorithm.decay_steps >= 1",
-        )
+        _require(a["decay_steps"] >= 1, "cosine_decay needs algorithm.decay_steps >= 1")
 
-    t = cfg["target"]
-    _require(t["kind"] in TARGET_KINDS, f"target.kind must be one of {TARGET_KINDS}")
-    _require(_is_num(t["value"]) and t["value"] > 0, "target.value must be > 0")
-
-    for section, keys in REAL_KEYS.items():
-        for key in keys:
-            if _is_int(cfg[section][key]):
-                cfg[section][key] = float(cfg[section][key])
-
+    sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep must be a mapping of axis lists")
@@ -309,12 +257,6 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
             value = yaml.safe_load(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has an unparseable value: {exc}") from exc
-        if isinstance(value, str):
-            # YAML 1.1 only resolves floats containing a dot, so cover 1e-3 etc.
-            try:
-                value = float(value)
-            except ValueError:
-                pass
         node = out
         for key in keys[:-1]:
             node = node.setdefault(key, {})
@@ -324,7 +266,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return validate_config(out)
 
 
-@dataclass
+@dataclasses.dataclass
 class RunSummary:
     """Per-run results of run_one."""
 
@@ -340,18 +282,7 @@ class RunSummary:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "iterations_to_target": self.iterations_to_target,
-            "final_value": self.final_value,
-            "final_running_avg": self.final_running_avg,
-            "total_queries": self.total_queries,
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
+        return dataclasses.asdict(self)
 
 
 def running_average(grad_norms: np.ndarray) -> np.ndarray:
@@ -521,9 +452,22 @@ def _build_schedule(
     return cosine_schedule(a["max_rate"], a["min_rate"], a["decay_steps"], horizon)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text through a temp file in path's directory, then rename it into
+    place: an interrupted write leaves the old file whole and no temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """CSV with header t,f,grad_norm,accepted,queries; LF endings; floats at
-    17 significant digits."""
+    17 significant digits; written atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
@@ -531,8 +475,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries
     ):
         lines.append(f"{int(t)},{float(f):.17g},{float(g):.17g},{int(acc)},{int(q)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def cell_hash(cell_cfg: dict) -> str:
@@ -647,6 +590,5 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
             }
         )
     text = json.dumps(aggregate, sort_keys=True, indent=2) + "\n"
-    with open(out_dir / "aggregate.json", "w", newline="\n") as fh:
-        fh.write(text)
+    _write_atomic(out_dir / "aggregate.json", text)
     return aggregate

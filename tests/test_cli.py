@@ -110,6 +110,12 @@ class TestRunCommand:
         assert code == 2
         assert "problem.dd" in capsys.readouterr().err
 
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"problem:\n  amplitude: {10**400}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "problem.amplitude" in capsys.readouterr().err
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

@@ -9,6 +9,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+from ncrs import harness
 from ncrs.algorithms import Trajectory
 from ncrs.cli import main
 from ncrs.harness import (
@@ -103,6 +104,12 @@ class TestValidateConfig:
         {"sweep": {"k": 5}},  # axis must be a list
         {"sweep": 3},
         {"problem": "fast"},
+        {"problem": {"amplitude": 10**400}},  # beyond float range
+        {"problem": {"d": "1e3"}},  # exponent strings are read only for reals
+        {"algorithm": {"mu": "nan"}},
+        {"algorithm": {"max_rate": "abc"}},  # checked under any schedule
+        {"algorithm": {"min_rate": -5.0}},
+        {"algorithm": {"decay_steps": "x"}},
     ])
     def test_rejections(self, raw):
         with pytest.raises(ConfigError):
@@ -116,6 +123,17 @@ class TestValidateConfig:
         raw = {"problem": {"d": 50}, "sweep": {"k": [5, 60]}}
         with pytest.raises(ConfigError, match="exceeds"):
             validate_config(raw)
+
+    def test_readme_grammar_matches_defaults(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Config grammar", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = yaml.safe_load(block)
+        documented.pop("sweep")
+        # JSON tells 1 from 1.0, so this compares keys, values and types
+        assert json.dumps(documented, sort_keys=True) == json.dumps(
+            default_config(), sort_keys=True
+        )
 
     def test_valid_sweep_passes(self):
         cfg = validate_config({"sweep": {"k": [2, 4], "seeds": [1, 2]}})
@@ -143,6 +161,21 @@ class TestLoadAndOverrides:
         assert out["oracle"]["advantage"] == 0.125
         assert out["algorithm"]["mu"] == 1e-3
         assert out["sweep"]["k"] == [2, 3]
+
+    def test_exponent_notation_in_file(self, tmp_path):
+        # YAML 1.1 reads 1e-3 (no dot) as a string
+        path = tmp_path / "run.yaml"
+        path.write_text("algorithm:\n  kind: rsgf\n  mu: 1e-3\n")
+        mu = load_config(path)["algorithm"]["mu"]
+        assert mu == 0.001 and type(mu) is float
+
+    def test_exponent_notation_in_sweep_list(self):
+        out = apply_overrides(
+            validate_config({}), ["sweep.tau=[1e-3, 0.1]", "problem.nuisance_dim=2"]
+        )
+        taus = [cell["problem"]["tau"] for cell, _ in expand_cells(out)]
+        assert taus == [0.001, 0.1]
+        assert all(type(tau) is float for tau in taus)
 
     def test_override_validation(self):
         cfg = validate_config({})
@@ -312,6 +345,29 @@ class TestCsv:
         recomputed = running_average(cols[:, 2].astype(np.float64))
         assert recomputed[-1] == summary.final_running_avg
 
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, fail_at):
+        traj, _ = run_one(_tiny_config(horizon=10), master_seed=12)
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"old bytes\n")
+
+        def open_then_fail(file, *args, **kwargs):
+            with open(file, *args, **kwargs) as fh:
+                fh.write("t,f,grad")
+            raise OSError("disk full")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        if fail_at == "write":
+            monkeypatch.setattr(harness, "open", open_then_fail, raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_trajectory_csv(traj, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
     def test_creates_parent_dirs(self, tmp_path):
         traj, _ = run_one(_tiny_config(horizon=10), master_seed=12)
         path = tmp_path / "deep" / "nest" / "run.csv"
@@ -462,6 +518,17 @@ class TestRunSweep:
         assert all(err and "ValueError" in err for err in cell["errors"])
         assert cell["iterations_to_target"]["count"] == 0
         assert cell["iterations_to_target"]["mean"] is None
+
+    def test_failed_aggregate_write_keeps_old_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        (tmp_path / "aggregate.json").write_bytes(b"{}\n")
+        monkeypatch.setattr(harness.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            run_sweep(self._sweep_config(), tmp_path)
+        assert (tmp_path / "aggregate.json").read_bytes() == b"{}\n"
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["aggregate.json"]
 
     def test_worker_validation(self, tmp_path):
         with pytest.raises(ConfigError):
