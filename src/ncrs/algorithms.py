@@ -13,7 +13,10 @@ rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
 
 All three share one loop, _search, and differ only in the decision rule
-that turns (t, theta, direction) into the next iterate.
+that turns (t, theta, direction) into the next iterate.  Every iterate and
+candidate is a read-only array, so an oracle or instrument that writes to
+a point it was handed raises ValueError, and an objective may remember
+values by array identity (RidgeObjective.evaluate).
 """
 from __future__ import annotations
 
@@ -133,6 +136,12 @@ class Trajectory:
         return int(self.queries[-1]) if len(self.queries) else 0
 
 
+def _frozen(point: np.ndarray) -> np.ndarray:
+    """point, made read-only."""
+    point.flags.writeable = False
+    return point
+
+
 def _search(
     dim: int,
     theta1: np.ndarray,
@@ -148,9 +157,9 @@ def _search(
     (theta, accepted) = move(t, theta, s).  Every log_stride(horizon)-th
     iteration and the last one are recorded: the instrument reading of theta
     before the move, the accept flag, and queries(t), the cumulative query
-    count after the move.
+    count after the move.  theta_final is a writeable copy.
     """
-    theta = np.array(theta1, dtype=np.float64)
+    theta = _frozen(np.array(theta1, dtype=np.float64))
     if theta.shape != (dim,):
         raise ValueError(f"theta1 must have shape ({dim},)")
     if horizon < 1:
@@ -173,7 +182,7 @@ def _search(
             accepted[record] = accept
             counts[record] = queries(t)
             record += 1
-    return Trajectory(steps, values, grad_norms, accepted, counts, theta)
+    return Trajectory(steps, values, grad_norms, accepted, counts, theta.copy())
 
 
 def ncrs_run(
@@ -195,7 +204,7 @@ def ncrs_run(
         raise ValueError("horizon must be in [1, schedule.horizon]")
 
     def move(t, theta, direction):
-        candidate = theta + schedule.step_at(t) * direction
+        candidate = _frozen(theta + schedule.step_at(t) * direction)
         if oracle.compare(theta, candidate) > 0:
             return candidate, True
         return theta, False
@@ -227,7 +236,7 @@ def ncrs_vote_run(
         raise ValueError("votes must be at least 1")
 
     def move(t, theta, direction):
-        candidate = theta + alpha * direction
+        candidate = _frozen(theta + alpha * direction)
         if np.sum(oracle.compare_batch(theta, candidate, votes)) > 0.0:
             return candidate, True
         return theta, False
@@ -258,7 +267,7 @@ def rsgf_run(
 
     def move(t, theta, direction):
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
-        return theta - alpha * slope * direction, True
+        return _frozen(theta - alpha * slope * direction), True
 
     return _search(dim, theta1, horizon, rng, instrument, move, lambda t: 2 * t)
 

@@ -69,20 +69,25 @@ SWEEP_AXES = (
 
 CSV_HEADER = "t,f,grad_norm,accepted,queries"
 
+# Largest horizon a run accepts, given or resolved from horizon: auto; at
+# 30-60 us per ncrs iteration it is 5-10 minutes of search.
+MAX_HORIZON = 10_000_000
+
 # Every config key, once: section -> key -> (default, rule).  A rule is a
 # tuple of allowed names, or "int|real >=|> bound", optionally followed by
-# "or auto".  validate_config checks every key against its rule whatever the
-# schedule or algorithm, and stores reals as floats so that 0 and 0.0 name
-# the same cell; the rules that couple keys follow the walk there.
+# "and <= ceiling" and then by "or auto".  validate_config checks every key
+# against its rule whatever the schedule or algorithm, and stores reals as
+# floats so that 0 and 0.0 name the same cell; the rules that couple keys
+# follow the walk there.
 CONFIG_KEYS = {
     "problem": {
-        "d": (50, "int >= 1"),
-        "k": (5, "int >= 1"),
+        "d": (50, "int >= 1 and <= 1000000"),
+        "k": (5, "int >= 1 and <= 1000000"),
         "inner": ("pure_quadratic", INNER_KINDS),
         "amplitude": (1.0, "real >= 0"),
         "frequency": (3.0, "real > 0"),
         "tau": (0.0, "real >= 0"),
-        "nuisance_dim": (0, "int >= 0"),
+        "nuisance_dim": (0, "int >= 0 and <= 1000000"),
         "init_radius_scale": (3.0, "real > 0"),
     },
     "oracle": {
@@ -93,16 +98,16 @@ CONFIG_KEYS = {
     },
     "algorithm": {
         "kind": ("ncrs", ALGORITHM_KINDS),
-        "horizon": (10_000, "int >= 1 or auto"),
+        "horizon": (10_000, f"int >= 1 and <= {MAX_HORIZON} or auto"),
         "horizon_scale": (2.0, "real > 0"),
         "schedule": ("theory_constant", SCHEDULE_KINDS),
         "alpha0": ("auto", "real > 0 or auto"),
         "alpha": (0.05, "real > 0 or auto"),
-        "votes": (1, "int >= 1"),
+        "votes": (1, "int >= 1 and <= 1000000"),
         "mu": (1.0e-4, "real > 0"),
         "max_rate": (0.0, "real >= 0"),
         "min_rate": (0.0, "real >= 0"),
-        "decay_steps": (0, "int >= 0"),
+        "decay_steps": (0, f"int >= 0 and <= {MAX_HORIZON}"),
     },
     "target": {
         "kind": ("relative", TARGET_KINDS),
@@ -136,7 +141,7 @@ def _checked(where: str, value, rule):
         return value
     if value == "auto" and rule.endswith(" or auto"):
         return value
-    kind, op, bound = rule.split()[:3]
+    kind, op, bound, *rest = rule.split()
     if kind == "real" and isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             # YAML 1.1 reads 1e-3 (no dot) as a string; a huge int overflows
@@ -145,6 +150,8 @@ def _checked(where: str, value, rule):
             pass
     typed = (isinstance(value, float) and math.isfinite(value)) if kind == "real" else _is_int(value)
     in_range = typed and (value > float(bound) if op == ">" else value >= float(bound))
+    if rest[:2] == ["and", "<="]:
+        in_range = in_range and value <= int(rest[2])
     _require(in_range, f"{where} must be {rule}, got {value!r}")
     return value
 
@@ -226,6 +233,10 @@ def validate_config(raw: dict) -> dict:
             else:
                 raise ConfigError(f"unknown config key: {where}")
         cfg["sweep"] = copy.deepcopy(sweep)
+        for name, (section, key) in SWEEP_AXES:
+            if name in sweep:  # as validated, so the plan reports what the cells run
+                rule = CONFIG_KEYS[section][key][1]
+                cfg["sweep"][name] = [_checked(f"sweep.{name}", v, rule) for v in sweep[name]]
         expand_cells(cfg)  # rejects bad combinations before any run
     return cfg
 
@@ -380,22 +391,24 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     if a["horizon"] == "auto":
         # Horizon recipe T = O(k / (p^2 eps^2)): horizon_scale * pi * L * gap
         # * k / (p^2 eps^2), with the run's own certified gap and target.
-        horizon = math.ceil(
-            a["horizon_scale"]
-            * math.pi
-            * smoothness
-            * value_gap
-            * k
-            / (advantage**2 * epsilon**2)
+        # A tiny eps can square to 0 or overflow the budget to inf.
+        denominator = advantage**2 * epsilon**2
+        budget = (
+            a["horizon_scale"] * math.pi * smoothness * value_gap * k / denominator
+            if denominator > 0
+            else math.inf
         )
+        _require(
+            budget <= MAX_HORIZON,
+            f"algorithm.horizon=auto resolved to {budget:.4g} iterations, above the "
+            f"ceiling {MAX_HORIZON}",
+        )
+        horizon = math.ceil(budget)
     else:
         horizon = a["horizon"]
 
     def instrument(t: int, theta: np.ndarray) -> tuple[float, float]:
-        return (
-            float(objective.value(theta)),
-            float(np.linalg.norm(objective.gradient(theta))),
-        )
+        return objective.evaluate(theta), float(np.linalg.norm(objective.gradient(theta)))
 
     start = time.perf_counter()
     if a["kind"] == "ncrs":
@@ -418,7 +431,7 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
                 "rsgf step size %.6g exceeds the certified stable bound %.6g", alpha, stable
             )
         traj = rsgf_run(
-            objective.value, d, theta1, alpha, a["mu"], horizon, streams["algorithm"], instrument
+            objective.evaluate, d, theta1, alpha, a["mu"], horizon, streams["algorithm"], instrument
         )
     wall = time.perf_counter() - start
 
@@ -489,22 +502,22 @@ def expand_cells(cfg: dict) -> list[tuple[dict, dict]]:
 
     Axis order is d, k, tau, advantage, votes; the cell config is the base
     config with the axis values substituted and no sweep section, validated
-    and so normalized like any config.  Raises ConfigError for the first
-    cell that does not validate.
+    and so normalized like any config, and the axis values are read back
+    from it.  Raises ConfigError for the first cell that does not validate.
     """
     sweep = cfg.get("sweep", {}) or {}
     base = {key: copy.deepcopy(val) for key, val in cfg.items() if key != "sweep"}
     names = [name for name, _ in SWEEP_AXES if name in sweep]
     value_lists = [sweep[name] for name in names]
+    keys = [dict(SWEEP_AXES)[name] for name in names]
     cells = []
     for combo in itertools.product(*value_lists):
         cell_cfg = copy.deepcopy(base)
-        axes = {}
-        for name, value in zip(names, combo):
-            section, key = dict(SWEEP_AXES)[name]
+        for (section, key), value in zip(keys, combo):
             cell_cfg[section][key] = value
-            axes[name] = value
-        cells.append((validate_config(cell_cfg), axes))
+        cell_cfg = validate_config(cell_cfg)
+        axes = {name: cell_cfg[section][key] for name, (section, key) in zip(names, keys)}
+        cells.append((cell_cfg, axes))
     return cells
 
 

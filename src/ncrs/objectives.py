@@ -10,7 +10,7 @@ infimum, both used by schedules and parameter recipes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +43,14 @@ class InnerFunction:
     def value(self, z: np.ndarray) -> np.ndarray | float:
         z = np.asarray(z, dtype=np.float64)
         if self.kind == "pure_quadratic":
-            out = 0.5 * np.sum(z * z, axis=-1)
+            out = 0.5 * np.add.reduce(z * z, axis=-1)
         elif self.kind == "quadratic_cosine":
-            out = 0.5 * np.sum(z * z, axis=-1) + self.amplitude * np.sum(
+            out = 0.5 * np.add.reduce(z * z, axis=-1) + self.amplitude * np.add.reduce(
                 np.cos(self.frequency * z), axis=-1
             )
         else:
             zz = z * z
-            out = np.sum(zz / (1.0 + zz), axis=-1)
+            out = np.add.reduce(zz / (1.0 + zz), axis=-1)
         return out if out.ndim else float(out)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ class NuisanceSpec:
 
     def value(self, x: np.ndarray) -> np.ndarray | float:
         phases = np.asarray(x, dtype=np.float64) @ self.subspace.basis.T
-        out = (self.tau / math.sqrt(self.dim)) * np.sum(np.sin(phases), axis=-1)
+        out = (self.tau / math.sqrt(self.dim)) * np.add.reduce(np.sin(phases), axis=-1)
         return out if out.ndim else float(out)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -108,13 +108,31 @@ class NuisanceSpec:
         return (self.tau / math.sqrt(self.dim)) * (np.cos(phases) @ self.subspace.basis)
 
 
+# Points remembered by RidgeObjective.evaluate: the current iterate and the
+# candidate it is compared with.
+EVALUATE_CACHE_SIZE = 2
+
+
 @dataclass(frozen=True)
 class RidgeObjective:
-    """f(x) = g(U x) + eta(x), with certified smoothness and lower bound."""
+    """f(x) = g(U x) + eta(x), with certified smoothness and lower bound.
+
+    value and gradient are batched over leading axes.  evaluate is the
+    single-point evaluator of the search loop: it remembers f(x) and the
+    active coordinates U x of the last EVALUATE_CACHE_SIZE points it was
+    given, keyed by array identity and evicting the least recently used.
+    Only read-only arrays that own their data are remembered, and an entry
+    is dropped once its array is writeable again; any other input is
+    passed straight to value.  gradient reuses a remembered U x.  The
+    cache is not locked: do not call evaluate or gradient on one objective
+    from several threads at once.
+    """
 
     active: Subspace
     inner: InnerFunction
     nuisance: NuisanceSpec | None = None
+    # entries (x, f(x), U x), least recently used first
+    _recent: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nuisance is not None:
@@ -144,29 +162,62 @@ class RidgeObjective:
             low -= self.nuisance.tau * math.sqrt(self.nuisance.dim)
         return low
 
-    def value(self, x: np.ndarray) -> np.ndarray | float:
+    def _point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.ambient_dim:
             raise ValueError(
                 f"point has dimension {x.shape[-1]}, objective lives in "
                 f"R^{self.ambient_dim}"
             )
-        out = self.inner.value(self.active.coordinates(x))
+        return x
+
+    def value(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray | float:
+        """f(x); z, when given, must be the active coordinates U x."""
+        x = self._point(x)
+        if z is None:
+            z = self.active.coordinates(x)
+        out = self.inner.value(z)
         if self.nuisance is not None:
             out = out + self.nuisance.value(x)
         return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"point has dimension {x.shape[-1]}, objective lives in "
-                f"R^{self.ambient_dim}"
-            )
-        grad = self.inner.gradient(self.active.coordinates(x)) @ self.active.basis
+        entry = self._lookup(x)
+        if entry is None:
+            x = self._point(x)
+            z = self.active.coordinates(x)
+        else:
+            z = entry[2]
+        grad = self.inner.gradient(z) @ self.active.basis
         if self.nuisance is not None:
             grad = grad + self.nuisance.gradient(x)
         return grad
+
+    def evaluate(self, x: np.ndarray) -> float:
+        """f(x) at one point, as a float; remembered for read-only points."""
+        entry = self._lookup(x)
+        if entry is not None:
+            return entry[1]
+        if type(x) is not np.ndarray or x.flags.writeable or not x.flags.owndata:
+            return float(self.value(x))
+        z = self.active.coordinates(x)
+        fx = float(self.value(x, z))
+        self._recent.append((x, fx, z))
+        if len(self._recent) > EVALUATE_CACHE_SIZE:
+            del self._recent[0]
+        return fx
+
+    def _lookup(self, x) -> tuple | None:
+        """The cache entry of x, marked most recently used; None if x has none."""
+        recent = self._recent
+        for i, entry in enumerate(recent):
+            if entry[0] is x:
+                if x.flags.writeable:  # made writeable again since it was cached
+                    del recent[i]
+                    return None
+                recent.append(recent.pop(i))
+                return entry
+        return None
 
 
 def random_ridge_objective(

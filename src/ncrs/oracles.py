@@ -151,7 +151,7 @@ class SignOracle:
     def compare(self, x: np.ndarray, y: np.ndarray) -> int:
         """+1 if the oracle claims f(x) > f(y) (y preferred), else -1."""
         self.query_count += 1
-        gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        gap = self.objective.evaluate(x) - self.objective.evaluate(y)
         if gap == 0.0:
             return 1 if self.rng.gen.random() < 0.5 else -1
         true_sign = 1 if gap > 0.0 else -1
@@ -227,7 +227,7 @@ class ConfidenceOracle:
         if n < 1:
             raise ValueError("batch size must be at least 1")
         self.query_count += n
-        gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        gap = self.objective.evaluate(x) - self.objective.evaluate(y)
         if gap == 0.0:
             return np.zeros(n)
         if self.kind == "deterministic_link":

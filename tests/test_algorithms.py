@@ -362,6 +362,85 @@ class TestRsgfRun:
             rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.1, 0.0, 10, _stream(0, "a"))
 
 
+class _RecordingSignOracle(SignOracle):
+    """Sign oracle that keeps every point it is asked about."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.points = []
+
+    def compare(self, x, y):
+        self.points += [x, y]
+        return super().compare(x, y)
+
+
+class _RecordingConfidenceOracle(ConfidenceOracle):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.points = []
+
+    def compare_batch(self, x, y, n):
+        self.points += [x, y]
+        return super().compare_batch(x, y, n)
+
+
+def _evaluating_instrument(obj, seen):
+    """The harness's instrument, keeping the points it reads."""
+    def instrument(t, theta):
+        seen.append(theta)
+        return obj.evaluate(theta), float(np.linalg.norm(obj.gradient(theta)))
+    return instrument
+
+
+def _run(kind, obj, horizon, instrument):
+    theta1 = initial_point(obj, _stream(240, "init"))
+    rng = _stream(240, "algorithm")
+    if kind == "ncrs":
+        oracle = _RecordingSignOracle(obj, 0.3, _stream(240, "oracle"))
+        traj = ncrs_run(oracle, 15, theta1, constant_schedule(0.2, horizon), horizon, rng,
+                        instrument)
+    elif kind == "ncrs_vote":
+        oracle = _RecordingConfidenceOracle(obj, "noisy_engage", LinkFunction(kind="logistic"),
+                                            _stream(240, "oracle"))
+        traj = ncrs_vote_run(oracle, 15, theta1, 0.2, 3, horizon, rng, instrument)
+    else:
+        oracle = None
+        traj = rsgf_run(obj.evaluate, 15, theta1, 0.02, 1e-4, horizon, rng, instrument)
+    return traj, oracle
+
+
+class TestSharedEvaluation:
+    """The points the loop hands out are read-only, so values can be shared."""
+
+    @pytest.mark.parametrize("kind", ["ncrs", "ncrs_vote"])
+    def test_one_value_per_iteration_with_an_instrument(self, kind, monkeypatch):
+        calls = []
+        original = RidgeObjective.value
+        monkeypatch.setattr(
+            RidgeObjective, "value", lambda obj, *args: calls.append(1) or original(obj, *args)
+        )
+        obj = _quadratic(241)
+        _run(kind, obj, 200, _evaluating_instrument(obj, []))
+        assert len(calls) <= 200 + 1
+
+    @pytest.mark.parametrize("kind", ["ncrs", "ncrs_vote", "rsgf"])
+    def test_points_handed_out_are_read_only(self, kind):
+        obj = _quadratic(242)
+        seen = []
+        _, oracle = _run(kind, obj, 30, _evaluating_instrument(obj, seen))
+        points = seen + (oracle.points if oracle is not None else [])
+        assert len(points) >= 30
+        for point in points:
+            with pytest.raises(ValueError):
+                point[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["ncrs", "ncrs_vote", "rsgf"])
+    def test_theta_final_is_writeable(self, kind):
+        obj = _quadratic(243)
+        traj, _ = _run(kind, obj, 30, None)
+        traj.theta_final[0] = 1.0
+
+
 class TestRsgfStableStep:
     def test_value(self):
         assert rsgf_stable_step(1.0, 10) == 1.0 / 48.0

@@ -116,6 +116,11 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "problem.amplitude" in capsys.readouterr().err
 
+    def test_huge_dimension_exits_2(self, config_path, capsys):
+        code = main(["run", "--config", str(config_path), "--set", f"problem.d={10**30}"])
+        assert code == 2
+        assert "problem.d must be int >= 1 and <=" in capsys.readouterr().err
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

@@ -110,6 +110,13 @@ class TestValidateConfig:
         {"algorithm": {"max_rate": "abc"}},  # checked under any schedule
         {"algorithm": {"min_rate": -5.0}},
         {"algorithm": {"decay_steps": "x"}},
+        {"problem": {"d": 10**30}},  # int keys have a ceiling
+        {"problem": {"k": 10**7}},
+        {"problem": {"nuisance_dim": 10**7}},
+        {"algorithm": {"horizon": harness.MAX_HORIZON + 1}},
+        {"algorithm": {"votes": 10**7}},
+        {"algorithm": {"decay_steps": harness.MAX_HORIZON + 1}},
+        {"sweep": {"tau": ["x"]}},  # axis values are checked like the key
     ])
     def test_rejections(self, raw):
         with pytest.raises(ConfigError):
@@ -176,6 +183,16 @@ class TestLoadAndOverrides:
         taus = [cell["problem"]["tau"] for cell, _ in expand_cells(out)]
         assert taus == [0.001, 0.1]
         assert all(type(tau) is float for tau in taus)
+
+    def test_sweep_axes_report_validated_values(self, tmp_path):
+        cfg = apply_overrides(
+            _tiny_config(horizon=20),
+            ["sweep.tau=[1e-3, 0]", "problem.nuisance_dim=2", "sweep.seeds=[1]"],
+        )
+        assert [axes for _, axes in expand_cells(cfg)] == [{"tau": 0.001}, {"tau": 0.0}]
+        agg = run_sweep(cfg, tmp_path)
+        assert agg["plan"]["axes"] == {"tau": [0.001, 0.0]}
+        assert [cell["axes"] for cell in agg["cells"]] == [{"tau": 0.001}, {"tau": 0.0}]
 
     def test_override_validation(self):
         cfg = validate_config({})
@@ -316,6 +333,16 @@ class TestRunOne:
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
             run_one({"problem": {"d": 0}}, master_seed=0)
+
+    @pytest.mark.parametrize("section,update", [
+        ("oracle", {"advantage": 0.001}),
+        ("target", {"kind": "absolute", "value": 1e-170}),  # eps**2 underflows to 0
+    ])
+    def test_auto_horizon_above_the_ceiling_raises(self, section, update):
+        cfg = _tiny_config(horizon="auto")
+        cfg[section].update(update)
+        with pytest.raises(ConfigError, match="horizon=auto resolved to"):
+            run_one(cfg, master_seed=6)
 
     def test_cosine_decay_runs_with_default_alpha0(self):
         # the cosine schedule never reads alpha0, so its "auto" default stands

@@ -222,6 +222,100 @@ class TestRidgeObjective:
             obj.gradient(np.zeros(10))
 
 
+class TestEvaluate:
+    """RidgeObjective.evaluate remembers read-only points by identity."""
+
+    def _make(self, tau=0.0):
+        return random_ridge_objective(
+            _stream(60, "subspace"), 12, 3, InnerFunction(kind="quadratic_cosine"),
+            tau=tau, nuisance_dim=2 if tau > 0 else 0, nuisance_rng=_stream(60, "nuisance"),
+        )
+
+    @staticmethod
+    def _frozen(x):
+        x.flags.writeable = False
+        return x
+
+    @pytest.fixture
+    def value_calls(self, monkeypatch):
+        calls = []
+        original = RidgeObjective.value
+
+        def counting(obj, x, *args):
+            calls.append(x)
+            return original(obj, x, *args)
+
+        monkeypatch.setattr(RidgeObjective, "value", counting)
+        return calls
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_same_bits_as_value(self, tau):
+        obj = self._make(tau)
+        rng = _stream(61, "test:eval").gen
+        for _ in range(20):
+            x = rng.standard_normal(12)
+            frozen = self._frozen(x.copy())
+            expected = float(obj.value(x))
+            assert obj.evaluate(x) == expected
+            assert obj.evaluate(frozen) == expected
+            assert obj.evaluate(frozen) == expected  # answered from the cache
+            assert np.array_equal(obj.gradient(frozen), obj.gradient(x))
+
+    def test_read_only_point_is_computed_once(self, value_calls):
+        obj = self._make()
+        x = self._frozen(np.ones(12))
+        first = obj.evaluate(x)
+        assert obj.evaluate(x) == first
+        assert len(value_calls) == 1
+
+    def test_mutated_writeable_array_is_never_answered_from_the_cache(self, value_calls):
+        obj = self._make()
+        x = np.ones(12)
+        before = obj.evaluate(x)
+        x += 0.5 * obj.active.basis[0]
+        assert obj.evaluate(x) == float(obj.value(x.copy())) != before
+        assert len(value_calls) == 3
+
+    def test_views_and_reenabled_writes_bypass_the_cache(self, value_calls):
+        obj = self._make()
+        base = self._frozen(np.ones(12))
+        obj.evaluate(base)
+        view = base[:]
+        obj.evaluate(view)
+        obj.evaluate(view)
+        assert len(value_calls) == 3
+        base.flags.writeable = True
+        base += 0.5 * obj.active.basis[0]
+        assert obj.evaluate(base) == float(obj.value(base.copy()))
+        base.flags.writeable = False
+        assert obj.evaluate(base) == float(obj.value(base.copy()))
+
+    def test_least_recently_used_point_is_evicted(self, value_calls):
+        obj = self._make()
+        a, b, c = (self._frozen(np.full(12, v)) for v in (1.0, 2.0, 3.0))
+        for x in (a, b, a, c):  # the hit on a makes b the least recent
+            obj.evaluate(x)
+        assert [x is c for x in value_calls] == [False, False, True]
+        obj.evaluate(a)
+        assert len(value_calls) == 3
+        obj.evaluate(b)
+        assert value_calls[-1] is b
+
+    def test_gradient_at_a_cached_point_reuses_its_coordinates(self, monkeypatch):
+        obj = self._make(tau=0.1)
+        x = self._frozen(np.linspace(-1.0, 1.0, 12).copy())  # linspace gives a view
+        obj.evaluate(x)
+        mapped = []
+        original = type(obj.active).coordinates
+        monkeypatch.setattr(
+            type(obj.active), "coordinates", lambda sub, v: mapped.append(v) or original(sub, v)
+        )
+        grad = obj.gradient(x)
+        assert mapped == []
+        assert np.array_equal(grad, obj.gradient(x.copy()))
+        assert len(mapped) == 1
+
+
 class TestNuisance:
     def _make(self, seed=60, d=30, k=5, tau=0.3, m=4, kind="pure_quadratic"):
         return random_ridge_objective(
