@@ -59,6 +59,17 @@ def _chunk_sizes(n: int, chunk: int = _MC_CHUNK):
         n -= take
 
 
+def _row_chunks(n: int, width: int):
+    """Chunk sizes for n samples of `width` numbers each, at most _MC_CHUNK
+    numbers per chunk."""
+    return _chunk_sizes(n, max(1, _MC_CHUNK // width))
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
+    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.size)
+
+
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
     k(k+2)(k+4)."""
@@ -166,6 +177,9 @@ def check_descent_ncrs(
             <= E[f(theta) - f(theta')] + (L_f/2) k alpha^2 (+ 2 tau alpha sqrt(m))
 
     where the nuisance term enters exactly when the objective carries one.
+    The oracle shares the check's stream, so each sample draws its direction
+    and then the oracle's uniform, one sample at a time; the candidates'
+    values and the oracle's answers are then computed a chunk at a time.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -173,14 +187,20 @@ def check_descent_ncrs(
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
-    drops = np.zeros(n)
-    for i in range(n):
-        direction = gaussian_vector(rng, d)
-        candidate = theta + alpha * direction
-        if oracle.compare(theta, candidate) > 0:
-            drops[i] = f_theta - float(objective.value(candidate))
-    mean_drop = float(drops.mean())
-    se = float(drops.std(ddof=1)) / math.sqrt(n)
+    normal, uniform = rng.gen.standard_normal, rng.gen.random
+    drops = np.empty(n)
+    start = 0
+    for take in _row_chunks(n, d):
+        directions = np.empty((take, d))
+        uniforms = np.empty(take)
+        for i in range(take):
+            normal(out=directions[i])
+            uniforms[i] = uniform()
+        gaps = f_theta - objective.value(theta + alpha * directions)
+        accept = oracle.compare_gaps(gaps, uniforms) > 0
+        drops[start : start + take] = np.where(accept, gaps, 0.0)
+        start += take
+    mean_drop, se = _mean_se(drops)
     grad_norm = float(np.linalg.norm(objective.gradient(theta)))
     lhs = advantage * alpha * math.sqrt(2.0 / math.pi) * grad_norm
     curvature = 0.5 * objective.smoothness * objective.intrinsic_dim * alpha**2
@@ -261,11 +281,11 @@ def check_vote_error(
     realized = float(oracle.objective.value(worse)) - float(
         oracle.objective.value(better)
     )
+    # every trial asks the oracle about the same pair, whose gap is `realized`
     wrong = 0
-    for _ in range(trials):
-        total = float(np.sum(oracle.compare_batch(worse, better, votes)))
-        if total <= 0.0:
-            wrong += 1
+    for take in _row_chunks(trials, 2 * votes):
+        totals = oracle.compare_gaps(np.full(take, realized), votes).sum(axis=1)
+        wrong += int(np.count_nonzero(totals <= 0.0))
     freq = wrong / trials
     bernstein = 2.0 * oracle.second_moment_bound + 4.0 / 3.0
     bound = math.exp(-votes * float(oracle.rho_effective(realized)) / bernstein)
@@ -307,16 +327,15 @@ def check_vote_penalty(
     objective = oracle.objective
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
-    terms = np.zeros(trials)
-    for i in range(trials):
-        direction = gaussian_vector(rng, d)
-        candidate = theta + alpha * direction
-        gap = float(objective.value(candidate)) - f_theta
-        vote_accept = float(np.sum(oracle.compare_batch(theta, candidate, votes))) > 0.0
-        true_improve = gap < 0.0
-        terms[i] = gap * (float(vote_accept) - float(true_improve))
-    mean = float(terms.mean())
-    se = float(terms.std(ddof=1)) / math.sqrt(trials)
+    terms = np.empty(trials)
+    start = 0
+    for take in _row_chunks(trials, d + 2 * votes):
+        values = objective.value(theta + alpha * rng.gen.standard_normal((take, d)))
+        accept = oracle.compare_gaps(f_theta - values, votes).sum(axis=1) > 0.0
+        gaps = values - f_theta
+        terms[start : start + take] = gaps * (accept.astype(np.float64) - (gaps < 0.0))
+        start += take
+    mean, se = _mean_se(terms)
     c, r = oracle.linearity_constants
     bernstein = 2.0 * oracle.second_moment_bound + 4.0 / 3.0
     gamma = math.exp(-votes * float(oracle.rho_effective(r)) / bernstein)

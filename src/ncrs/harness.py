@@ -391,17 +391,21 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     if a["horizon"] == "auto":
         # Horizon recipe T = O(k / (p^2 eps^2)): horizon_scale * pi * L * gap
         # * k / (p^2 eps^2), with the run's own certified gap and target.
-        # A tiny eps can square to 0 or overflow the budget to inf.
-        denominator = advantage**2 * epsilon**2
+        # A tiny eps can square to 0 or overflow the budget to inf; a huge
+        # eps squares out of range and leaves a budget of 0.
+        try:
+            denominator = advantage**2 * epsilon**2
+        except OverflowError:
+            denominator = math.inf
         budget = (
             a["horizon_scale"] * math.pi * smoothness * value_gap * k / denominator
             if denominator > 0
             else math.inf
         )
         _require(
-            budget <= MAX_HORIZON,
-            f"algorithm.horizon=auto resolved to {budget:.4g} iterations, above the "
-            f"ceiling {MAX_HORIZON}",
+            0 < budget <= MAX_HORIZON,
+            f"algorithm.horizon=auto resolved to {budget:.4g} iterations, outside "
+            f"(0, {MAX_HORIZON}]",
         )
         horizon = math.ceil(budget)
     else:

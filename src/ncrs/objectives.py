@@ -98,13 +98,21 @@ class NuisanceSpec:
     def dim(self) -> int:
         return self.subspace.dim
 
-    def value(self, x: np.ndarray) -> np.ndarray | float:
-        phases = np.asarray(x, dtype=np.float64) @ self.subspace.basis.T
+    def phases(self, x: np.ndarray) -> np.ndarray:
+        """The phases <w_j, x>, batched over leading axes."""
+        return np.asarray(x, dtype=np.float64) @ self.subspace.basis.T
+
+    def value(self, x: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray | float:
+        """eta(x); phases, when given, must be self.phases(x)."""
+        if phases is None:
+            phases = self.phases(x)
         out = (self.tau / math.sqrt(self.dim)) * np.add.reduce(np.sin(phases), axis=-1)
         return out if out.ndim else float(out)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        phases = np.asarray(x, dtype=np.float64) @ self.subspace.basis.T
+    def gradient(self, x: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
+        """grad eta(x); phases, when given, must be self.phases(x)."""
+        if phases is None:
+            phases = self.phases(x)
         return (self.tau / math.sqrt(self.dim)) * (np.cos(phases) @ self.subspace.basis)
 
 
@@ -118,20 +126,20 @@ class RidgeObjective:
     """f(x) = g(U x) + eta(x), with certified smoothness and lower bound.
 
     value and gradient are batched over leading axes.  evaluate is the
-    single-point evaluator of the search loop: it remembers f(x) and the
-    active coordinates U x of the last EVALUATE_CACHE_SIZE points it was
-    given, keyed by array identity and evicting the least recently used.
-    Only read-only arrays that own their data are remembered, and an entry
-    is dropped once its array is writeable again; any other input is
-    passed straight to value.  gradient reuses a remembered U x.  The
-    cache is not locked: do not call evaluate or gradient on one objective
-    from several threads at once.
+    single-point evaluator of the search loop: it remembers f(x), the
+    active coordinates U x and the nuisance phases of the last
+    EVALUATE_CACHE_SIZE points it was given, keyed by array identity and
+    evicting the least recently used.  Only read-only arrays that own their
+    data are remembered, and an entry is dropped once its array is
+    writeable again; any other input is passed straight to value.  gradient
+    reuses a remembered U x and phases.  The cache is not locked: do not
+    call evaluate or gradient on one objective from several threads at once.
     """
 
     active: Subspace
     inner: InnerFunction
     nuisance: NuisanceSpec | None = None
-    # entries (x, f(x), U x), least recently used first
+    # entries (x, f(x), U x, nuisance phases or None), least recently used first
     _recent: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,14 +179,16 @@ class RidgeObjective:
             )
         return x
 
-    def value(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray | float:
-        """f(x); z, when given, must be the active coordinates U x."""
+    def value(
+        self, x: np.ndarray, z: np.ndarray | None = None, phases: np.ndarray | None = None
+    ) -> np.ndarray | float:
+        """f(x); z and phases, when given, must be U x and the nuisance phases of x."""
         x = self._point(x)
         if z is None:
             z = self.active.coordinates(x)
         out = self.inner.value(z)
         if self.nuisance is not None:
-            out = out + self.nuisance.value(x)
+            out = out + self.nuisance.value(x, phases)
         return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -186,11 +196,12 @@ class RidgeObjective:
         if entry is None:
             x = self._point(x)
             z = self.active.coordinates(x)
+            phases = None
         else:
-            z = entry[2]
+            _, _, z, phases = entry
         grad = self.inner.gradient(z) @ self.active.basis
         if self.nuisance is not None:
-            grad = grad + self.nuisance.gradient(x)
+            grad = grad + self.nuisance.gradient(x, phases)
         return grad
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -201,8 +212,9 @@ class RidgeObjective:
         if type(x) is not np.ndarray or x.flags.writeable or not x.flags.owndata:
             return float(self.value(x))
         z = self.active.coordinates(x)
-        fx = float(self.value(x, z))
-        self._recent.append((x, fx, z))
+        phases = None if self.nuisance is None else self.nuisance.phases(x)
+        fx = float(self.value(x, z, phases))
+        self._recent.append((x, fx, z, phases))
         if len(self._recent) > EVALUATE_CACHE_SIZE:
             del self._recent[0]
         return fx

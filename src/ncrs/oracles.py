@@ -11,6 +11,10 @@ these oracles answer.  Two interfaces:
                     the pair, is linked to the value gap: E[sign(gap) * R]
                     >= rho(|gap|) and E[R^2] <= C * rho(|gap|).
 
+Both also answer many pairs in one call through compare_gaps, given the
+pairs' value gaps; the Monte Carlo certificates use it.  Each response rule
+is written once and serves the single-pair and the many-pair call alike.
+
 Sign convention: compare(x, y) > 0 means y is preferred (f(x) > f(y)), so a
 positive answer tells a minimizer to accept the candidate y.
 """
@@ -132,12 +136,25 @@ def rho_inverse(link: LinkFunction, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _sign_reply(gap, u, advantage: float):
+    """The sign oracle's answer to a pair with value gap f(x) - f(y), given one
+    uniform u in [0, 1); gap and u may be floats or matching arrays.
+
+    The answer is the true ordering sign(gap) when u < 1/2 + advantage and
+    its opposite otherwise.  A tie (gap == 0) is a fair coin: +1 when
+    u < 1/2, else -1.
+    """
+    sign = 2 * (gap >= 0.0) - 1
+    agree = u < 0.5 + advantage * (gap != 0.0)
+    return sign * (2 * agree - 1)
+
+
 class SignOracle:
     """Noisy ordering oracle with a fixed per-query advantage p in (0, 1/2].
 
     Each query reports the true ordering with probability exactly 1/2 + p,
     independent of the gap size; exact ties return a fair coin flip.
-    query_count tracks the number of compare calls.
+    query_count tracks the number of queries answered.
     """
 
     def __init__(self, objective: RidgeObjective, advantage: float, rng: RngStream):
@@ -149,15 +166,24 @@ class SignOracle:
         self.query_count = 0
 
     def compare(self, x: np.ndarray, y: np.ndarray) -> int:
-        """+1 if the oracle claims f(x) > f(y) (y preferred), else -1."""
+        """+1 if the oracle claims f(x) > f(y) (y preferred), else -1.
+
+        Draws one uniform from the oracle's stream, after evaluating the pair.
+        """
         self.query_count += 1
         gap = self.objective.evaluate(x) - self.objective.evaluate(y)
-        if gap == 0.0:
-            return 1 if self.rng.gen.random() < 0.5 else -1
-        true_sign = 1 if gap > 0.0 else -1
-        if self.rng.gen.random() < 0.5 + self.advantage:
-            return true_sign
-        return -true_sign
+        return _sign_reply(gap, self.rng.gen.random(), self.advantage)
+
+    def compare_gaps(self, gaps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Answers to many pairs at once, given their gaps f(x) - f(y) and one
+        uniform each, counted as len(gaps) queries.
+
+        Answer i equals what compare returns for pair i when its stream
+        yields uniforms[i]; the caller draws the uniforms.
+        """
+        gaps = np.asarray(gaps, dtype=np.float64)
+        self.query_count += gaps.size
+        return _sign_reply(gaps, uniforms, self.advantage)
 
 
 class ConfidenceOracle:
@@ -230,11 +256,40 @@ class ConfidenceOracle:
         gap = self.objective.evaluate(x) - self.objective.evaluate(y)
         if gap == 0.0:
             return np.zeros(n)
+        return self._respond(gap, (n,))
+
+    def compare_gaps(self, gaps: np.ndarray, n: int) -> np.ndarray:
+        """n scores for each of many pairs, given their gaps f(x) - f(y), as a
+        (len(gaps), n) array counted as len(gaps) * n queries.
+
+        Row i equals what compare_batch returns for pair i called in pair
+        order: a pair with a non-zero gap consumes its uniform blocks in
+        turn, and a zero-gap pair scores 0 and consumes nothing.
+        """
+        if n < 1:
+            raise ValueError("batch size must be at least 1")
+        gaps = np.asarray(gaps, dtype=np.float64)
+        self.query_count += gaps.size * n
+        scores = np.zeros((gaps.size, n))
+        live = gaps != 0.0
+        m = int(np.count_nonzero(live))
+        if m:
+            scores[live] = self._respond(gaps[live, None], (m, n))
+        return scores
+
+    def _respond(self, gap, shape: tuple) -> np.ndarray:
+        """Scores of the response model at non-zero gaps, of shape `shape`.
+
+        gap is a float, or a column with one gap per row of `shape`.  The
+        uniforms come as one block: per row, n engagement uniforms and then,
+        for noisy_engage, n flip uniforms.
+        """
         if self.kind == "deterministic_link":
-            return np.full(n, 2.0 * float(self.link.probability(gap)) - 1.0)
-        engage = self.rng.gen.random(n) < float(self.link.rho(abs(gap)))
-        sign = 1.0 if gap > 0.0 else -1.0
+            return np.full(shape, 2.0 * self.link.probability(gap) - 1.0)
+        rho = self.link.rho(abs(gap))
+        sign = 2.0 * (gap > 0.0) - 1.0
         if self.kind == "engage_abstain":
-            return np.where(engage, sign, 0.0)
-        flip = np.where(self.rng.gen.random(n) < 0.75, 1.0, -1.0)
-        return np.where(engage, sign * flip, 0.0)
+            return np.where(self.rng.gen.random(shape) < rho, sign, 0.0)
+        u = self.rng.gen.random(shape[:-1] + (2,) + shape[-1:])
+        flip = np.where(u[..., 1, :] < 0.75, 1.0, -1.0)
+        return np.where(u[..., 0, :] < rho, sign * flip, 0.0)

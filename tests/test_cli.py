@@ -121,6 +121,14 @@ class TestRunCommand:
         assert code == 2
         assert "problem.d must be int >= 1 and <=" in capsys.readouterr().err
 
+    def test_huge_auto_horizon_target_exits_2(self, config_path, capsys):
+        code = main([
+            "run", "--config", str(config_path), "--set", "algorithm.horizon=auto",
+            "--set", "target.kind=absolute", "--set", "target.value=1e200",
+        ])
+        assert code == 2
+        assert "horizon=auto resolved to 0 iterations" in capsys.readouterr().err
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ncrs.diagnostics import (
+    _point_at_gap,
     check_cross_moment,
     check_descent_ncrs,
     check_grad_fd,
@@ -18,7 +20,7 @@ from ncrs.diagnostics import (
 )
 from ncrs.geometry import RngStream, random_subspace, stream_id_for
 from ncrs.objectives import InnerFunction, initial_point, random_ridge_objective
-from ncrs.oracles import ConfidenceOracle, LinkFunction
+from ncrs.oracles import ConfidenceOracle, LinkFunction, SignOracle
 
 
 def _stream(seed, tag):
@@ -219,6 +221,113 @@ class TestVotePenalty:
         )
         with pytest.raises(ValueError):
             check_vote_penalty(oracle, np.zeros(12), 0.05, 16, 1, _stream(351, "mc"))
+
+
+def _replay_descent(objective, advantage, theta, alpha, n, rng):
+    """The per-sample loop the batched descent check replaced: draw a
+    direction, ask a SignOracle on the same stream, record the drop."""
+    oracle = SignOracle(objective, advantage, rng)
+    f_theta = float(objective.value(theta))
+    drops = np.zeros(n)
+    for i in range(n):
+        candidate = theta + alpha * rng.gen.standard_normal(objective.ambient_dim)
+        if oracle.compare(theta, candidate) > 0:
+            drops[i] = f_theta - float(objective.value(candidate))
+    return float(drops.mean()), float(drops.std(ddof=1)) / math.sqrt(n)
+
+
+def _replay_vote_error(oracle, worse, better, votes, trials):
+    wrong = sum(
+        float(np.sum(oracle.compare_batch(worse, better, votes))) <= 0.0
+        for _ in range(trials)
+    )
+    return wrong / trials
+
+
+def _replay_vote_penalty(oracle, theta, alpha, votes, trials, rng):
+    objective = oracle.objective
+    f_theta = float(objective.value(theta))
+    terms = np.zeros(trials)
+    for i in range(trials):
+        candidate = theta + alpha * rng.gen.standard_normal(objective.ambient_dim)
+        gap = float(objective.value(candidate)) - f_theta
+        accept = float(np.sum(oracle.compare_batch(theta, candidate, votes))) > 0.0
+        terms[i] = gap * (float(accept) - float(gap < 0.0))
+    return float(terms.mean()), float(terms.std(ddof=1)) / math.sqrt(trials)
+
+
+class TestBatchedChecksReplayTheLoops:
+    """Each batched certificate draws every sample exactly as a per-sample
+    loop does, so it matches a hand-written replay of that loop: the same
+    pass flag and sample count, and estimates and SEs up to the last bits
+    that a block matmul moves."""
+
+    @pytest.mark.parametrize("tau,m,advantage", [(0.0, 0, 0.1), (0.3, 3, 0.5)])
+    def test_descent(self, tau, m, advantage):
+        obj = _objective(370, 15, 4, kind="quadratic_cosine", tau=tau, m=m)
+        theta = initial_point(obj, _stream(370, "init"))
+        n = 3_000
+        report = check_descent_ncrs(obj, advantage, theta, 0.05, n, _stream(370, "mc"))
+        mean, se = _replay_descent(obj, advantage, theta, 0.05, n, _stream(370, "mc"))
+        assert report.n_samples == n
+        assert_allclose(report.estimates["mean_drop"], mean, rtol=1e-12)
+        assert_allclose(report.standard_errors["mean_drop"], se, rtol=1e-12)
+        t = report.theory
+        rhs = mean + t["curvature_term"] + t["nuisance_term"]
+        assert_allclose(report.estimates["rhs"], rhs, rtol=1e-12)
+        assert report.passed == (t["lhs"] <= rhs + 3.0 * se)
+
+    @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
+    def test_vote_error(self, kind):
+        def oracle():
+            obj = _objective(371, 12, 4)
+            link = LinkFunction(kind="logistic")
+            return ConfidenceOracle(obj, kind, link, _stream(371, "oracle"))
+
+        batched, replayed = oracle(), oracle()
+        report = check_vote_error(batched, 0.05, 9, 4_000)
+        worse, better = _point_at_gap(replayed.objective, 0.05)
+        freq = _replay_vote_error(replayed, worse, better, 9, 4_000)
+        assert report.n_samples == 4_000
+        assert report.estimates["wrong_decision_freq"] == freq
+        if kind != "deterministic_link":
+            assert 0.0 < freq < 1.0
+        bound, se = report.theory["bound"], report.standard_errors["wrong_decision_freq"]
+        assert report.passed == (freq <= bound + 3.0 * se)
+        assert batched.query_count == replayed.query_count == 9 * 4_000
+
+    def test_vote_penalty(self):
+        def oracle():
+            obj = _objective(372, 12, 4)
+            link = LinkFunction(kind="logistic")
+            return ConfidenceOracle(obj, "engage_abstain", link, _stream(372, "oracle"))
+
+        batched, replayed = oracle(), oracle()
+        theta = initial_point(batched.objective, _stream(372, "init"))
+        report = check_vote_penalty(batched, theta, 0.05, 16, 3_000, _stream(372, "mc"))
+        mean, se = _replay_vote_penalty(replayed, theta, 0.05, 16, 3_000, _stream(372, "mc"))
+        assert report.n_samples == 3_000
+        assert mean != 0.0
+        assert_allclose(report.estimates["penalty"], mean, rtol=1e-12)
+        assert_allclose(report.standard_errors["penalty"], se, rtol=1e-12)
+        assert report.passed == (abs(mean) <= report.theory["bound"] + 3.0 * se)
+        assert batched.query_count == replayed.query_count == 16 * 3_000
+
+    def test_vote_error_works_in_blocks(self):
+        """100,000 votes of 125 are 100 MB of uniforms; the check holds a
+        small block of them at a time."""
+        obj = _objective(373, 12, 4)
+        oracle = ConfidenceOracle(
+            obj, "noisy_engage", LinkFunction(kind="logistic"), _stream(373, "oracle")
+        )
+        tracemalloc.start()
+        try:
+            report = check_vote_error(oracle, 0.4, 125, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_samples == 100_000
+        assert peak < 20e6
 
 
 class TestLinkReduction:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from ncrs import harness
 from ncrs.algorithms import Trajectory
 from ncrs.cli import main
+from ncrs.objectives import NuisanceSpec
 from ncrs.harness import (
     CSV_HEADER,
     ConfigError,
@@ -343,6 +344,26 @@ class TestRunOne:
         cfg[section].update(update)
         with pytest.raises(ConfigError, match="horizon=auto resolved to"):
             run_one(cfg, master_seed=6)
+
+    def test_auto_horizon_for_a_huge_target_raises(self):
+        # eps**2 is out of float range, so the budget is 0 iterations
+        cfg = _tiny_config(horizon="auto")
+        cfg["target"].update(kind="absolute", value=1e200)
+        with pytest.raises(ConfigError, match="horizon=auto resolved to 0 iterations"):
+            run_one(cfg, master_seed=6)
+
+    def test_each_point_is_mapped_through_the_nuisance_basis_once(self, monkeypatch):
+        mapped = []
+        phases = NuisanceSpec.phases
+        monkeypatch.setattr(
+            NuisanceSpec, "phases", lambda spec, x: mapped.append(x) or phases(spec, x)
+        )
+        cfg = _tiny_config(horizon=1000)
+        cfg["problem"].update(d=50, k=5, tau=0.1, nuisance_dim=4)
+        run_one(cfg, master_seed=3)
+        # once per candidate, plus four maps outside the search loop: theta1's
+        # value and gradient in run_one, its read-only copy, and the final value
+        assert len(mapped) == 1000 + 4
 
     def test_cosine_decay_runs_with_default_alpha0(self):
         # the cosine schedule never reads alpha0, so its "auto" default stands

@@ -172,6 +172,26 @@ class TestSignOracle:
         se = math.sqrt(0.25 / n)
         assert abs(plus / n - 0.5) < 4 * se
 
+    @pytest.mark.parametrize("advantage", [0.1, 0.5])
+    def test_many_gaps_answer_like_compare(self, advantage):
+        """compare_gaps, fed each pair's gap and the uniform compare would
+        draw, gives compare's answer for every pair, ties included."""
+        obj = _quadratic_ridge(107)
+        rng = _stream(107, "test:pairs").gen
+        pairs = []
+        for i in range(400):
+            x, y = rng.standard_normal((2, 8))
+            pairs.append((x, x.copy() if i % 4 == 0 else y))  # every fourth a tie
+        one = SignOracle(obj, advantage, _stream(107, "oracle"))
+        answers = np.array([one.compare(x, y) for x, y in pairs])
+        gaps = np.array([obj.evaluate(x) - obj.evaluate(y) for x, y in pairs])
+        assert np.count_nonzero(gaps == 0.0) == 100
+        many = SignOracle(obj, advantage, _stream(107, "oracle"))
+        uniforms = many.rng.gen.random(len(pairs))
+        got = many.compare_gaps(gaps, uniforms)
+        assert np.array_equal(got, answers)
+        assert many.query_count == one.query_count == len(pairs)
+
     def test_validation(self):
         obj = _quadratic_ridge(106)
         rng = _stream(106, "oracle")
@@ -249,6 +269,27 @@ class TestConfidenceOracle:
         b = ConfidenceOracle(obj, "noisy_engage", link, _stream(115, "oracle"))
         assert np.array_equal(a.compare_batch(x, y, 100), b.compare_batch(x, y, 100))
 
+    @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
+    def test_many_pairs_equal_consecutive_batches(self, kind):
+        """compare_gaps over many pairs gives, bit for bit, what consecutive
+        compare_batch calls give, with a zero-gap pair in the middle, and
+        leaves the stream where they leave it."""
+        obj = _quadratic_ridge(116)
+        pairs = [_pair_with_gap(obj, g) for g in (0.05, 0.4, 1.0, 3.0)]
+        pairs = [pairs[0], pairs[1][::-1], (pairs[2][0], pairs[2][0]), pairs[2], pairs[3]]
+        link = LinkFunction(kind="probit", scale=0.7)
+        one = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
+        expected = np.stack([one.compare_batch(x, y, 33) for x, y in pairs])
+        gaps = np.array([obj.evaluate(x) - obj.evaluate(y) for x, y in pairs])
+        assert gaps[2] == 0.0 and gaps[1] < 0.0
+        many = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
+        got = many.compare_gaps(gaps, 33)
+        assert got.shape == (5, 33)
+        assert np.array_equal(got, expected)
+        assert np.all(got[2] == 0.0)
+        assert many.query_count == one.query_count == 5 * 33
+        assert many.rng.gen.random() == one.rng.gen.random()
+
     def test_query_counting_and_validation(self):
         obj, oracle = self._oracle("engage_abstain")
         x, y = _pair_with_gap(obj, 0.4)
@@ -257,6 +298,8 @@ class TestConfidenceOracle:
         assert oracle.query_count == 10
         with pytest.raises(ValueError):
             oracle.compare_batch(x, y, 0)
+        with pytest.raises(ValueError):
+            oracle.compare_gaps(np.ones(3), 0)
         with pytest.raises(ValueError):
             ConfidenceOracle(obj, "always_right", LinkFunction(kind="logistic"),
                              _stream(0, "oracle"))
