@@ -318,12 +318,15 @@ def vote_params(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if smoothness <= 0 or value_gap <= 0 or margin_slope <= 0:
-        raise ValueError("smoothness, value_gap, and margin_slope must be positive")
+    for name, value in (
+        ("smoothness", smoothness), ("value_gap", value_gap), ("margin_slope", margin_slope)
+    ):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if intrinsic_dim < 1:
         raise ValueError("intrinsic_dim must be at least 1")
-    if second_moment_bound < 1.0:
-        raise ValueError("second_moment_bound must be at least 1")
+    if not 1.0 <= second_moment_bound < math.inf:
+        raise ValueError("second_moment_bound must be finite and at least 1")
     if not 0.0 < margin_at_radius <= 1.0:
         raise ValueError("margin_at_radius must lie in (0, 1]")
     lk = smoothness * intrinsic_dim

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .harness import (
     ConfigError,
     apply_overrides,
     cell_hash,
+    check_seed,
     load_config,
     run_one,
     run_sweep,
@@ -101,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    check_seed(args.seed, "--seed")
     cfg = load_config(args.config)
     cfg = apply_overrides(cfg, args.overrides)
     cfg.pop("sweep", None)
@@ -123,8 +126,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.scale <= 0:
-        raise ConfigError("--scale must be positive")
+    if not 0 < args.scale < math.inf:
+        raise ConfigError(f"--scale must be finite and positive, got {args.scale}")
+    check_seed(args.seed, "--seed")
     reports = run_default_suite(args.seed, scale=args.scale)
     width = max(len(r.name) for r in reports)
     for r in reports:

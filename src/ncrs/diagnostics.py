@@ -7,7 +7,9 @@ tolerance discipline is uniform: Monte Carlo equalities pass within 4
 standard errors, one-sided Monte Carlo bounds within +3 standard errors,
 and deterministic identities within 1e-12.  Checks draw all randomness from
 the RngStream handed to them, so a report is reproducible bit-exactly from
-(master seed, check name).
+(master seed, check name).  Every Monte Carlo mean is one streaming
+estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so memory stays
+flat in the sample size, and SE = std(ddof=1) / sqrt(n).
 """
 from __future__ import annotations
 
@@ -52,43 +54,47 @@ class CheckReport:
         return asdict(self)
 
 
-def _chunk_sizes(n: int, chunk: int = _MC_CHUNK):
-    while n > 0:
-        take = min(n, chunk)
-        yield take
-        n -= take
-
-
-def _row_chunks(n: int, width: int):
+def _row_chunks(n: int, width: int) -> list[int]:
     """Chunk sizes for n samples of `width` numbers each, at most _MC_CHUNK
     numbers per chunk."""
-    return _chunk_sizes(n, max(1, _MC_CHUNK // width))
+    rows = max(1, _MC_CHUNK // width)
+    return [min(rows, n - start) for start in range(0, n, rows)]
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
-    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.size)
+def _mc_mean_se(n: int, width: int, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of n samples and its standard error std(ddof=1) / sqrt(n).
+
+    `draw(take)` returns the next `take` samples, shape (take,) or (take, m),
+    for each chunk of _row_chunks(n, width); the chunks' means and sums of
+    squared deviations merge by the pairwise update of Chan, Golub & LeVeque."""
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    count, mean, m2 = 0, 0.0, 0.0
+    for take in _row_chunks(n, width):
+        # one row per quantity, so each sum runs along contiguous memory
+        values = np.ascontiguousarray(draw(take).T)
+        chunk_mean = values.mean(axis=-1)
+        chunk_m2 = np.square(values - chunk_mean[..., None]).sum(axis=-1)
+        total = count + take
+        delta = chunk_mean - mean
+        mean = mean + delta * (take / total)
+        m2 = m2 + chunk_m2 + delta * delta * (count * take / total)
+        count = total
+    return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
     k(k+2)(k+4)."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     k = subspace.dim
-    sums = np.zeros(3)
-    sq_sums = np.zeros(3)
-    for take in _chunk_sizes(n):
+
+    def draw(take):
         s = rng.gen.standard_normal((take, subspace.ambient_dim))
         # rows of the basis are orthonormal, so ||P s|| = ||U s||
         q = np.sum((s @ subspace.basis.T) ** 2, axis=1)
-        for i, power in enumerate((1, 2, 3)):
-            v = q**power
-            sums[i] += v.sum()
-            sq_sums[i] += (v * v).sum()
-    means = sums / n
-    variances = np.maximum(sq_sums / n - means**2, 0.0)
-    ses = np.sqrt(variances / n)
+        return np.stack([q, q**2, q**3], axis=1)
+
+    means, ses = _mc_mean_se(n, subspace.ambient_dim, draw)
     theory = np.array([k, k * (k + 2), k * (k + 2) * (k + 4)], dtype=np.float64)
     passed = bool(np.all(np.abs(means - theory) <= EQUALITY_SE_BAND * ses))
     names = ("second", "fourth", "sixth")
@@ -107,27 +113,22 @@ def check_cross_moment(
     subspace: Subspace, a: np.ndarray, n: int, rng: RngStream
 ) -> CheckReport:
     """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     a = np.asarray(a, dtype=np.float64)
     k = subspace.dim
     theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
-    total = 0.0
-    total_sq = 0.0
-    for take in _chunk_sizes(n):
+
+    def draw(take):
         s = rng.gen.standard_normal((take, subspace.ambient_dim))
-        v = (s @ a) ** 2 * np.sum((s @ subspace.basis.T) ** 2, axis=1)
-        total += v.sum()
-        total_sq += (v * v).sum()
-    mean = float(total / n)
-    se = math.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+        return (s @ a) ** 2 * np.sum((s @ subspace.basis.T) ** 2, axis=1)
+
+    mean, se = map(float, _mc_mean_se(n, subspace.ambient_dim, draw))
     passed = bool(abs(mean - theory) <= EQUALITY_SE_BAND * se)
     return CheckReport(
         name="cross_moment",
         passed=passed,
         n_samples=n,
         rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE",
-        estimates={"cross_moment": float(mean)},
+        estimates={"cross_moment": mean},
         theory={"cross_moment": theory},
         standard_errors={"cross_moment": se},
     )
@@ -135,25 +136,19 @@ def check_cross_moment(
 
 def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
     """E |<g, s>| against sqrt(2/pi) ||g||."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     g = np.asarray(g, dtype=np.float64)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
-    total = 0.0
-    total_sq = 0.0
-    for take in _chunk_sizes(n):
-        v = np.abs(rng.gen.standard_normal((take, g.shape[0])) @ g)
-        total += v.sum()
-        total_sq += (v * v).sum()
-    mean = float(total / n)
-    se = math.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+    d = g.shape[0]
+    mean, se = map(
+        float, _mc_mean_se(n, d, lambda take: np.abs(rng.gen.standard_normal((take, d)) @ g))
+    )
     passed = bool(abs(mean - theory) <= EQUALITY_SE_BAND * se)
     return CheckReport(
         name="halfnormal",
         passed=passed,
         n_samples=n,
         rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE",
-        estimates={"abs_mean": float(mean)},
+        estimates={"abs_mean": mean},
         theory={"abs_mean": theory},
         standard_errors={"abs_mean": se},
     )
@@ -181,26 +176,22 @@ def check_descent_ncrs(
     and then the oracle's uniform, one sample at a time; the candidates'
     values and the oracle's answers are then computed a chunk at a time.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     theta = np.asarray(theta, dtype=np.float64)
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
     normal, uniform = rng.gen.standard_normal, rng.gen.random
-    drops = np.empty(n)
-    start = 0
-    for take in _row_chunks(n, d):
+
+    def draw(take):
         directions = np.empty((take, d))
         uniforms = np.empty(take)
         for i in range(take):
             normal(out=directions[i])
             uniforms[i] = uniform()
         gaps = f_theta - objective.value(theta + alpha * directions)
-        accept = oracle.compare_gaps(gaps, uniforms) > 0
-        drops[start : start + take] = np.where(accept, gaps, 0.0)
-        start += take
-    mean_drop, se = _mean_se(drops)
+        return np.where(oracle.compare_gaps(gaps, uniforms) > 0, gaps, 0.0)
+
+    mean_drop, se = map(float, _mc_mean_se(n, d, draw))
     grad_norm = float(np.linalg.norm(objective.gradient(theta)))
     lhs = advantage * alpha * math.sqrt(2.0 / math.pi) * grad_norm
     curvature = 0.5 * objective.smoothness * objective.intrinsic_dim * alpha**2
@@ -321,21 +312,18 @@ def check_vote_penalty(
     gamma = exp(-votes * rho_eff(r) / (2C + 4/3)) with (c, r) the oracle's
     certified linearity constants.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
     theta = np.asarray(theta, dtype=np.float64)
     objective = oracle.objective
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
-    terms = np.empty(trials)
-    start = 0
-    for take in _row_chunks(trials, d + 2 * votes):
+
+    def draw(take):
         values = objective.value(theta + alpha * rng.gen.standard_normal((take, d)))
         accept = oracle.compare_gaps(f_theta - values, votes).sum(axis=1) > 0.0
         gaps = values - f_theta
-        terms[start : start + take] = gaps * (accept.astype(np.float64) - (gaps < 0.0))
-        start += take
-    mean, se = _mean_se(terms)
+        return gaps * (accept.astype(np.float64) - (gaps < 0.0))
+
+    mean, se = map(float, _mc_mean_se(trials, d + 2 * votes, draw))
     c, r = oracle.linearity_constants
     bernstein = 2.0 * oracle.second_moment_bound + 4.0 / 3.0
     gamma = math.exp(-votes * float(oracle.rho_effective(r)) / bernstein)
@@ -435,8 +423,8 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
     Reduced scale shrinks Monte Carlo sample counts, so stochastic checks may
     fail there purely from noise; the deterministic ones are scale-free.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
 
     def sized(base: int) -> int:
         return max(1000, int(round(base * scale)))

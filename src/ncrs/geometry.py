@@ -18,7 +18,7 @@ import numpy as np
 # near-dependent draw and trigger a redraw of the offending row.
 NEAR_DEPENDENCE_TOL = 1e-12
 
-_UINT64_MASK = (1 << 64) - 1
+KEY_LIMIT = 1 << 64
 
 
 def stream_id_for(run_index: int, role: str) -> int:
@@ -36,11 +36,9 @@ class RngStream:
     """Independent deterministic random stream keyed by (master_seed, stream_id)."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        if master_seed < 0 or stream_id < 0:
-            raise ValueError("master_seed and stream_id must be nonnegative")
-        self.master_seed = master_seed & _UINT64_MASK
-        self.stream_id = stream_id & _UINT64_MASK
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+        if not (0 <= master_seed < KEY_LIMIT and 0 <= stream_id < KEY_LIMIT):
+            raise ValueError("master_seed and stream_id must lie in [0, 2**64)")
+        key = np.array([master_seed, stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
 

@@ -42,7 +42,7 @@ from .algorithms import (
     rsgf_stable_step,
     theory_schedule,
 )
-from .geometry import RngStream, stream_id_for
+from .geometry import KEY_LIMIT, RngStream, stream_id_for
 from .objectives import (
     INNER_KINDS,
     InnerFunction,
@@ -156,6 +156,12 @@ def _checked(where: str, value, rule):
     return value
 
 
+def check_seed(seed, where: str) -> None:
+    """A master seed is an int in [0, 2**64), the key range of RngStream."""
+    ok = _is_int(seed) and 0 <= seed < KEY_LIMIT
+    _require(ok, f"{where} must be an integer in [0, 2**64), got {seed!r}")
+
+
 def validate_config(raw: dict) -> dict:
     """Fill a raw mapping with the defaults of CONFIG_KEYS and validate it.
 
@@ -226,7 +232,7 @@ def validate_config(raw: dict) -> dict:
             if key == "seeds":
                 _require(isinstance(values, list), f"{where} must be a list")
                 for s in values:
-                    _require(_is_int(s) and s >= 0, f"{where} entries must be nonnegative integers")
+                    check_seed(s, f"each {where} entry")
                 _require(len(set(values)) == len(values), f"{where} entries must be distinct")
             elif key in axis_names:
                 _require(isinstance(values, list), f"{where} must be a list")

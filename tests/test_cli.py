@@ -134,6 +134,17 @@ class TestRunCommand:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, config_path, tmp_path, capsys, seed):
+        """Seed 2**64 would alias seed 0's stream; the run is refused."""
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--seed", str(seed), "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSweepCommand:
     def test_sweep_prints_aggregate(self, tmp_path, capsys):
@@ -195,9 +206,16 @@ class TestValidateCommand:
         assert "FAIL" in err
 
     def test_nonpositive_scale_exits_2(self, capsys):
-        code = main(["validate", "--scale", "0"])
+        for scale in ("0", "nan", "inf"):
+            code = main(["validate", "--scale", scale])
+            assert code == 2
+            assert "--scale must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, capsys, seed):
+        code = main(["validate", "--scale", "0.02", "--seed", str(seed)])
         assert code == 2
-        assert "scale" in capsys.readouterr().err
+        assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
 
 
 class TestParamsCommand:
@@ -220,8 +238,19 @@ class TestParamsCommand:
         }
 
     def test_out_of_range_epsilon_exits_2(self, capsys):
-        argv = list(self.ARGS)
-        argv[argv.index("--epsilon") + 1] = "1.5"
-        code = main(argv)
-        assert code == 2
-        assert "epsilon" in capsys.readouterr().err
+        """An out-of-range or non-finite input is a usage error naming it."""
+        for flag, value in [
+            ("--epsilon", "1.5"),
+            ("--epsilon", "nan"),
+            ("--smoothness", "inf"),
+            ("--smoothness", "nan"),
+            ("--value-gap", "inf"),
+            ("--margin-slope", "inf"),
+            ("--second-moment", "inf"),
+            ("--margin-at-radius", "nan"),
+        ]:
+            argv = list(self.ARGS)
+            argv[argv.index(flag) + 1] = value
+            code = main(argv)
+            assert code == 2, (flag, value)
+            assert flag[2:].replace("-", "_") in capsys.readouterr().err

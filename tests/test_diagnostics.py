@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrs.diagnostics import (
+    _mc_mean_se,
     _point_at_gap,
     check_cross_moment,
     check_descent_ncrs,
@@ -263,10 +264,9 @@ class TestBatchedChecksReplayTheLoops:
     that a block matmul moves."""
 
     @pytest.mark.parametrize("tau,m,advantage", [(0.0, 0, 0.1), (0.3, 3, 0.5)])
-    def test_descent(self, tau, m, advantage):
+    def test_descent(self, tau, m, advantage, n=3_000):
         obj = _objective(370, 15, 4, kind="quadratic_cosine", tau=tau, m=m)
         theta = initial_point(obj, _stream(370, "init"))
-        n = 3_000
         report = check_descent_ncrs(obj, advantage, theta, 0.05, n, _stream(370, "mc"))
         mean, se = _replay_descent(obj, advantage, theta, 0.05, n, _stream(370, "mc"))
         assert report.n_samples == n
@@ -276,6 +276,10 @@ class TestBatchedChecksReplayTheLoops:
         rhs = mean + t["curvature_term"] + t["nuisance_term"]
         assert_allclose(report.estimates["rhs"], rhs, rtol=1e-12)
         assert report.passed == (t["lhs"] <= rhs + 3.0 * se)
+
+    def test_descent_across_chunks(self):
+        """30,000 samples of 15 numbers are three chunks of at most 200,000."""
+        self.test_descent(0.0, 0, 0.1, n=30_000)
 
     @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
     def test_vote_error(self, kind):
@@ -328,6 +332,31 @@ class TestBatchedChecksReplayTheLoops:
             tracemalloc.stop()
         assert report.n_samples == 100_000
         assert peak < 20e6
+
+
+class TestMcMeanSe:
+    def test_one_chunk_is_the_two_pass_formula(self):
+        values = _stream(380, "values").gen.standard_normal(5_000) ** 3
+        mean, se = _mc_mean_se(values.size, 1, lambda take: values[:take])
+        assert mean == values.mean()
+        assert se == values.std(ddof=1) / math.sqrt(values.size)
+
+    def test_chunks_merge_per_column(self):
+        """50,000 samples of width 10 are three chunks; each column of a
+        (take, 3) draw is its own estimate."""
+        values = _stream(381, "values").gen.standard_normal((50_000, 3)) * [1.0, 5.0, 1e-3]
+        values += [0.0, 1e6, -2.0]
+        calls = []
+
+        def draw(take):
+            start = sum(calls)
+            calls.append(take)
+            return values[start : start + take]
+
+        mean, se = _mc_mean_se(values.shape[0], 10, draw)
+        assert calls == [20_000, 20_000, 10_000]
+        assert_allclose(mean, values.mean(axis=0), rtol=1e-12)
+        assert_allclose(se, values.std(axis=0, ddof=1) / math.sqrt(50_000), rtol=1e-12)
 
 
 class TestLinkReduction:
@@ -395,8 +424,20 @@ class TestDefaultSuite:
                 assert r.passed, r.name
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            run_default_suite(0, scale=0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                run_default_suite(0, scale=scale)
+
+    def test_memory_stays_flat(self):
+        """Every Monte Carlo check streams its sample in chunks of at most
+        200,000 numbers, so the suite's traced peak stays small."""
+        tracemalloc.start()
+        try:
+            run_default_suite(7, scale=0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_report_serializes(self):
         reports = run_default_suite(79, scale=0.02)

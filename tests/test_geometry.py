@@ -50,10 +50,12 @@ class TestRngStream:
         assert not np.array_equal(a, c)
 
     def test_rejects_negative_keys(self):
-        with pytest.raises(ValueError):
-            RngStream(-1, 0)
-        with pytest.raises(ValueError):
-            RngStream(0, -4)
+        """Keys lie in [0, 2**64); a key of 2**64 would alias key 0."""
+        for seed, stream_id in [(-1, 0), (0, -4), (2**64, 0), (0, 2**64 + 5)]:
+            with pytest.raises(ValueError):
+                RngStream(seed, stream_id)
+        top = RngStream(2**64 - 1, 2**64 - 1).gen.standard_normal(4)
+        assert not np.array_equal(top, RngStream(0, 0).gen.standard_normal(4))
 
 
 class TestGaussianVector:

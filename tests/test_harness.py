@@ -118,6 +118,8 @@ class TestValidateConfig:
         {"algorithm": {"votes": 10**7}},
         {"algorithm": {"decay_steps": harness.MAX_HORIZON + 1}},
         {"sweep": {"tau": ["x"]}},  # axis values are checked like the key
+        {"sweep": {"seeds": [0, 2**64]}},  # 2**64 would replay seed 0
+        {"sweep": {"seeds": [1.5]}},
     ])
     def test_rejections(self, raw):
         with pytest.raises(ConfigError):
