@@ -21,6 +21,7 @@ values by array identity (RidgeObjective.evaluate).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -237,7 +238,7 @@ def ncrs_vote_run(
 
     def move(t, theta, direction):
         candidate = _frozen(theta + alpha * direction)
-        if np.sum(oracle.compare_batch(theta, candidate, votes)) > 0.0:
+        if oracle.compare_batch(theta, candidate, votes).sum() > 0.0:
             return candidate, True
         return theta, False
 
@@ -323,21 +324,32 @@ def vote_params(
     ):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if intrinsic_dim < 1:
-        raise ValueError("intrinsic_dim must be at least 1")
+    if not 1 <= intrinsic_dim <= sys.float_info.max:
+        raise ValueError("intrinsic_dim must be at least 1 and fit a float")
     if not 1.0 <= second_moment_bound < math.inf:
         raise ValueError("second_moment_bound must be finite and at least 1")
     if not 0.0 < margin_at_radius <= 1.0:
         raise ValueError("margin_at_radius must lie in (0, 1]")
+    eps2 = epsilon**2
+    if eps2 == 0.0:
+        raise ValueError(f"epsilon={epsilon} is too small: epsilon**2 underflows to 0")
     lk = smoothness * intrinsic_dim
     alpha = 2.0 * epsilon / (9.0 * math.sqrt(2.0 * math.pi) * lk)
-    horizon = math.ceil(54.0 * math.pi * lk * value_gap / epsilon**2)
+    horizon = 54.0 * math.pi * lk * value_gap / eps2
     bernstein = 2.0 * second_moment_bound + 4.0 / 3.0
     vote_scale = bernstein / (math.e * margin_slope)
-    votes = math.ceil(
-        max(
-            54.0 * math.pi * lk * vote_scale / epsilon**2,
-            bernstein * math.log(2.0) / margin_at_radius,
-        )
+    votes = max(
+        54.0 * math.pi * lk * vote_scale / eps2,
+        bernstein * math.log(2.0) / margin_at_radius,
     )
-    return VoteParams(epsilon=epsilon, step_size=alpha, horizon=horizon, votes=votes)
+    for name, value in (("horizon", horizon), ("votes", votes)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{name} leaves float range for epsilon={epsilon}, smoothness={smoothness}, "
+                f"intrinsic_dim={intrinsic_dim}, value_gap={value_gap}, "
+                f"margin_slope={margin_slope}, second_moment_bound={second_moment_bound}, "
+                f"margin_at_radius={margin_at_radius}"
+            )
+    return VoteParams(
+        epsilon=epsilon, step_size=alpha, horizon=math.ceil(horizon), votes=math.ceil(votes)
+    )

@@ -583,7 +583,10 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
         for seed in seeds
     ]
 
-    if workers == 1 or len(jobs) <= 1:
+    # The executor starts all max_workers processes up front, and the bytes
+    # do not depend on the worker count, so more than jobs or cores buys nothing.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

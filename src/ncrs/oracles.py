@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .geometry import RngStream
 from .objectives import RidgeObjective
@@ -33,6 +32,37 @@ LINK_KINDS = ("logistic", "probit", "arctan")
 CONFIDENCE_KINDS = ("deterministic_link", "engage_abstain", "noisy_engage")
 
 CERT_GRID_POINTS = 1000  # grid resolution for the local-linearity certificate
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _real(x):
+    """x as a float when it is a scalar or 0-d, else as a float64 array."""
+    if isinstance(x, float):
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim else float(x)
+
+
+def _expit(z):
+    """1 / (1 + exp(-z)), which saturates to 0 without a warning."""
+    if isinstance(z, float):
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _pointwise(fn):
+    """fn on a float, applied elementwise to an array."""
+    on_array = np.vectorize(fn, otypes=[np.float64])
+    return lambda x: fn(x) if isinstance(x, float) else on_array(x)
+
+
+_erf = _pointwise(math.erf)
+_erfc = _pointwise(math.erfc)
 
 
 @dataclass(frozen=True)
@@ -53,26 +83,30 @@ class LinkFunction:
             raise ValueError("link scale must be positive")
 
     def probability(self, u: np.ndarray | float) -> np.ndarray | float:
-        """sigma(u): probability of preferring y at signed gap u = f(x) - f(y)."""
-        u = np.asarray(u, dtype=np.float64)
+        """sigma(u): probability of preferring y at signed gap u = f(x) - f(y).
+
+        The probit is Phi(z) = erfc(-z / sqrt 2) / 2 at z = u / scale.
+        """
+        z = _real(u) / self.scale
         if self.kind == "logistic":
-            out = expit(u / self.scale)
+            out = _expit(z)
         elif self.kind == "probit":
-            out = ndtr(u / self.scale)
+            out = 0.5 * _erfc(-z * _SQRT_HALF)
         else:
-            out = 0.5 + np.arctan(u / self.scale) / np.pi
-        return out if out.ndim else float(out)
+            out = 0.5 + np.arctan(z) / np.pi
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def rho(self, t: np.ndarray | float) -> np.ndarray | float:
-        """rho(t) = 2 sigma(t) - 1 for t >= 0, in closed form per kind."""
-        t = np.asarray(t, dtype=np.float64)
+        """rho(t) = 2 sigma(t) - 1 for t >= 0, in closed form per kind;
+        for the probit it is erf(t / (scale sqrt 2)), exactly 2 Phi - 1."""
+        t = _real(t)
         if self.kind == "logistic":
             out = np.tanh(t / (2.0 * self.scale))
         elif self.kind == "probit":
-            out = 2.0 * ndtr(t / self.scale) - 1.0
+            out = _erf(t / self.scale * _SQRT_HALF)
         else:
             out = (2.0 / np.pi) * np.arctan(t / self.scale)
-        return out if out.ndim else float(out)
+        return out if isinstance(out, np.ndarray) else float(out)
 
     @property
     def slope_at_zero(self) -> float:
@@ -291,5 +325,4 @@ class ConfidenceOracle:
         if self.kind == "engage_abstain":
             return np.where(self.rng.gen.random(shape) < rho, sign, 0.0)
         u = self.rng.gen.random(shape[:-1] + (2,) + shape[-1:])
-        flip = np.where(u[..., 1, :] < 0.75, 1.0, -1.0)
-        return np.where(u[..., 0, :] < rho, sign * flip, 0.0)
+        return np.where(u[..., 0, :] < rho, np.where(u[..., 1, :] < 0.75, sign, -sign), 0.0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib.metadata import PathDistribution
@@ -64,6 +65,22 @@ class TestParser:
         ]
         assert len(matches) == 1
         assert matches[0].value == "ncrs.cli:main"
+
+
+    def test_import_leaves_scipy_out(self):
+        """The command line starts on numpy and PyYAML alone: importing it in a
+        fresh interpreter loads no scipy module."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ncrs.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRunCommand:
@@ -248,6 +265,14 @@ class TestParamsCommand:
             ("--margin-slope", "inf"),
             ("--second-moment", "inf"),
             ("--margin-at-radius", "nan"),
+            ("--epsilon", "1e-200"),
+            ("--epsilon", "1e-160"),
+            ("--smoothness", "1e305"),
+            ("--value-gap", "1e306"),
+            ("--margin-slope", "1e-320"),
+            ("--margin-at-radius", "5e-324"),
+            ("--second-moment", "1e308"),
+            ("--intrinsic-dim", str(10**400)),
         ]:
             argv = list(self.ARGS)
             argv[argv.index(flag) + 1] = value

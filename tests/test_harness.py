@@ -583,3 +583,29 @@ class TestRunSweep:
     def test_worker_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             run_sweep(self._sweep_config(), tmp_path, workers=0)
+
+    def test_pool_is_capped_by_jobs_and_cores(self, tmp_path, monkeypatch):
+        """A huge --workers starts no more processes than jobs or cores; the
+        executor here is a fake that records its size and runs jobs inline."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        cfg = self._sweep_config()  # 2 cells x 2 seeds = 4 jobs
+        serial = run_sweep(cfg, tmp_path / "serial")
+        for cores in (64, 3, 1, None):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+            assert run_sweep(cfg, tmp_path / f"cores-{cores}", workers=100_000) == serial
+        assert sizes == [4, 3]

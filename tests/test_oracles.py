@@ -62,6 +62,43 @@ class TestLinkFunction:
         assert np.all(np.diff(sig) > 0)
         assert np.all((sig > 0) & (sig < 1))
 
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
+    def test_matches_scipy(self, scale):
+        """The logistic and probit sigma and the probit rho agree with scipy's
+        expit and ndtr within +-8 link scales, on arrays and on floats."""
+        special = pytest.importorskip("scipy.special")
+        u = scale * np.linspace(-8.0, 8.0, 4001)
+        t = u[u >= 0.0]
+        for kind, reference in (("logistic", special.expit), ("probit", special.ndtr)):
+            link = LinkFunction(kind=kind, scale=scale)
+            expected = reference(u / scale)
+            assert_allclose(link.probability(u), expected, rtol=1e-14, atol=0.0)
+            scalars = [link.probability(float(x)) for x in u[::40]]
+            assert_allclose(scalars, expected[::40], rtol=1e-14, atol=0.0)
+        probit = LinkFunction(kind="probit", scale=scale)
+        expected = 2.0 * special.ndtr(t / scale) - 1.0
+        assert_allclose(probit.rho(t), expected, rtol=0.0, atol=1e-15)
+        scalars = [probit.rho(float(x)) for x in t[::40]]
+        assert_allclose(scalars, expected[::40], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["logistic", "probit"])
+    def test_saturates_without_warnings(self, kind):
+        link = LinkFunction(kind=kind)
+        assert link.probability(-1000.0) == 0.0
+        assert link.probability(1000.0) == 1.0
+        assert list(link.probability(np.array([-1000.0, 1000.0]))) == [0.0, 1.0]
+        assert link.rho(1000.0) == 1.0
+
+    @pytest.mark.parametrize("kind", ["logistic", "probit", "arctan"])
+    def test_scalar_in_gives_float_out(self, kind):
+        link = LinkFunction(kind=kind)
+        for x in (0.3, np.float64(0.3), np.array(0.3), 1):
+            assert type(link.probability(x)) is float
+            assert type(link.rho(x)) is float
+        assert link.probability(np.array([0.3])).shape == (1,)
+        assert link.rho(np.zeros((2, 1))).shape == (2, 1)
+
     def test_scale_steepens_or_flattens(self):
         sharp = LinkFunction(kind="logistic", scale=0.1)
         flat = LinkFunction(kind="logistic", scale=10.0)
