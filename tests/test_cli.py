@@ -66,7 +66,6 @@ class TestParser:
         assert len(matches) == 1
         assert matches[0].value == "ncrs.cli:main"
 
-
     def test_import_leaves_scipy_out(self):
         """The command line starts on numpy and PyYAML alone: importing it in a
         fresh interpreter loads no scipy module."""
