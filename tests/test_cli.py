@@ -46,6 +46,31 @@ class TestParser:
         for name in ("run", "sweep", "validate", "params"):
             assert name in out
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["run", "--config", "c.yaml"],
+         {"command": "run", "config": "c.yaml", "seed": 0, "out": "runs", "overrides": []}),
+        (["run", "--config", "c.yaml", "--seed", "7", "--out", "o",
+          "--set", "a.b=1", "--set", "c=2"],
+         {"command": "run", "config": "c.yaml", "seed": 7, "out": "o",
+          "overrides": ["a.b=1", "c=2"]}),
+        (["sweep", "--config", "c.yaml"],
+         {"command": "sweep", "config": "c.yaml", "out": "runs", "workers": 1,
+          "overrides": []}),
+        (["sweep", "--set", "x=1", "--config", "c.yaml", "--workers", "3", "--out", "o"],
+         {"command": "sweep", "config": "c.yaml", "out": "o", "workers": 3,
+          "overrides": ["x=1"]}),
+        (["validate"], {"command": "validate", "scale": 1.0, "seed": 0}),
+        (["validate", "--scale", "0.1", "--seed", "5"],
+         {"command": "validate", "scale": 0.1, "seed": 5}),
+    ])
+    def test_parsed_arguments(self, argv, expected):
+        assert vars(build_parser().parse_args(argv)) == expected
+
+    def test_set_default_is_not_shared_between_parses(self):
+        parser = build_parser()
+        parser.parse_args(["run", "--config", "c.yaml", "--set", "a=1"])
+        assert parser.parse_args(["sweep", "--config", "c.yaml"]).overrides == []
+
     def test_console_script_registered(self, tmp_path):
         # The test command runs from src/ without an install, so the
         # interpreter's installed metadata says nothing about this checkout:

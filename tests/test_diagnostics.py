@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -416,6 +417,18 @@ class TestDefaultSuite:
         a = json.dumps([r.to_json() for r in reports], sort_keys=True)
         b = json.dumps([r.to_json() for r in again], sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "ba9869712e17252b629f937aa2b68a30fe323e8072f6cff2896cbfc3afdd60c6"),
+        (7, "02eb784c759526d45a2b530ee9b1373108db13bce6be75e4d1e43352532751a0"),
+    ])
+    def test_report_digests(self, seed, digest):
+        """Pin the suite's JSON bytes: every name, rule, estimate, theory
+        value and standard error, in report order.  A digest changes only
+        when a report changes, so an intended change re-pins it and says why."""
+        payload = json.dumps([r.to_json() for r in run_default_suite(seed, scale=0.02)],
+                             sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_deterministic_checks_pass_at_any_scale(self):
         reports = run_default_suite(78, scale=0.02)
