@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,13 +69,13 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        if self.kind in ("constant", "theory_constant") and self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if self.kind in ("constant", "theory_constant") and not 0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be finite and positive")
         if self.kind == "theory_constant" and self.intrinsic_dim < 1:
             raise ValueError("theory_constant needs intrinsic_dim >= 1")
         if self.kind == "cosine_decay":
-            if not 0 < self.min_rate <= self.max_rate:
-                raise ValueError("cosine_decay needs 0 < min_rate <= max_rate")
+            if not 0 < self.min_rate <= self.max_rate < math.inf:
+                raise ValueError("cosine_decay needs 0 < min_rate <= max_rate < inf")
             if not 1 <= self.decay_steps <= self.horizon:
                 raise ValueError("cosine_decay needs 1 <= decay_steps <= horizon")
 
@@ -130,7 +130,6 @@ class Trajectory:
     accepted: np.ndarray    # whether the t-th candidate was taken
     queries: np.ndarray     # cumulative oracle queries after iteration t
     theta_final: np.ndarray
-    config: dict = field(default_factory=dict)
 
     @property
     def total_queries(self) -> int:
@@ -231,8 +230,8 @@ def ncrs_vote_run(
     The candidate is accepted exactly when the summed score is positive; a
     zero sum keeps the current point.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and positive")
     if votes < 1:
         raise ValueError("votes must be at least 1")
 
@@ -263,8 +262,8 @@ def rsgf_run(
     theta <- theta - alpha * ((f(theta + mu s) - f(theta)) / mu) * s, with
     two value queries per iteration.
     """
-    if alpha <= 0 or mu <= 0:
-        raise ValueError("alpha and mu must be positive")
+    if not (0 < alpha < math.inf and 0 < mu < math.inf):
+        raise ValueError("alpha and mu must be finite and positive")
 
     def move(t, theta, direction):
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
@@ -275,8 +274,8 @@ def rsgf_run(
 
 def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:
     """Largest step size with a certified per-iteration descent guarantee."""
-    if smoothness <= 0 or intrinsic_dim < 1:
-        raise ValueError("need smoothness > 0 and intrinsic_dim >= 1")
+    if not 0 < smoothness < math.inf or intrinsic_dim < 1:
+        raise ValueError("need finite smoothness > 0 and intrinsic_dim >= 1")
     return 1.0 / (4.0 * smoothness * (intrinsic_dim + 2))
 
 

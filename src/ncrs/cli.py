@@ -9,23 +9,21 @@ or check failed, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import sys
-from pathlib import Path
 
 from .algorithms import vote_params
 from .diagnostics import run_default_suite
 from .harness import (
     ConfigError,
     apply_overrides,
-    cell_hash,
     check_seed,
     load_config,
-    run_one,
     run_sweep,
-    write_trajectory_csv,
+    run_to_csv,
 )
 
 
@@ -39,11 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one run and print its summary JSON")
-    p_run.add_argument("--config", required=True, help="YAML config file")
-    p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_run.add_argument("--out", default="runs", help="output directory (default runs)")
-    p_run.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="YAML config file")
+    config.add_argument("--out", default="runs", help="output directory (default runs)")
+    config.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -51,24 +48,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="dotted config override, repeatable (e.g. --set oracle.advantage=0.25)",
     )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
+    sub.add_parser(
+        "run", parents=[config, seed], help="execute one run and print its summary JSON"
+    )
     p_sweep = sub.add_parser(
-        "sweep", help="run every (cell, seed) combination and print the aggregate JSON"
+        "sweep",
+        parents=[config],
+        help="run every (cell, seed) combination and print the aggregate JSON",
     )
-    p_sweep.add_argument("--config", required=True, help="YAML config file")
-    p_sweep.add_argument("--out", default="runs", help="output directory (default runs)")
     p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    p_sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted config override, repeatable",
-    )
 
     p_val = sub.add_parser(
-        "validate", help="run the certificate suite; table on stderr, JSON on stdout"
+        "validate",
+        parents=[seed],
+        help="run the certificate suite; table on stderr, JSON on stdout",
     )
     p_val.add_argument(
         "--scale",
@@ -76,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="multiplier on Monte Carlo sample sizes (default 1.0)",
     )
-    p_val.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
     p_par = sub.add_parser(
         "params", help="vote-search parameters for a target accuracy"
@@ -104,21 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     check_seed(args.seed, "--seed")
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.overrides)
-    cfg.pop("sweep", None)
-    traj, summary = run_one(cfg, args.seed)
-    csv_path = Path(args.out) / cell_hash(cfg) / f"{args.seed}.csv"
-    write_trajectory_csv(traj, csv_path)
-    out = summary.to_json()
-    out["csv"] = str(csv_path)
-    print(json.dumps(out, sort_keys=True))
+    cfg = apply_overrides(load_config(args.config), args.overrides)
+    print(json.dumps(run_to_csv(cfg, args.seed, args.out), sort_keys=True))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.overrides)
+    cfg = apply_overrides(load_config(args.config), args.overrides)
     aggregate = run_sweep(cfg, args.out, workers=args.workers)
     print(json.dumps(aggregate, sort_keys=True))
     failed = any(any(e is not None for e in cell["errors"]) for cell in aggregate["cells"])
@@ -151,13 +138,7 @@ def _cmd_params(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = {
-        "epsilon": params.epsilon,
-        "step_size": params.step_size,
-        "horizon": params.horizon,
-        "votes": params.votes,
-        "total_comparisons": params.total_comparisons,
-    }
+    out = {**dataclasses.asdict(params), "total_comparisons": params.total_comparisons}
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -5,7 +5,8 @@ Every check returns a CheckReport carrying its estimates, the theoretical
 values or bounds, sample counts, standard errors, and a pass flag.  The
 tolerance discipline is uniform: Monte Carlo equalities pass within 4
 standard errors, one-sided Monte Carlo bounds within +3 standard errors,
-and deterministic identities within 1e-12.  Checks draw all randomness from
+and deterministic identities within 1e-12; the equality verdict and its rule
+are written once, in `_equality`.  Checks draw all randomness from
 the RngStream handed to them, so a report is reproducible bit-exactly from
 (master seed, check name).  Every Monte Carlo mean is one streaming
 estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so memory stays
@@ -21,12 +22,15 @@ import numpy as np
 from .geometry import RngStream, Subspace, gaussian_vector, random_subspace, stream_id_for
 from .oracles import (
     CERT_GRID_POINTS,
+    LINK_KINDS,
     ConfidenceOracle,
     LinkFunction,
     SignOracle,
+    bisect_increasing,
     local_linearity_constants,
 )
 from .objectives import (
+    INNER_KINDS,
     InnerFunction,
     RidgeObjective,
     initial_point,
@@ -83,6 +87,21 @@ def _mc_mean_se(n: int, width: int, draw) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
+def _equality(name: str, n: int, names, means, theory, ses, rule_tail: str = "") -> CheckReport:
+    """Report of a Monte Carlo equality: it passes when every estimate lies
+    within EQUALITY_SE_BAND standard errors of its theory value."""
+    means, theory, ses = ([float(v) for v in np.reshape(x, -1)] for x in (means, theory, ses))
+    return CheckReport(
+        name=name,
+        passed=all(abs(m - t) <= EQUALITY_SE_BAND * s for m, t, s in zip(means, theory, ses)),
+        n_samples=n,
+        rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE{rule_tail}",
+        estimates=dict(zip(names, means)),
+        theory=dict(zip(names, theory)),
+        standard_errors=dict(zip(names, ses)),
+    )
+
+
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
     k(k+2)(k+4)."""
@@ -95,18 +114,9 @@ def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> Check
         return np.stack([q, q**2, q**3], axis=1)
 
     means, ses = _mc_mean_se(n, subspace.ambient_dim, draw)
-    theory = np.array([k, k * (k + 2), k * (k + 2) * (k + 4)], dtype=np.float64)
-    passed = bool(np.all(np.abs(means - theory) <= EQUALITY_SE_BAND * ses))
+    theory = (k, k * (k + 2), k * (k + 2) * (k + 4))
     names = ("second", "fourth", "sixth")
-    return CheckReport(
-        name="projector_moments",
-        passed=passed,
-        n_samples=n,
-        rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE for each moment",
-        estimates={m: float(v) for m, v in zip(names, means)},
-        theory={m: float(v) for m, v in zip(names, theory)},
-        standard_errors={m: float(v) for m, v in zip(names, ses)},
-    )
+    return _equality("projector_moments", n, names, means, theory, ses, " for each moment")
 
 
 def check_cross_moment(
@@ -121,17 +131,8 @@ def check_cross_moment(
         s = rng.gen.standard_normal((take, subspace.ambient_dim))
         return (s @ a) ** 2 * np.sum((s @ subspace.basis.T) ** 2, axis=1)
 
-    mean, se = map(float, _mc_mean_se(n, subspace.ambient_dim, draw))
-    passed = bool(abs(mean - theory) <= EQUALITY_SE_BAND * se)
-    return CheckReport(
-        name="cross_moment",
-        passed=passed,
-        n_samples=n,
-        rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE",
-        estimates={"cross_moment": mean},
-        theory={"cross_moment": theory},
-        standard_errors={"cross_moment": se},
-    )
+    mean, se = _mc_mean_se(n, subspace.ambient_dim, draw)
+    return _equality("cross_moment", n, ("cross_moment",), mean, theory, se)
 
 
 def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
@@ -139,19 +140,8 @@ def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
     g = np.asarray(g, dtype=np.float64)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
     d = g.shape[0]
-    mean, se = map(
-        float, _mc_mean_se(n, d, lambda take: np.abs(rng.gen.standard_normal((take, d)) @ g))
-    )
-    passed = bool(abs(mean - theory) <= EQUALITY_SE_BAND * se)
-    return CheckReport(
-        name="halfnormal",
-        passed=passed,
-        n_samples=n,
-        rule=f"|estimate - theory| <= {EQUALITY_SE_BAND} SE",
-        estimates={"abs_mean": mean},
-        theory={"abs_mean": theory},
-        standard_errors={"abs_mean": se},
-    )
+    mean, se = _mc_mean_se(n, d, lambda take: np.abs(rng.gen.standard_normal((take, d)) @ g))
+    return _equality("halfnormal", n, ("abs_mean",), mean, theory, se)
 
 
 def check_descent_ncrs(
@@ -233,25 +223,9 @@ def _point_at_gap(objective: RidgeObjective, gap: float) -> tuple[np.ndarray, np
     def ray_value(c: float) -> float:
         return float(objective.value(c * u1))
 
-    base = ray_value(c_lo)
-    target = base + gap
-    c_hi = max(2.0 * c_lo, 1.0)
-    for _ in range(200):
-        if ray_value(c_hi) >= target:
-            break
-        c_hi *= 2.0
-    else:
-        raise ValueError(f"gap {gap} is not reachable along the probe ray")
-    lo, hi = c_lo, c_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ray_value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    worse = 0.5 * (lo + hi) * u1
-    better = c_lo * u1
-    return worse, better
+    unreachable = f"gap {gap} is not reachable along the probe ray"
+    c = bisect_increasing(ray_value, ray_value(c_lo) + gap, c_lo, max(2.0 * c_lo, 1.0), unreachable)
+    return c * u1, c_lo * u1
 
 
 def check_vote_error(
@@ -432,6 +406,11 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
     def stream(name: str) -> RngStream:
         return RngStream(master_seed, stream_id_for(0, f"check:{name}"))
 
+    def ridge(tag: str, d: int, k: int, kind: str, tau: float = 0.0, m: int = 0) -> RidgeObjective:
+        return random_ridge_objective(
+            stream(tag), d, k, InnerFunction(kind=kind), tau=tau, nuisance_dim=m
+        )
+
     reports: list[CheckReport] = []
 
     rng = stream("projector_moments")
@@ -451,55 +430,32 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
     g = gaussian_vector(stream("halfnormal-dir"), 40) * 1.7
     reports.append(check_halfnormal(g, sized(1_000_000), rng))
 
-    for kind in ("logistic", "probit", "arctan"):
-        rep = check_link_reduction(LinkFunction(kind=kind, scale=1.0))
-        rep.name = f"link_reduction_{kind}"
+    links = [(kind, LinkFunction(kind=kind)) for kind in LINK_KINDS]
+    for tag, link in links + [("logistic_sharp", LinkFunction(kind="logistic", scale=0.25))]:
+        rep = check_link_reduction(link)
+        rep.name = f"link_reduction_{tag}"
         reports.append(rep)
-    rep = check_link_reduction(LinkFunction(kind="logistic", scale=0.25))
-    rep.name = "link_reduction_logistic_sharp"
-    reports.append(rep)
 
-    for kind in ("pure_quadratic", "quadratic_cosine", "bounded_well"):
-        obj = random_ridge_objective(
-            stream(f"fd-{kind}"), 20, 6, InnerFunction(kind=kind)
-        )
-        rep = check_grad_fd(obj, 25, 1e-5, stream(f"fd-points-{kind}"))
-        rep.name = f"grad_fd_{kind}"
+    fd_cases = [(kind, kind, 0.0, 0) for kind in INNER_KINDS]
+    for tag, kind, tau, m in fd_cases + [("nuisance", "quadratic_cosine", 0.3, 4)]:
+        obj = ridge(f"fd-{tag}", 20, 6, kind, tau, m)
+        rep = check_grad_fd(obj, 25, 1e-5, stream(f"fd-points-{tag}"))
+        rep.name = f"grad_fd_{tag}"
         reports.append(rep)
-    obj = random_ridge_objective(
-        stream("fd-nuisance"),
-        20,
-        6,
-        InnerFunction(kind="quadratic_cosine"),
-        tau=0.3,
-        nuisance_dim=4,
-    )
-    rep = check_grad_fd(obj, 25, 1e-5, stream("fd-points-nuisance"))
-    rep.name = "grad_fd_nuisance"
-    reports.append(rep)
 
-    for p in (0.1, 0.5):
-        obj = random_ridge_objective(
-            stream(f"descent-{p}"), 30, 5, InnerFunction(kind="quadratic_cosine")
-        )
-        theta = initial_point(obj, stream(f"descent-init-{p}"))
-        rep = check_descent_ncrs(obj, p, theta, 0.05, sized(100_000), stream(f"descent-rng-{p}"))
-        rep.name = f"descent_ncrs_p{p}"
+    for name, p, tau, m, tag, init_tag, rng_tag in (
+        ("p0.1", 0.1, 0.0, 0, "descent-0.1", "descent-init-0.1", "descent-rng-0.1"),
+        ("p0.5", 0.5, 0.0, 0, "descent-0.5", "descent-init-0.5", "descent-rng-0.5"),
+        (
+            "nearly_ridge", 0.5, 0.3, 4,
+            "descent-nuisance", "descent-nuisance-init", "descent-nuisance-rng",
+        ),
+    ):
+        obj = ridge(tag, 30, 5, "quadratic_cosine", tau, m)
+        theta = initial_point(obj, stream(init_tag))
+        rep = check_descent_ncrs(obj, p, theta, 0.05, sized(100_000), stream(rng_tag))
+        rep.name = f"descent_ncrs_{name}"
         reports.append(rep)
-    obj = random_ridge_objective(
-        stream("descent-nuisance"),
-        30,
-        5,
-        InnerFunction(kind="quadratic_cosine"),
-        tau=0.3,
-        nuisance_dim=4,
-    )
-    theta = initial_point(obj, stream("descent-nuisance-init"))
-    rep = check_descent_ncrs(
-        obj, 0.5, theta, 0.05, sized(100_000), stream("descent-nuisance-rng")
-    )
-    rep.name = "descent_ncrs_nearly_ridge"
-    reports.append(rep)
 
     link = LinkFunction(kind="logistic", scale=1.0)
     for kind, votes in (
@@ -507,22 +463,17 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
         ("engage_abstain", 25),
         ("noisy_engage", 25),
     ):
-        obj = random_ridge_objective(
-            stream(f"vote-{kind}"), 12, 4, InnerFunction(kind="pure_quadratic")
-        )
+        obj = ridge(f"vote-{kind}", 12, 4, "pure_quadratic")
         oracle = ConfidenceOracle(obj, kind, link, stream(f"vote-rng-{kind}"))
         rep = check_vote_error(oracle, 0.4, votes, sized(100_000))
         rep.name = f"vote_error_{kind}"
         reports.append(rep)
 
-    obj = random_ridge_objective(
-        stream("penalty"), 12, 4, InnerFunction(kind="pure_quadratic")
-    )
+    obj = ridge("penalty", 12, 4, "pure_quadratic")
     oracle = ConfidenceOracle(obj, "engage_abstain", link, stream("penalty-oracle"))
     theta = initial_point(obj, stream("penalty-init"))
-    rep = check_vote_penalty(
-        oracle, theta, 0.05, 16, sized(20_000), stream("penalty-rng")
+    reports.append(
+        check_vote_penalty(oracle, theta, 0.05, 16, sized(20_000), stream("penalty-rng"))
     )
-    reports.append(rep)
 
     return reports

@@ -74,13 +74,7 @@ class Subspace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto the subspace; batched over leading axes."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"vector has dimension {v.shape[-1]}, subspace lives in "
-                f"R^{self.ambient_dim}"
-            )
-        return (v @ self.basis.T) @ self.basis
+        return self.coordinates(v) @ self.basis
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of v against the basis rows (the k-dim image U v)."""

@@ -248,9 +248,13 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    """Read and validate a YAML config file."""
-    text = Path(path).read_text()
-    raw = yaml.safe_load(text)
+    """Read and validate a YAML config file; ConfigError names a file that fails."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
     return validate_config(raw)
@@ -445,10 +449,9 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
         )
     wall = time.perf_counter() - start
 
-    traj.config = {"run": copy.deepcopy(cfg), "seed": master_seed}
     avg = running_average(traj.grad_norms)
     summary = RunSummary(
-        config=traj.config,
+        config={"run": cfg, "seed": master_seed},
         seed=master_seed,
         epsilon=epsilon,
         horizon=horizon,
@@ -531,20 +534,21 @@ def expand_cells(cfg: dict) -> list[tuple[dict, dict]]:
     return cells
 
 
+def run_to_csv(cell: dict, seed: int, out_dir: str | Path) -> dict:
+    """run_one, with the trajectory written to <out_dir>/<cell-hash>/<seed>.csv;
+    returns the summary JSON with that path under "csv"."""
+    traj, summary = run_one(cell, seed)
+    path = Path(out_dir) / cell_hash(summary.config["run"]) / f"{seed}.csv"
+    write_trajectory_csv(traj, path)
+    return {**summary.to_json(), "csv": str(path)}
+
+
 def _sweep_worker(args: tuple[dict, int, str]) -> dict:
-    cell_cfg, seed, csv_path = args
+    cell_cfg, seed, out_dir = args
     try:
-        traj, summary = run_one(cell_cfg, seed)
-        write_trajectory_csv(traj, csv_path)
-        return summary.to_json()
+        return run_to_csv(cell_cfg, seed, out_dir)
     except Exception as exc:  # recorded per-run; the sweep continues
-        return {
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "iterations_to_target": None,
-            "final_running_avg": None,
-            "total_queries": None,
-        }
+        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _stat(values: list) -> dict:
@@ -569,19 +573,14 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     equals what run_one (and `ncrs run`) gives that cell and seed, and the
     aggregate depends only on (plan, seeds), identical for any worker count.
     """
+    _require(_is_int(workers) and workers >= 1, "workers must be a positive integer")
     cfg = validate_config(cfg)
-    if workers < 1:
-        raise ConfigError("workers must be a positive integer")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(cfg.get("sweep", {}).get("seeds", [1, 2, 3, 4, 5]))
     cells = expand_cells(cfg)
 
-    jobs = [
-        (cell_cfg, seed, str(out_dir / cell_hash(cell_cfg) / f"{seed}.csv"))
-        for cell_cfg, _ in cells
-        for seed in seeds
-    ]
+    jobs = [(cell_cfg, seed, str(out_dir)) for cell_cfg, _ in cells for seed in seeds]
 
     # The executor starts all max_workers processes up front, and the bytes
     # do not depend on the worker count, so more than jobs or cores buys nothing.
@@ -609,9 +608,9 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
                 "axes": axes,
                 "cell_hash": cell_hash(cell_cfg),
                 "seeds": seeds,
-                "iterations_to_target": _stat([r["iterations_to_target"] for r in rows]),
-                "final_running_avg": _stat([r["final_running_avg"] for r in rows]),
-                "total_queries": _stat([r["total_queries"] for r in rows]),
+                "iterations_to_target": _stat([r.get("iterations_to_target") for r in rows]),
+                "final_running_avg": _stat([r.get("final_running_avg") for r in rows]),
+                "total_queries": _stat([r.get("total_queries") for r in rows]),
                 "errors": [r.get("error") for r in rows],
             }
         )

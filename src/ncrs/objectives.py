@@ -37,8 +37,8 @@ class InnerFunction:
         if self.kind not in INNER_KINDS:
             raise ValueError(f"unknown inner function kind {self.kind!r}")
         if self.kind == "quadratic_cosine":
-            if self.amplitude < 0 or self.frequency <= 0:
-                raise ValueError("quadratic_cosine needs amplitude >= 0, frequency > 0")
+            if not (0 <= self.amplitude < math.inf and 0 < self.frequency < math.inf):
+                raise ValueError("quadratic_cosine needs finite amplitude >= 0 and frequency > 0")
 
     def value(self, z: np.ndarray) -> np.ndarray | float:
         z = np.asarray(z, dtype=np.float64)
@@ -91,8 +91,8 @@ class NuisanceSpec:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError("tau must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -170,20 +170,10 @@ class RidgeObjective:
             low -= self.nuisance.tau * math.sqrt(self.nuisance.dim)
         return low
 
-    def _point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"point has dimension {x.shape[-1]}, objective lives in "
-                f"R^{self.ambient_dim}"
-            )
-        return x
-
     def value(
         self, x: np.ndarray, z: np.ndarray | None = None, phases: np.ndarray | None = None
     ) -> np.ndarray | float:
         """f(x); z and phases, when given, must be U x and the nuisance phases of x."""
-        x = self._point(x)
         if z is None:
             z = self.active.coordinates(x)
         out = self.inner.value(z)
@@ -194,7 +184,6 @@ class RidgeObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         entry = self._lookup(x)
         if entry is None:
-            x = self._point(x)
             z = self.active.coordinates(x)
             phases = None
         else:
@@ -247,6 +236,8 @@ def random_ridge_objective(
     orthogonal to the active subspace (from nuisance_rng when given, so the
     active geometry is unchanged by toggling the nuisance).
     """
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     active = random_subspace(rng, d, k)
     nuisance = None
     if tau > 0:
@@ -265,6 +256,8 @@ def initial_point(
 ) -> np.ndarray:
     """Uniform point on the sphere of radius radius_scale * sqrt(k) inside the
     active subspace.  Keeps the initial gap f(x1) - inf f of order k across k."""
+    if not 0 < radius_scale < math.inf:
+        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale}")
     k = objective.intrinsic_dim
     z = gaussian_vector(rng, k)
     norm = float(np.linalg.norm(z))

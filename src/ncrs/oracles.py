@@ -29,7 +29,16 @@ from .geometry import RngStream
 from .objectives import RidgeObjective
 
 LINK_KINDS = ("logistic", "probit", "arctan")
-CONFIDENCE_KINDS = ("deterministic_link", "engage_abstain", "noisy_engage")
+
+# Response model -> (factor on the link's margin rho, second-moment constant C).
+# noisy_engage halves the margin and so its certified slope; r is unchanged
+# because rho/2 >= (c/4) t on the same certified interval.
+_MODELS = {
+    "deterministic_link": (1.0, 1.0),
+    "engage_abstain": (1.0, 1.0),
+    "noisy_engage": (0.5, 2.0),
+}
+CONFIDENCE_KINDS = tuple(_MODELS)
 
 CERT_GRID_POINTS = 1000  # grid resolution for the local-linearity certificate
 
@@ -79,8 +88,8 @@ class LinkFunction:
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("link scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("link scale must be finite and positive")
 
     def probability(self, u: np.ndarray | float) -> np.ndarray | float:
         """sigma(u): probability of preferring y at signed gap u = f(x) - f(y).
@@ -154,16 +163,21 @@ def rho_inverse(link: LinkFunction, target: float) -> float:
         raise ValueError("target must be in [0, 1)")
     if target == 0.0:
         return 0.0
-    lo, hi = 0.0, link.scale
+    return bisect_increasing(link.rho, target, 0.0, link.scale, f"rho never reaches {target}")
+
+
+def bisect_increasing(fn, target: float, lo: float, hi: float, unreachable: str) -> float:
+    """Where the increasing fn crosses target above lo: doubles hi until fn(hi) >=
+    target (at most 200 times), then halves [lo, hi] 200 times; the midpoint."""
     for _ in range(200):
-        if link.rho(hi) >= target:
+        if fn(hi) >= target:
             break
         hi *= 2.0
     else:
-        raise ValueError(f"rho never reaches {target}")
+        raise ValueError(unreachable)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if link.rho(mid) < target:
+        if fn(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -243,35 +257,28 @@ class ConfidenceOracle:
         link: LinkFunction,
         rng: RngStream,
     ):
-        if kind not in CONFIDENCE_KINDS:
+        if kind not in _MODELS:
             raise ValueError(f"unknown confidence oracle kind {kind!r}")
         self.objective = objective
         self.kind = kind
         self.link = link
         self.rng = rng
         self.query_count = 0
-        c, r = local_linearity_constants(link)
-        if kind == "noisy_engage":
-            # Halving the margin halves its certified slope; r is unchanged
-            # because rho/2 >= (c/4) t on the same certified interval.
-            self._c, self._r, self._second_moment = 0.5 * c, r, 2.0
-        else:
-            self._c, self._r, self._second_moment = c, r, 1.0
 
     def rho_effective(self, t: np.ndarray | float) -> np.ndarray | float:
         """Certified mean-margin lower bound at gap magnitude t."""
-        rho = self.link.rho(t)
-        return 0.5 * rho if self.kind == "noisy_engage" else rho
+        return _MODELS[self.kind][0] * self.link.rho(t)
 
     @property
     def second_moment_bound(self) -> float:
         """C with E[R^2] <= C * rho_effective(|gap|)."""
-        return self._second_moment
+        return _MODELS[self.kind][1]
 
     @property
     def linearity_constants(self) -> tuple[float, float]:
         """(c, r) certified for rho_effective: rho_effective(t) >= (c/2) t on [0, r]."""
-        return self._c, self._r
+        c, r = local_linearity_constants(self.link)
+        return _MODELS[self.kind][0] * c, r
 
     def compare(self, x: np.ndarray, y: np.ndarray) -> float:
         """One score; positive means y preferred."""

@@ -123,6 +123,15 @@ class TestStepSchedule:
             cosine_schedule(0.2, 0.1, 20, 10)  # decay longer than horizon
         with pytest.raises(ValueError):
             constant_schedule(0.1, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                constant_schedule(bad, 10)
+            with pytest.raises(ValueError):
+                theory_schedule(bad, 3, 10)
+            with pytest.raises(ValueError):
+                cosine_schedule(bad, 0.1, 5, 10)
+            with pytest.raises(ValueError):
+                cosine_schedule(0.2, bad, 5, 10)
 
 
 class TestNcrsRun:
@@ -307,6 +316,9 @@ class TestNcrsVoteRun:
             ncrs_vote_run(oracle, 3, np.zeros(3), 0.1, 0, 10, _stream(0, "a"))
         with pytest.raises(ValueError):
             ncrs_vote_run(oracle, 3, np.zeros(3), 0.1, 5, 0, _stream(0, "a"))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ncrs_vote_run(oracle, 3, np.zeros(3), bad, 5, 10, _stream(0, "a"))
 
 
 class TestRsgfRun:
@@ -360,6 +372,11 @@ class TestRsgfRun:
             rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.0, 1e-4, 10, _stream(0, "a"))
         with pytest.raises(ValueError):
             rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.1, 0.0, 10, _stream(0, "a"))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rsgf_run(lambda x: 0.0, 3, np.zeros(3), bad, 1e-4, 10, _stream(0, "a"))
+            with pytest.raises(ValueError):
+                rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.1, bad, 10, _stream(0, "a"))
 
 
 class _RecordingSignOracle(SignOracle):
@@ -451,6 +468,9 @@ class TestRsgfStableStep:
             rsgf_stable_step(0.0, 3)
         with pytest.raises(ValueError):
             rsgf_stable_step(1.0, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rsgf_stable_step(bad, 3)
 
 
 class TestVoteParams:

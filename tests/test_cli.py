@@ -170,6 +170,21 @@ class TestRunCommand:
         assert code == 2
         assert "horizon=auto resolved to 0 iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["malformed_yaml", "directory", "binary"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
+        """A config file that is not YAML, not a file, or not text is a usage
+        error that names the file, like a missing one."""
+        path = tmp_path / "bad.yaml"
+        if kind == "malformed_yaml":
+            path.write_text("problem: {d: 10\n")
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00bad")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad.yaml" in capsys.readouterr().err
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

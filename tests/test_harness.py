@@ -580,9 +580,18 @@ class TestRunSweep:
         assert (tmp_path / "aggregate.json").read_bytes() == b"{}\n"
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["aggregate.json"]
 
-    def test_worker_validation(self, tmp_path):
+    def test_worker_validation(self, tmp_path, monkeypatch):
         with pytest.raises(ConfigError):
             run_sweep(self._sweep_config(), tmp_path, workers=0)
+
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        for bad in (1.5, True, "2", None):
+            with pytest.raises(ConfigError, match="workers must be a positive integer"):
+                run_sweep(self._sweep_config(), tmp_path / "bad", workers=bad)
+        assert not (tmp_path / "bad").exists()
 
     def test_pool_is_capped_by_jobs_and_cores(self, tmp_path, monkeypatch):
         """A huge --workers starts no more processes than jobs or cores; the

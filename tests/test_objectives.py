@@ -67,6 +67,11 @@ class TestInnerValues:
             InnerFunction(kind="quadratic_cosine", frequency=0.0)
         with pytest.raises(ValueError):
             InnerFunction(kind="quadratic_cosine", amplitude=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                InnerFunction(kind="quadratic_cosine", amplitude=bad)
+            with pytest.raises(ValueError):
+                InnerFunction(kind="quadratic_cosine", frequency=bad)
 
     def test_batched_value_matches_scalar(self):
         rng = _stream(3, "test:batch").gen
@@ -394,6 +399,18 @@ class TestNuisance:
                 _stream(0, "s"), 6, 4, InnerFunction(kind="pure_quadratic"),
                 tau=0.1, nuisance_dim=3,
             )
+        space = random_ridge_objective(
+            _stream(0, "s"), 6, 2, InnerFunction(kind="pure_quadratic")
+        ).active
+        for bad in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+                NuisanceSpec(subspace=space, tau=bad)
+            for m in (0, 2):
+                with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+                    random_ridge_objective(
+                        _stream(0, "s"), 10, 2, InnerFunction(kind="pure_quadratic"),
+                        tau=bad, nuisance_dim=m,
+                    )
 
 
 class TestInitialPoint:
@@ -413,6 +430,14 @@ class TestInitialPoint:
         )
         x = initial_point(obj, _stream(81, "init"), radius_scale=1.5)
         assert_allclose(np.linalg.norm(x), 1.5 * 2.0, rtol=1e-12)
+
+    def test_radius_scale_validation(self):
+        obj = random_ridge_objective(
+            _stream(83, "subspace"), 12, 4, InnerFunction(kind="pure_quadratic")
+        )
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                initial_point(obj, _stream(83, "init"), radius_scale=bad)
 
     def test_deterministic_given_stream(self):
         obj = random_ridge_objective(

@@ -109,6 +109,9 @@ class TestLinkFunction:
             LinkFunction(kind="cauchy")
         with pytest.raises(ValueError):
             LinkFunction(kind="logistic", scale=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LinkFunction(kind="logistic", scale=bad)
 
 
 class TestLocalLinearity:
