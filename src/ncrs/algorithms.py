@@ -6,8 +6,9 @@ use only compare and query_count (ncrs_run) or compare_batch and
 query_count (ncrs_vote_run).  No objective value, gradient, or intrinsic
 dimension is visible to them; problem structure can enter only through how
 the harness builds the schedule.  The instrument callback is likewise
-opaque: whatever floats it returns are stored in the trajectory and never
-influence a decision.
+opaque: it is a function of the iterate alone, read once per distinct
+iterate, and whatever floats it returns are stored in the trajectory and
+never influence a decision.
 
 rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
@@ -16,7 +17,9 @@ All three share one loop, _search, and differ only in the decision rule
 that turns (t, theta, direction) into the next iterate.  Every iterate and
 candidate is a read-only array, so an oracle or instrument that writes to
 a point it was handed raises ValueError, and an objective may remember
-values by array identity (RidgeObjective.evaluate).
+values by array identity (RidgeObjective.evaluate).  For the same reason
+the loop reads the instrument only when theta is a new array: while moves
+are rejected, the logged reading repeats.
 """
 from __future__ import annotations
 
@@ -36,7 +39,9 @@ SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
 FULL_LOG_HORIZON = 100_000
 TARGET_LOG_POINTS = 10_000
 
-Instrument = Callable[[int, np.ndarray], tuple[float, float]]
+# (value, gradient norm) at an iterate: a function of the point alone, read
+# once per distinct iterate.
+Instrument = Callable[[np.ndarray], tuple[float, float]]
 
 
 def log_stride(horizon: int) -> int:
@@ -122,7 +127,9 @@ def cosine_schedule(
 @dataclass
 class Trajectory:
     """Logged run history.  values / grad_norms come from the instrument
-    callback (NaN when none was supplied) and play no role in the run."""
+    callback (NaN when none was supplied) and play no role in the run; the
+    instrument is read once per distinct iterate, so its reading repeats in
+    the log while theta is unchanged."""
 
     steps: np.ndarray       # iteration indices of the logged records
     values: np.ndarray      # f(theta_t) before the t-th update
@@ -157,7 +164,10 @@ def _search(
     (theta, accepted) = move(t, theta, s).  Every log_stride(horizon)-th
     iteration and the last one are recorded: the instrument reading of theta
     before the move, the accept flag, and queries(t), the cumulative query
-    count after the move.  theta_final is a writeable copy.
+    count after the move.  Iterates are read-only, so the same array means
+    the same point: the instrument is called only when theta is not the
+    array of the last reading, and a rejected move logs that reading again.
+    theta_final is a writeable copy.
     """
     theta = _frozen(np.array(theta1, dtype=np.float64))
     if theta.shape != (dim,):
@@ -173,10 +183,13 @@ def _search(
     accepted = np.zeros(len(steps), dtype=bool)
     counts = np.zeros(len(steps), dtype=np.int64)
     record = 0
+    read_at = None  # the iterate of the last instrument reading
     for t in range(1, horizon + 1):
         logged = (t - 1) % stride == 0 or t == horizon
         if logged and instrument is not None:
-            values[record], grad_norms[record] = instrument(t, theta)
+            if theta is not read_at:
+                reading, read_at = instrument(theta), theta
+            values[record], grad_norms[record] = reading
         theta, accept = move(t, theta, gaussian_vector(rng, dim))
         if logged:
             accepted[record] = accept

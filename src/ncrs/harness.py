@@ -68,6 +68,7 @@ SWEEP_AXES = (
 )
 
 CSV_HEADER = "t,f,grad_norm,accepted,queries"
+CSV_BLOCK_ROWS = 1024
 
 # Largest horizon a run accepts, given or resolved from horizon: auto; at
 # 30-60 us per ncrs iteration it is 5-10 minutes of search.
@@ -247,10 +248,34 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a mapping key given twice, which
+    safe_load would let the later one overwrite silently."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a << merge: SafeLoader resolves it, and its keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+                seen.add(key)
+            except TypeError:  # unhashable: SafeLoader reports it below
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", key_node.start_mark,
+                )
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> dict:
-    """Read and validate a YAML config file; ConfigError names a file that fails."""
+    """Read and validate a YAML config file; ConfigError names a file that
+    fails, including one that repeats a mapping key."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_UniqueKeyLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -275,7 +300,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         if not keys:
             raise ConfigError(f"override {item!r} has an empty key")
         try:
-            value = yaml.safe_load(raw_value)
+            value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has an unparseable value: {exc}") from exc
         node = out
@@ -421,8 +446,10 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     else:
         horizon = a["horizon"]
 
-    def instrument(t: int, theta: np.ndarray) -> tuple[float, float]:
-        return objective.evaluate(theta), float(np.linalg.norm(objective.gradient(theta)))
+    def instrument(theta: np.ndarray) -> tuple[float, float]:
+        value = objective.evaluate(theta)
+        g = objective.gradient(theta)
+        return value, math.sqrt(g.dot(g))  # np.linalg.norm of a 1-D real array
 
     start = time.perf_counter()
     if a["kind"] == "ncrs":
@@ -496,11 +523,14 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     17 significant digits; written atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = (traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries)
     lines = [CSV_HEADER]
-    for t, f, g, acc, q in zip(
-        traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries
-    ):
-        lines.append(f"{int(t)},{float(f):.17g},{float(g):.17g},{int(acc)},{int(q)}")
+    # Python numbers format faster than numpy scalars; converting a block of
+    # rows at a time bounds the Python numbers alive at once, so the peak
+    # memory is that of the formatted lines.
+    for start in range(0, len(traj.steps), CSV_BLOCK_ROWS):
+        block = zip(*(column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns))
+        lines += [f"{t},{f:.17g},{g:.17g},{acc:d},{q}" for t, f, g, acc, q in block]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrs.algorithms import (
+    FULL_LOG_HORIZON,
     StepSchedule,
     constant_schedule,
     cosine_schedule,
@@ -60,7 +61,7 @@ class _SilentOracle:
 
 
 def _value_and_grad_norm(obj):
-    return lambda t, th: (float(obj.value(th)), float(np.linalg.norm(obj.gradient(th))))
+    return lambda th: (float(obj.value(th)), float(np.linalg.norm(obj.gradient(th))))
 
 
 def _assert_trajectory(traj, values, grad_norms, accepted, queries, theta):
@@ -183,7 +184,7 @@ class TestNcrsRun:
     def test_perfect_oracle_never_increases_value(self):
         obj = _quadratic(204)
         theta1 = initial_point(obj, _stream(204, "init"))
-        instrument = lambda t, th: (float(obj.value(th)), 0.0)
+        instrument = lambda th: (float(obj.value(th)), 0.0)
         traj = ncrs_run(
             SignOracle(obj, 0.5, _stream(204, "oracle")),
             15, theta1, constant_schedule(0.1, 800), 800,
@@ -262,6 +263,48 @@ class TestTrajectoryLogging:
         assert traj.total_queries == horizon
 
 
+def _counting_instrument(seen):
+    """Keeps every point it reads; reads (sum of the point, reads so far)."""
+    def instrument(theta):
+        seen.append(theta)
+        return float(theta.sum()), float(len(seen))
+    return instrument
+
+
+class TestInstrumentReads:
+    """The instrument is read once per distinct iterate, not once per record."""
+
+    def test_rejected_moves_reuse_the_reading(self):
+        seen = []
+        traj = ncrs_run(_FixedAnswerOracle(-1), 4, np.arange(4.0), constant_schedule(0.5, 50),
+                        50, _stream(212, "algorithm"), _counting_instrument(seen))
+        assert len(seen) == 1
+        assert len(traj.values) == 50
+        assert np.all(traj.values == 6.0)
+        assert np.all(traj.grad_norms == 1.0)
+
+    def test_accepted_moves_read_once_per_record(self):
+        seen = []
+        traj = ncrs_run(_FixedAnswerOracle(1), 4, np.zeros(4), constant_schedule(0.5, 50),
+                        50, _stream(213, "algorithm"), _counting_instrument(seen))
+        assert len(seen) == 50
+        assert len({id(point) for point in seen}) == 50
+        assert np.array_equal(traj.grad_norms, np.arange(1.0, 51.0))
+        assert np.array_equal(traj.values, [float(point.sum()) for point in seen])
+
+    def test_strided_log_of_a_rejecting_run_reads_once(self):
+        horizon = FULL_LOG_HORIZON + 1
+        seen = []
+        traj = ncrs_run(_FixedAnswerOracle(-1), 2, np.ones(2),
+                        constant_schedule(0.1, horizon), horizon,
+                        _stream(214, "algorithm"), _counting_instrument(seen))
+        assert log_stride(horizon) > 1
+        assert len(seen) == 1
+        assert traj.steps[-1] == horizon
+        assert np.all(traj.values == 2.0)
+        assert np.all(traj.grad_norms == 1.0)
+
+
 class TestNcrsVoteRun:
     def test_all_abstain_never_moves(self):
         theta1 = np.ones(5)
@@ -277,7 +320,7 @@ class TestNcrsVoteRun:
         oracle = ConfidenceOracle(obj, "deterministic_link",
                                   LinkFunction(kind="logistic"),
                                   _stream(221, "oracle"))
-        instrument = lambda t, th: (float(obj.value(th)), 0.0)
+        instrument = lambda th: (float(obj.value(th)), 0.0)
         traj = ncrs_vote_run(oracle, 15, theta1, 0.1, 3, 500,
                              _stream(221, "algorithm"), instrument=instrument)
         assert np.all(np.diff(traj.values) <= 1e-12)
@@ -403,7 +446,7 @@ class _RecordingConfidenceOracle(ConfidenceOracle):
 
 def _evaluating_instrument(obj, seen):
     """The harness's instrument, keeping the points it reads."""
-    def instrument(t, theta):
+    def instrument(theta):
         seen.append(theta)
         return obj.evaluate(theta), float(np.linalg.norm(obj.gradient(theta)))
     return instrument

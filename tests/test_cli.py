@@ -185,6 +185,16 @@ class TestRunCommand:
         assert code == 2
         assert "bad.yaml" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        """A section given twice would otherwise run with the later one alone."""
+        path = tmp_path / "dup.yaml"
+        path.write_text("problem: {d: 12, k: 3}\nproblem: {d: 40}\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dup.yaml" in err and "repeated key 'problem'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

@@ -14,6 +14,7 @@ from ncrs.algorithms import Trajectory
 from ncrs.cli import main
 from ncrs.objectives import NuisanceSpec
 from ncrs.harness import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     ConfigError,
     apply_overrides,
@@ -196,6 +197,30 @@ class TestLoadAndOverrides:
         agg = run_sweep(cfg, tmp_path)
         assert agg["plan"]["axes"] == {"tau": [0.001, 0.0]}
         assert [cell["axes"] for cell in agg["cells"]] == [{"tau": 0.001}, {"tau": 0.0}]
+
+    def test_repeated_key_in_file_is_rejected(self, tmp_path):
+        """safe_load would keep the later section: d=40 with the default k=5."""
+        path = tmp_path / "run.yaml"
+        path.write_text("problem: {d: 12, k: 3}\nproblem: {d: 40}\n")
+        with pytest.raises(ConfigError, match="run.yaml") as exc:
+            load_config(path)
+        assert "repeated key 'problem'" in str(exc.value)
+        path.write_text("problem:\n  d: 12\n  k: 3\n  d: 40\n")
+        with pytest.raises(ConfigError, match="repeated key 'd'"):
+            load_config(path)
+
+    def test_merged_keys_may_still_be_overridden(self):
+        text = "base: &p {d: 12, k: 3}\nproblem: {<<: *p, d: 20}\n"
+        raw = yaml.load(text, Loader=harness._UniqueKeyLoader)
+        assert raw["problem"] == {"d": 20, "k": 3}
+
+    def test_repeated_key_in_override_is_rejected(self):
+        with pytest.raises(ConfigError, match="repeated key 'd'"):
+            apply_overrides(validate_config({}), ["sweep={d: [12], d: [16]}"])
+
+    def test_unhashable_key_is_still_a_config_error(self):
+        with pytest.raises(ConfigError, match="unhashable key"):
+            apply_overrides(validate_config({}), ["sweep={[1, 2]: 3}"])
 
     def test_override_validation(self):
         cfg = validate_config({})
@@ -394,6 +419,31 @@ class TestCsv:
         assert np.array_equal(cols[:, 4].astype(np.int64), traj.queries)
         recomputed = running_average(cols[:, 2].astype(np.float64))
         assert recomputed[-1] == summary.final_running_avg
+
+    def test_rows_match_per_row_formatting_across_blocks(self, tmp_path):
+        """The writer converts columns in blocks; its rows equal the rows
+        formatted one numpy scalar at a time, special floats included."""
+        n = 2 * CSV_BLOCK_ROWS + 1
+        gen = np.random.default_rng(5)
+        values = gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, n)
+        values[[0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, n - 1]] = [np.nan, -0.0, np.inf, -np.inf]
+        traj = Trajectory(
+            steps=np.arange(1, 11 * n, 11, dtype=np.int64),
+            values=values,
+            grad_norms=np.abs(gen.standard_normal(n)),
+            accepted=gen.random(n) < 0.5,
+            queries=np.arange(n, dtype=np.int64) * 2**40,
+            theta_final=np.zeros(3),
+        )
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(traj, path)
+        expected = [CSV_HEADER] + [
+            f"{int(t)},{float(f):.17g},{float(g):.17g},{int(acc)},{int(q)}"
+            for t, f, g, acc, q in zip(
+                traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries
+            )
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("fail_at", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, fail_at):
