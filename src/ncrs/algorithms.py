@@ -1,22 +1,22 @@
 """Comparison-driven random search and a value-based two-point baseline.
 
-The two comparison algorithms are ambient-blind: they receive an ambient
-dimension, a starting point, a step schedule, and an oracle of which they
-use only compare and query_count (ncrs_run) or compare_batch and
-query_count (ncrs_vote_run).  No objective value, gradient, or intrinsic
-dimension is visible to them; problem structure can enter only through how
-the harness builds the schedule.  The instrument callback is likewise
-opaque: it is a function of the iterate alone, read once per distinct
-iterate, and whatever floats it returns are stored in the trajectory and
-never influence a decision.
+The two comparison algorithms are ambient-blind: they receive a starting
+point, whose length is the dimension, a step schedule, which fixes every
+step and the horizon, and an oracle of which they use only compare and
+query_count (ncrs_run) or compare_batch and query_count (ncrs_vote_run).
+No objective value, gradient, or intrinsic dimension is visible to them;
+problem structure can enter only through how the harness builds the
+schedule.  The instrument callback is likewise opaque: it is a function of
+the iterate alone, read once per distinct iterate, and whatever floats it
+returns are stored in the trajectory and never influence a decision.
 
 rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
 
 All three share one loop, _search, and differ only in the decision rule
-that turns (t, theta, direction) into the next iterate.  Every iterate and
-candidate is a read-only array, so an oracle or instrument that writes to
-a point it was handed raises ValueError, and an objective may remember
+that turns (step, theta, direction) into the next iterate.  Every iterate
+and candidate is a read-only array, so an oracle or instrument that writes
+to a point it was handed raises ValueError, and an objective may remember
 values by array identity (RidgeObjective.evaluate).  For the same reason
 the loop reads the instrument only when theta is a new array: while moves
 are rejected, the logged reading repeats.
@@ -150,30 +150,29 @@ def _frozen(point: np.ndarray) -> np.ndarray:
 
 
 def _search(
-    dim: int,
     theta1: np.ndarray,
-    horizon: int,
+    schedule: StepSchedule,
     rng: RngStream,
     instrument: Instrument | None,
-    move: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
+    move: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
     queries: Callable[[int], int],
 ) -> Trajectory:
     """The random line search shared by the three algorithms.
 
-    Iteration t draws one Gaussian direction s and sets
-    (theta, accepted) = move(t, theta, s).  Every log_stride(horizon)-th
-    iteration and the last one are recorded: the instrument reading of theta
-    before the move, the accept flag, and queries(t), the cumulative query
-    count after the move.  Iterates are read-only, so the same array means
-    the same point: the instrument is called only when theta is not the
-    array of the last reading, and a rejected move logs that reading again.
-    theta_final is a writeable copy.
+    Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
+    draws one Gaussian direction s and sets
+    (theta, accepted) = move(schedule.step_at(t), theta, s).  Every
+    log_stride(horizon)-th iteration and the last one are recorded: the
+    instrument reading of theta before the move, the accept flag, and
+    queries(t), the cumulative query count after the move.  Iterates are
+    read-only, so the same array means the same point: the instrument is
+    called only when theta is not the array of the last reading, and a
+    rejected move logs that reading again.  theta_final is a writeable copy.
     """
     theta = _frozen(np.array(theta1, dtype=np.float64))
-    if theta.shape != (dim,):
-        raise ValueError(f"theta1 must have shape ({dim},)")
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
+    if theta.ndim != 1 or theta.size == 0:
+        raise ValueError("theta1 must be a non-empty 1-D vector")
+    horizon = schedule.horizon
     stride = log_stride(horizon)
     steps = np.arange(1, horizon + 1, stride, dtype=np.int64)
     if steps[-1] != horizon:
@@ -190,7 +189,7 @@ def _search(
             if theta is not read_at:
                 reading, read_at = instrument(theta), theta
             values[record], grad_norms[record] = reading
-        theta, accept = move(t, theta, gaussian_vector(rng, dim))
+        theta, accept = move(schedule.step_at(t), theta, gaussian_vector(rng, theta.size))
         if logged:
             accepted[record] = accept
             counts[record] = queries(t)
@@ -200,10 +199,8 @@ def _search(
 
 def ncrs_run(
     oracle,
-    dim: int,
     theta1: np.ndarray,
     schedule: StepSchedule,
-    horizon: int,
     rng: RngStream,
     instrument: Instrument | None = None,
 ) -> Trajectory:
@@ -213,76 +210,64 @@ def ncrs_run(
     theta + alpha_t * s is compared against theta, and it replaces theta
     exactly when the oracle prefers it.
     """
-    if not 1 <= horizon <= schedule.horizon:
-        raise ValueError("horizon must be in [1, schedule.horizon]")
 
-    def move(t, theta, direction):
-        candidate = _frozen(theta + schedule.step_at(t) * direction)
+    def move(step, theta, direction):
+        candidate = _frozen(theta + step * direction)
         if oracle.compare(theta, candidate) > 0:
             return candidate, True
         return theta, False
 
     before = oracle.query_count
-    return _search(
-        dim, theta1, horizon, rng, instrument, move, lambda t: oracle.query_count - before
-    )
+    return _search(theta1, schedule, rng, instrument, move, lambda t: oracle.query_count - before)
 
 
 def ncrs_vote_run(
     oracle,
-    dim: int,
     theta1: np.ndarray,
-    alpha: float,
+    schedule: StepSchedule,
     votes: int,
-    horizon: int,
     rng: RngStream,
     instrument: Instrument | None = None,
 ) -> Trajectory:
     """Confidence-vote random search: one compare_batch of `votes` queries per iteration.
 
-    The candidate is accepted exactly when the summed score is positive; a
-    zero sum keeps the current point.
+    The candidate theta + alpha_t * s is accepted exactly when the summed
+    score is positive; a zero sum keeps the current point.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be finite and positive")
     if votes < 1:
         raise ValueError("votes must be at least 1")
 
-    def move(t, theta, direction):
-        candidate = _frozen(theta + alpha * direction)
+    def move(step, theta, direction):
+        candidate = _frozen(theta + step * direction)
         if oracle.compare_batch(theta, candidate, votes).sum() > 0.0:
             return candidate, True
         return theta, False
 
     before = oracle.query_count
-    return _search(
-        dim, theta1, horizon, rng, instrument, move, lambda t: oracle.query_count - before
-    )
+    return _search(theta1, schedule, rng, instrument, move, lambda t: oracle.query_count - before)
 
 
 def rsgf_run(
     value_fn: Callable[[np.ndarray], float],
-    dim: int,
     theta1: np.ndarray,
-    alpha: float,
+    schedule: StepSchedule,
     mu: float,
-    horizon: int,
     rng: RngStream,
     instrument: Instrument | None = None,
 ) -> Trajectory:
     """Two-point Gaussian-smoothing gradient descent on exact values.
 
-    theta <- theta - alpha * ((f(theta + mu s) - f(theta)) / mu) * s, with
+    theta <- theta - alpha_t * ((f(theta + mu s) - f(theta)) / mu) * s, with
     two value queries per iteration.
     """
-    if not (0 < alpha < math.inf and 0 < mu < math.inf):
-        raise ValueError("alpha and mu must be finite and positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be finite and positive")
 
-    def move(t, theta, direction):
+    def move(step, theta, direction):
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
-        return _frozen(theta - alpha * slope * direction), True
+        return _frozen(theta - step * slope * direction), True
 
-    return _search(dim, theta1, horizon, rng, instrument, move, lambda t: 2 * t)
+    return _search(theta1, schedule, rng, instrument, move, lambda t: 2 * t)
 
 
 def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:
@@ -290,6 +275,11 @@ def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:
     if not 0 < smoothness < math.inf or intrinsic_dim < 1:
         raise ValueError("need finite smoothness > 0 and intrinsic_dim >= 1")
     return 1.0 / (4.0 * smoothness * (intrinsic_dim + 2))
+
+
+def vote_bernstein(second_moment_bound: float) -> float:
+    """2C + 4/3 for second-moment constant C: the vote-failure Bernstein denominator."""
+    return 2.0 * second_moment_bound + 4.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -348,7 +338,7 @@ def vote_params(
     lk = smoothness * intrinsic_dim
     alpha = 2.0 * epsilon / (9.0 * math.sqrt(2.0 * math.pi) * lk)
     horizon = 54.0 * math.pi * lk * value_gap / eps2
-    bernstein = 2.0 * second_moment_bound + 4.0 / 3.0
+    bernstein = vote_bernstein(second_moment_bound)
     vote_scale = bernstein / (math.e * margin_slope)
     votes = max(
         54.0 * math.pi * lk * vote_scale / eps2,

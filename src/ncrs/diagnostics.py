@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .algorithms import vote_bernstein
 from .geometry import RngStream, Subspace, gaussian_vector, random_subspace, stream_id_for
 from .oracles import (
     CERT_GRID_POINTS,
@@ -252,7 +253,7 @@ def check_vote_error(
         totals = oracle.compare_gaps(np.full(take, realized), votes).sum(axis=1)
         wrong += int(np.count_nonzero(totals <= 0.0))
     freq = wrong / trials
-    bernstein = 2.0 * oracle.second_moment_bound + 4.0 / 3.0
+    bernstein = vote_bernstein(oracle.second_moment_bound)
     bound = math.exp(-votes * float(oracle.rho_effective(realized)) / bernstein)
     se = math.sqrt(bound * (1.0 - bound) / trials)
     passed = freq <= bound + BOUND_SE_BAND * se
@@ -299,7 +300,7 @@ def check_vote_penalty(
 
     mean, se = map(float, _mc_mean_se(trials, d + 2 * votes, draw))
     c, r = oracle.linearity_constants
-    bernstein = 2.0 * oracle.second_moment_bound + 4.0 / 3.0
+    bernstein = vote_bernstein(oracle.second_moment_bound)
     gamma = math.exp(-votes * float(oracle.rho_effective(r)) / bernstein)
     grad_norm = float(np.linalg.norm(objective.gradient(theta)))
     bound = gamma * (

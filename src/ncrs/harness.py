@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -221,29 +222,32 @@ def validate_config(raw: dict) -> dict:
             0 < a["min_rate"] <= a["max_rate"],
             "cosine_decay needs 0 < algorithm.min_rate <= algorithm.max_rate",
         )
-        _require(a["decay_steps"] >= 1, "cosine_decay needs algorithm.decay_steps >= 1")
+        longest = MAX_HORIZON if a["horizon"] == "auto" else a["horizon"]
+        _require(
+            1 <= a["decay_steps"] <= longest,
+            f"cosine_decay needs 1 <= algorithm.decay_steps={a['decay_steps']} <= "
+            f"algorithm.horizon={a['horizon']}",
+        )
 
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep must be a mapping of axis lists")
-        axis_names = {name for name, _ in SWEEP_AXES}
+        axes = dict(SWEEP_AXES)
+        cfg["sweep"] = {}
         for key, values in sweep.items():
             where = f"sweep.{key}"
+            _require(key == "seeds" or key in axes, f"unknown config key: {where}")
+            _require(isinstance(values, list), f"{where} must be a list")
             if key == "seeds":
-                _require(isinstance(values, list), f"{where} must be a list")
                 for s in values:
                     check_seed(s, f"each {where} entry")
-                _require(len(set(values)) == len(values), f"{where} entries must be distinct")
-            elif key in axis_names:
-                _require(isinstance(values, list), f"{where} must be a list")
-            else:
-                raise ConfigError(f"unknown config key: {where}")
-        cfg["sweep"] = copy.deepcopy(sweep)
-        for name, (section, key) in SWEEP_AXES:
-            if name in sweep:  # as validated, so the plan reports what the cells run
-                rule = CONFIG_KEYS[section][key][1]
-                cfg["sweep"][name] = [_checked(f"sweep.{name}", v, rule) for v in sweep[name]]
+            else:  # as validated, so the plan reports what the cells run
+                section, name = axes[key]
+                values = [_checked(where, v, CONFIG_KEYS[section][name][1]) for v in values]
+            repeated = [v for v, n in Counter(values).items() if n > 1]
+            _require(not repeated, f"{where} entries must be distinct; repeated: {repeated}")
+            cfg["sweep"][key] = list(values)
         expand_cells(cfg)  # rejects bad combinations before any run
     return cfg
 
@@ -408,7 +412,6 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     cfg.pop("sweep", None)
     streams = _streams(master_seed)
     objective, theta1 = _build_problem(cfg, streams)
-    d = objective.ambient_dim
     k = objective.intrinsic_dim
     smoothness = objective.smoothness
 
@@ -451,29 +454,18 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
         g = objective.gradient(theta)
         return value, math.sqrt(g.dot(g))  # np.linalg.norm of a 1-D real array
 
+    schedule = _build_schedule(a, k, horizon, value_gap, smoothness)
+    rng = streams["algorithm"]
     start = time.perf_counter()
     if a["kind"] == "ncrs":
         oracle = SignOracle(objective, advantage, streams["oracle"])
-        schedule = _build_schedule(a, k, horizon, value_gap, smoothness)
-        traj = ncrs_run(oracle, d, theta1, schedule, horizon, streams["algorithm"], instrument)
+        traj = ncrs_run(oracle, theta1, schedule, rng, instrument)
     elif a["kind"] == "ncrs_vote":
         link = LinkFunction(kind=o["link"], scale=o["scale"])
         oracle = ConfidenceOracle(objective, o["kind"], link, streams["oracle"])
-        traj = ncrs_vote_run(
-            oracle, d, theta1, a["alpha"], a["votes"], horizon, streams["algorithm"], instrument
-        )
+        traj = ncrs_vote_run(oracle, theta1, schedule, a["votes"], rng, instrument)
     else:
-        alpha = a["alpha"]
-        stable = rsgf_stable_step(smoothness, k)
-        if alpha == "auto":
-            alpha = stable
-        elif alpha > stable * (1 + 1e-12):
-            logger.warning(
-                "rsgf step size %.6g exceeds the certified stable bound %.6g", alpha, stable
-            )
-        traj = rsgf_run(
-            objective.evaluate, d, theta1, alpha, a["mu"], horizon, streams["algorithm"], instrument
-        )
+        traj = rsgf_run(objective.evaluate, theta1, schedule, a["mu"], rng, instrument)
     wall = time.perf_counter() - start
 
     avg = running_average(traj.grad_norms)
@@ -494,6 +486,17 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
 def _build_schedule(
     a: dict, k: int, horizon: int, value_gap: float, smoothness: float
 ) -> StepSchedule:
+    """The step schedule of a run: ncrs's algorithm.schedule, else a constant algorithm.alpha."""
+    if a["kind"] == "rsgf":
+        stable = rsgf_stable_step(smoothness, k)
+        if a["alpha"] == "auto":
+            return constant_schedule(stable, horizon)
+        if a["alpha"] > stable * (1 + 1e-12):
+            logger.warning(
+                "rsgf step size %.6g exceeds the certified stable bound %.6g", a["alpha"], stable
+            )
+    if a["kind"] != "ncrs":
+        return constant_schedule(a["alpha"], horizon)
     if a["schedule"] == "constant":
         return constant_schedule(a["alpha0"], horizon)
     if a["schedule"] == "theory_constant":
@@ -502,6 +505,10 @@ def _build_schedule(
             # minimizes the horizon bound: alpha0* = sqrt(2 gap / L)
             alpha0 = math.sqrt(2.0 * value_gap / smoothness)
         return theory_schedule(alpha0, k, horizon)
+    _require(  # validate_config checks a given horizon, this one a resolved auto
+        a["decay_steps"] <= horizon,
+        f"algorithm.decay_steps={a['decay_steps']} exceeds the auto algorithm.horizon={horizon}",
+    )
     return cosine_schedule(a["max_rate"], a["min_rate"], a["decay_steps"], horizon)
 
 

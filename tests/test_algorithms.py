@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ncrs import algorithms
 from ncrs.algorithms import (
     FULL_LOG_HORIZON,
     StepSchedule,
@@ -139,8 +140,7 @@ class TestNcrsRun:
     def test_always_reject_keeps_start(self):
         theta1 = np.arange(6, dtype=np.float64)
         oracle = _FixedAnswerOracle(-1)
-        traj = ncrs_run(oracle, 6, theta1, constant_schedule(0.5, 50), 50,
-                        _stream(201, "algorithm"))
+        traj = ncrs_run(oracle, theta1, constant_schedule(0.5, 50), _stream(201, "algorithm"))
         assert np.array_equal(traj.theta_final, theta1)
         assert not traj.accepted.any()
         assert oracle.query_count == 50
@@ -148,8 +148,7 @@ class TestNcrsRun:
     def test_always_accept_matches_manual_walk(self):
         theta1 = np.zeros(4)
         sched = constant_schedule(0.25, 30)
-        traj = ncrs_run(_FixedAnswerOracle(1), 4, theta1, sched, 30,
-                        _stream(202, "algorithm"))
+        traj = ncrs_run(_FixedAnswerOracle(1), theta1, sched, _stream(202, "algorithm"))
         gen = _stream(202, "algorithm").gen
         theta = theta1.copy()
         for _ in range(30):
@@ -164,7 +163,7 @@ class TestNcrsRun:
         sched = theory_schedule(2.0, 3, 400)
         traj = ncrs_run(
             SignOracle(obj, 0.3, _stream(203, "oracle")),
-            15, theta1, sched, 400, _stream(203, "algorithm"),
+            theta1, sched, _stream(203, "algorithm"),
             instrument=_value_and_grad_norm(obj),
         )
         oracle = SignOracle(obj, 0.3, _stream(203, "oracle"))
@@ -187,8 +186,8 @@ class TestNcrsRun:
         instrument = lambda th: (float(obj.value(th)), 0.0)
         traj = ncrs_run(
             SignOracle(obj, 0.5, _stream(204, "oracle")),
-            15, theta1, constant_schedule(0.1, 800), 800,
-            _stream(204, "algorithm"), instrument=instrument,
+            theta1, constant_schedule(0.1, 800), _stream(204, "algorithm"),
+            instrument=instrument,
         )
         assert np.all(np.diff(traj.values) <= 1e-12)
         assert float(obj.value(traj.theta_final)) < float(obj.value(theta1)) / 10.0
@@ -197,8 +196,7 @@ class TestNcrsRun:
         obj = _quadratic(205)
         traj = ncrs_run(
             SignOracle(obj, 0.5, _stream(205, "oracle")),
-            15, np.zeros(15), constant_schedule(0.1, 5), 5,
-            _stream(205, "algorithm"),
+            np.zeros(15), constant_schedule(0.1, 5), _stream(205, "algorithm"),
         )
         assert np.all(np.isnan(traj.values))
         assert np.all(np.isnan(traj.grad_norms))
@@ -227,34 +225,28 @@ class TestNcrsRun:
                 return out
 
         traj = ncrs_run(SignOracle(obj2, 0.2, _stream(206, "oracle")),
-                        d + pad, theta1_padded, sched, 300, _stream(206, "algorithm"))
-        traj2 = ncrs_run(_Truncating(), d + pad, theta1_padded, sched, 300,
-                         _stream(206, "algorithm"))
+                        theta1_padded, sched, _stream(206, "algorithm"))
+        traj2 = ncrs_run(_Truncating(), theta1_padded, sched, _stream(206, "algorithm"))
         assert np.array_equal(traj.accepted, traj2.accepted)
         assert np.array_equal(traj.theta_final, traj2.theta_final)
 
     def test_validation(self):
-        oracle = _FixedAnswerOracle(1)
-        sched = constant_schedule(0.1, 10)
-        with pytest.raises(ValueError):
-            ncrs_run(oracle, 4, np.zeros(5), sched, 10, _stream(0, "a"))
-        with pytest.raises(ValueError):
-            ncrs_run(oracle, 4, np.zeros(4), sched, 11, _stream(0, "a"))
-        with pytest.raises(ValueError):
-            ncrs_run(oracle, 4, np.zeros(4), sched, 0, _stream(0, "a"))
+        # the horizon and the steps are checked by the schedule (TestStepSchedule)
+        for bad in (np.zeros((2, 3)), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D vector"):
+                ncrs_run(_FixedAnswerOracle(1), bad, constant_schedule(0.1, 10), _stream(0, "a"))
 
 
 class TestTrajectoryLogging:
     def test_short_horizon_logs_every_iteration(self):
-        traj = ncrs_run(_FixedAnswerOracle(1), 3, np.zeros(3),
-                        constant_schedule(0.1, 250), 250, _stream(210, "algorithm"))
+        traj = ncrs_run(_FixedAnswerOracle(1), np.zeros(3), constant_schedule(0.1, 250),
+                        _stream(210, "algorithm"))
         assert np.array_equal(traj.steps, np.arange(1, 251))
         assert np.array_equal(traj.queries, np.arange(1, 251))
 
     def test_long_horizon_subsamples_and_keeps_last(self):
         horizon = 200_000
-        traj = ncrs_run(_FixedAnswerOracle(-1), 2, np.zeros(2),
-                        constant_schedule(0.1, horizon), horizon,
+        traj = ncrs_run(_FixedAnswerOracle(-1), np.zeros(2), constant_schedule(0.1, horizon),
                         _stream(211, "algorithm"))
         assert len(traj.steps) == 10_001
         assert traj.steps[0] == 1
@@ -276,8 +268,8 @@ class TestInstrumentReads:
 
     def test_rejected_moves_reuse_the_reading(self):
         seen = []
-        traj = ncrs_run(_FixedAnswerOracle(-1), 4, np.arange(4.0), constant_schedule(0.5, 50),
-                        50, _stream(212, "algorithm"), _counting_instrument(seen))
+        traj = ncrs_run(_FixedAnswerOracle(-1), np.arange(4.0), constant_schedule(0.5, 50),
+                        _stream(212, "algorithm"), _counting_instrument(seen))
         assert len(seen) == 1
         assert len(traj.values) == 50
         assert np.all(traj.values == 6.0)
@@ -285,8 +277,8 @@ class TestInstrumentReads:
 
     def test_accepted_moves_read_once_per_record(self):
         seen = []
-        traj = ncrs_run(_FixedAnswerOracle(1), 4, np.zeros(4), constant_schedule(0.5, 50),
-                        50, _stream(213, "algorithm"), _counting_instrument(seen))
+        traj = ncrs_run(_FixedAnswerOracle(1), np.zeros(4), constant_schedule(0.5, 50),
+                        _stream(213, "algorithm"), _counting_instrument(seen))
         assert len(seen) == 50
         assert len({id(point) for point in seen}) == 50
         assert np.array_equal(traj.grad_norms, np.arange(1.0, 51.0))
@@ -295,8 +287,7 @@ class TestInstrumentReads:
     def test_strided_log_of_a_rejecting_run_reads_once(self):
         horizon = FULL_LOG_HORIZON + 1
         seen = []
-        traj = ncrs_run(_FixedAnswerOracle(-1), 2, np.ones(2),
-                        constant_schedule(0.1, horizon), horizon,
+        traj = ncrs_run(_FixedAnswerOracle(-1), np.ones(2), constant_schedule(0.1, horizon),
                         _stream(214, "algorithm"), _counting_instrument(seen))
         assert log_stride(horizon) > 1
         assert len(seen) == 1
@@ -309,7 +300,8 @@ class TestNcrsVoteRun:
     def test_all_abstain_never_moves(self):
         theta1 = np.ones(5)
         oracle = _SilentOracle()
-        traj = ncrs_vote_run(oracle, 5, theta1, 0.2, 7, 40, _stream(220, "algorithm"))
+        traj = ncrs_vote_run(oracle, theta1, constant_schedule(0.2, 40), 7,
+                             _stream(220, "algorithm"))
         assert np.array_equal(traj.theta_final, theta1)
         assert not traj.accepted.any()
         assert oracle.query_count == 7 * 40
@@ -321,7 +313,7 @@ class TestNcrsVoteRun:
                                   LinkFunction(kind="logistic"),
                                   _stream(221, "oracle"))
         instrument = lambda th: (float(obj.value(th)), 0.0)
-        traj = ncrs_vote_run(oracle, 15, theta1, 0.1, 3, 500,
+        traj = ncrs_vote_run(oracle, theta1, constant_schedule(0.1, 500), 3,
                              _stream(221, "algorithm"), instrument=instrument)
         assert np.all(np.diff(traj.values) <= 1e-12)
         assert float(obj.value(traj.theta_final)) < float(obj.value(theta1)) / 10.0
@@ -333,7 +325,7 @@ class TestNcrsVoteRun:
         link = LinkFunction(kind="logistic")
         traj = ncrs_vote_run(
             ConfidenceOracle(obj, "noisy_engage", link, _stream(223, "oracle")),
-            15, theta1, 0.15, 5, 300, _stream(223, "algorithm"),
+            theta1, constant_schedule(0.15, 300), 5, _stream(223, "algorithm"),
             instrument=_value_and_grad_norm(obj),
         )
         oracle = ConfidenceOracle(obj, "noisy_engage", link, _stream(223, "oracle"))
@@ -353,15 +345,12 @@ class TestNcrsVoteRun:
 
     def test_validation(self):
         oracle = _SilentOracle()
+        sched = constant_schedule(0.1, 10)
         with pytest.raises(ValueError):
-            ncrs_vote_run(oracle, 3, np.zeros(3), 0.0, 5, 10, _stream(0, "a"))
-        with pytest.raises(ValueError):
-            ncrs_vote_run(oracle, 3, np.zeros(3), 0.1, 0, 10, _stream(0, "a"))
-        with pytest.raises(ValueError):
-            ncrs_vote_run(oracle, 3, np.zeros(3), 0.1, 5, 0, _stream(0, "a"))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                ncrs_vote_run(oracle, 3, np.zeros(3), bad, 5, 10, _stream(0, "a"))
+            ncrs_vote_run(oracle, np.zeros(3), sched, 0, _stream(0, "a"))
+        for bad in (np.zeros((2, 3)), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D vector"):
+                ncrs_vote_run(oracle, bad, sched, 5, _stream(0, "a"))
 
 
 class TestRsgfRun:
@@ -369,8 +358,8 @@ class TestRsgfRun:
         obj = _quadratic(230, d=8, k=3)
         theta1 = initial_point(obj, _stream(230, "init"))
         alpha, mu = 0.02, 1e-4
-        traj = rsgf_run(obj.value, 8, theta1, alpha, mu, 50, _stream(230, "algorithm"),
-                        instrument=_value_and_grad_norm(obj))
+        traj = rsgf_run(obj.value, theta1, constant_schedule(alpha, 50), mu,
+                        _stream(230, "algorithm"), instrument=_value_and_grad_norm(obj))
         gen = _stream(230, "algorithm").gen
         theta = theta1.copy()
         values, grad_norms = [], []
@@ -384,15 +373,15 @@ class TestRsgfRun:
 
     def test_stays_near_stationary_point(self):
         obj = _quadratic(231, d=10, k=3)
-        traj = rsgf_run(obj.value, 10, np.zeros(10), rsgf_stable_step(1.0, 3), 1e-8,
-                        200, _stream(231, "algorithm"))
+        sched = constant_schedule(rsgf_stable_step(1.0, 3), 200)
+        traj = rsgf_run(obj.value, np.zeros(10), sched, 1e-8, _stream(231, "algorithm"))
         assert np.linalg.norm(traj.theta_final) < 1e-5
 
     def test_descends_at_stable_step(self):
         obj = _quadratic(232, d=10, k=3)
         theta1 = initial_point(obj, _stream(232, "init"))
-        traj = rsgf_run(obj.value, 10, theta1, rsgf_stable_step(1.0, 3), 1e-5,
-                        3000, _stream(232, "algorithm"))
+        sched = constant_schedule(rsgf_stable_step(1.0, 3), 3000)
+        traj = rsgf_run(obj.value, theta1, sched, 1e-5, _stream(232, "algorithm"))
         assert float(obj.value(traj.theta_final)) < float(obj.value(theta1)) / 10.0
 
     def test_mean_update_is_negative_gradient(self):
@@ -411,15 +400,41 @@ class TestRsgfRun:
         assert np.all(np.abs(mean - grad) <= 5 * se + 1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.0, 1e-4, 10, _stream(0, "a"))
-        with pytest.raises(ValueError):
-            rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.1, 0.0, 10, _stream(0, "a"))
-        for bad in (math.nan, math.inf):
+        sched = constant_schedule(0.1, 10)
+        for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                rsgf_run(lambda x: 0.0, 3, np.zeros(3), bad, 1e-4, 10, _stream(0, "a"))
-            with pytest.raises(ValueError):
-                rsgf_run(lambda x: 0.0, 3, np.zeros(3), 0.1, bad, 10, _stream(0, "a"))
+                rsgf_run(lambda x: 0.0, np.zeros(3), sched, bad, _stream(0, "a"))
+        for bad in (np.zeros((2, 3)), np.zeros(0)):
+            with pytest.raises(ValueError, match="non-empty 1-D vector"):
+                rsgf_run(lambda x: 0.0, bad, sched, 1e-4, _stream(0, "a"))
+
+
+class TestRunnerContract:
+    """Every runner takes its dimension from theta1 and its horizon from the
+    schedule; the shape checks are in each runner's test_validation."""
+
+    RUNS = {  # kind -> (runner of (theta1, schedule, rng), queries per iteration)
+        "ncrs": (lambda *args: ncrs_run(_FixedAnswerOracle(1), *args), 1),
+        "ncrs_vote": (lambda x, sched, rng: ncrs_vote_run(_SilentOracle(), x, sched, 3, rng), 3),
+        "rsgf": (lambda x, sched, rng: rsgf_run(lambda y: float(y.sum()), x, sched, 1e-4, rng), 2),
+    }
+
+    @pytest.mark.parametrize("kind", RUNS)
+    @pytest.mark.parametrize("size, horizon", [(1, 1), (5, 7), (3, 40)])
+    def test_runs_the_schedule_horizon_in_the_start_dimension(
+        self, kind, size, horizon, monkeypatch
+    ):
+        drawn = []
+        original = algorithms.gaussian_vector
+        monkeypatch.setattr(
+            algorithms, "gaussian_vector", lambda rng, n: drawn.append(n) or original(rng, n)
+        )
+        run, per_iteration = self.RUNS[kind]
+        traj = run(np.ones(size), constant_schedule(0.1, horizon), _stream(215, "algorithm"))
+        assert drawn == [size] * horizon
+        assert np.array_equal(traj.steps, np.arange(1, horizon + 1))
+        assert np.array_equal(traj.queries, per_iteration * np.arange(1, horizon + 1))
+        assert traj.theta_final.shape == (size,)
 
 
 class _RecordingSignOracle(SignOracle):
@@ -457,15 +472,15 @@ def _run(kind, obj, horizon, instrument):
     rng = _stream(240, "algorithm")
     if kind == "ncrs":
         oracle = _RecordingSignOracle(obj, 0.3, _stream(240, "oracle"))
-        traj = ncrs_run(oracle, 15, theta1, constant_schedule(0.2, horizon), horizon, rng,
-                        instrument)
+        traj = ncrs_run(oracle, theta1, constant_schedule(0.2, horizon), rng, instrument)
     elif kind == "ncrs_vote":
         oracle = _RecordingConfidenceOracle(obj, "noisy_engage", LinkFunction(kind="logistic"),
                                             _stream(240, "oracle"))
-        traj = ncrs_vote_run(oracle, 15, theta1, 0.2, 3, horizon, rng, instrument)
+        traj = ncrs_vote_run(oracle, theta1, constant_schedule(0.2, horizon), 3, rng, instrument)
     else:
         oracle = None
-        traj = rsgf_run(obj.evaluate, 15, theta1, 0.02, 1e-4, horizon, rng, instrument)
+        traj = rsgf_run(obj.evaluate, theta1, constant_schedule(0.02, horizon), 1e-4, rng,
+                        instrument)
     return traj, oracle
 
 

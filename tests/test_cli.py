@@ -195,6 +195,18 @@ class TestRunCommand:
         assert "dup.yaml" in err and "repeated key 'problem'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_decay_beyond_horizon_exits_2(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--out", str(out_dir),
+            "--set", "algorithm.schedule=cosine_decay", "--set", "algorithm.max_rate=0.5",
+            "--set", "algorithm.min_rate=0.01", "--set", "algorithm.decay_steps=20000",
+            "--set", "algorithm.horizon=100",
+        ])
+        assert code == 2
+        assert "algorithm.decay_steps=20000" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2
@@ -232,6 +244,7 @@ class TestSweepCommand:
         )
         code = main([
             "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--set", "algorithm.horizon=auto",  # resolves to 604 iterations
             "--set", "algorithm.schedule=cosine_decay",
             "--set", "algorithm.alpha0=1.0",
             "--set", "algorithm.max_rate=0.1",
@@ -241,6 +254,18 @@ class TestSweepCommand:
         assert code == 1
         payload, _ = _stdout_json(capsys)
         assert payload["cells"][0]["errors"][0] is not None
+
+    def test_repeated_axis_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(
+            "problem: {d: 10, k: 2, nuisance_dim: 1}\n"
+            "sweep: {tau: [1e-3, 0.001], seeds: [1]}\n"
+        )
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2
+        assert "sweep.tau entries must be distinct; repeated: [0.001]" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_worker_count_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.yaml"

@@ -130,6 +130,34 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config([1, 2])
 
+    def test_decay_beyond_a_given_horizon_is_rejected(self):
+        raw = {"algorithm": {"schedule": "cosine_decay", "max_rate": 0.5, "min_rate": 0.01,
+                             "decay_steps": 20000, "horizon": 100}}
+        with pytest.raises(ConfigError, match="decay_steps=20000 <= algorithm.horizon=100"):
+            validate_config(raw)
+        raw["algorithm"]["decay_steps"] = 100
+        assert validate_config(raw)["algorithm"]["decay_steps"] == 100
+
+    def test_decay_beyond_an_auto_horizon_is_a_config_error(self):
+        # horizon: auto resolves to 604 iterations for this cell and seed
+        cfg = _tiny_config(horizon="auto", schedule="cosine_decay", max_rate=0.1,
+                           min_rate=0.01, decay_steps=605)
+        with pytest.raises(ConfigError, match="605 exceeds the auto algorithm.horizon=604"):
+            run_one(cfg, master_seed=1)
+        cfg["algorithm"]["decay_steps"] = 604
+        assert run_one(cfg, master_seed=1)[1].horizon == 604
+
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("tau", [1e-3, 0.001], 0.001),
+        ("tau", ["1e-3", 2e-3, 1e-3], 0.001),  # YAML 1.1 reads 1e-3 as a string
+        ("d", [10, 12, 10], 10),
+    ])
+    def test_repeated_sweep_axis_value_is_rejected(self, axis, values, repeated):
+        raw = {"problem": {"d": 10, "k": 2, "nuisance_dim": 1},
+               "sweep": {axis: values, "seeds": [1]}}
+        with pytest.raises(ConfigError, match=rf"sweep.{axis} .*repeated: \[{repeated}\]"):
+            validate_config(raw)
+
     def test_sweep_cells_validated_upfront(self):
         raw = {"problem": {"d": 50}, "sweep": {"k": [5, 60]}}
         with pytest.raises(ConfigError, match="exceeds"):
@@ -607,15 +635,16 @@ class TestRunSweep:
         assert agg["cells"] == []
 
     def test_runtime_failures_are_recorded_not_raised(self, tmp_path):
-        # valid at config time, impossible at run time: decay longer than horizon
+        # valid at config time, impossible at run time: decay longer than the
+        # horizon that auto resolves to (604 iterations for both seeds)
         cfg = _tiny_config(
-            horizon=20, schedule="cosine_decay", alpha0=1.0,
-            max_rate=0.1, min_rate=0.01, decay_steps=50,
+            horizon="auto", schedule="cosine_decay", alpha0=1.0,
+            max_rate=0.1, min_rate=0.01, decay_steps=1000,
         )
         cfg["sweep"] = {"seeds": [1, 2]}
         agg = run_sweep(cfg, tmp_path)
         cell = agg["cells"][0]
-        assert all(err and "ValueError" in err for err in cell["errors"])
+        assert all(err and "decay_steps" in err for err in cell["errors"])
         assert cell["iterations_to_target"]["count"] == 0
         assert cell["iterations_to_target"]["mean"] is None
 
