@@ -14,7 +14,13 @@ rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
 
 All three share one loop, _search, and differ only in the decision rule
-that turns (step, theta, direction) into the next iterate.  Every iterate
+that turns (step, theta, direction) into the next iterate.  A runner owns
+its rng for the whole run: the loop draws its directions in blocks, read
+ahead by at most a few blocks on one helper thread when they are large
+(geometry.DrawAhead), so nothing else may draw from that stream during the
+run.  Every direction equals the per-iteration draw bit for bit, a
+finished run leaves the stream where sequential draws would, and no thread
+outlives the run.  Every iterate
 and candidate is a read-only array, so an oracle or instrument that writes
 to a point it was handed raises ValueError, and an objective may remember
 values by array identity (RidgeObjective.evaluate).  For the same reason
@@ -30,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import RngStream, gaussian_vector
+from .geometry import DrawAhead, RngStream, gaussian_vector
 
 SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
 
@@ -161,7 +167,15 @@ def _search(
 
     Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
     draws one Gaussian direction s and sets
-    (theta, accepted) = move(schedule.step_at(t), theta, s).  Every
+    (theta, accepted) = move(schedule.step_at(t), theta, s).  The horizon's
+    directions come from a DrawAhead on rng, in blocks: this thread draws
+    the first, and when more are needed, one helper thread reads the rest
+    ahead by at most a few blocks (for small theta1 this thread draws them).
+    So rng belongs to the run until it returns; afterwards it stands where
+    horizon sequential draws leave it, and the directions, hence the bytes,
+    are those of sequential draws.  A finally stops and joins the helper on
+    every exit, an interrupt included; an exception in the helper is raised
+    at the next draw.  Every
     log_stride(horizon)-th iteration and the last one are recorded: the
     instrument reading of theta before the move, the accept flag, and
     queries(t), the cumulative query count after the move.  Iterates are
@@ -183,17 +197,22 @@ def _search(
     counts = np.zeros(len(steps), dtype=np.int64)
     record = 0
     read_at = None  # the iterate of the last instrument reading
-    for t in range(1, horizon + 1):
-        logged = (t - 1) % stride == 0 or t == horizon
-        if logged and instrument is not None:
-            if theta is not read_at:
-                reading, read_at = instrument(theta), theta
-            values[record], grad_norms[record] = reading
-        theta, accept = move(schedule.step_at(t), theta, gaussian_vector(rng, theta.size))
-        if logged:
-            accepted[record] = accept
-            counts[record] = queries(t)
-            record += 1
+    directions = DrawAhead(rng, theta.size, horizon)
+    try:
+        for t in range(1, horizon + 1):
+            logged = (t - 1) % stride == 0 or t == horizon
+            if logged and instrument is not None:
+                if theta is not read_at:
+                    reading, read_at = instrument(theta), theta
+                values[record], grad_norms[record] = reading
+            direction = gaussian_vector(directions, theta.size)
+            theta, accept = move(schedule.step_at(t), theta, direction)
+            if logged:
+                accepted[record] = accept
+                counts[record] = queries(t)
+                record += 1
+    finally:
+        directions.close()
     return Trajectory(steps, values, grad_norms, accepted, counts, theta.copy())
 
 

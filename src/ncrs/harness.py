@@ -239,6 +239,7 @@ def validate_config(raw: dict) -> dict:
             where = f"sweep.{key}"
             _require(key == "seeds" or key in axes, f"unknown config key: {where}")
             _require(isinstance(values, list), f"{where} must be a list")
+            _require(values, f"{where} must not be empty")
             if key == "seeds":
                 for s in values:
                     check_seed(s, f"each {where} entry")
@@ -415,8 +416,14 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     k = objective.intrinsic_dim
     smoothness = objective.smoothness
 
-    grad0 = float(np.linalg.norm(objective.gradient(theta1)))
-    value0 = float(objective.value(theta1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        grad0 = float(np.linalg.norm(objective.gradient(theta1)))
+        value0 = float(objective.value(theta1))
+    _require(  # else the target, horizon and step below come out inf or NaN
+        math.isfinite(value0) and math.isfinite(grad0),
+        f"problem.init_radius_scale={cfg['problem']['init_radius_scale']!r} puts the start "
+        f"point where the objective value ({value0}) or gradient norm ({grad0}) is not finite",
+    )
     tgt = cfg["target"]
     epsilon = tgt["value"] * (grad0 if tgt["kind"] == "relative" else 1.0)
     if epsilon <= 0:

@@ -1,10 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrs import algorithms
+from ncrs import algorithms, geometry
 from ncrs.algorithms import (
     FULL_LOG_HORIZON,
     StepSchedule,
@@ -18,7 +19,7 @@ from ncrs.algorithms import (
     theory_schedule,
     vote_params,
 )
-from ncrs.geometry import RngStream, Subspace, stream_id_for
+from ncrs.geometry import DrawAhead, RngStream, Subspace, gaussian_vector, stream_id_for
 from ncrs.objectives import (
     InnerFunction,
     RidgeObjective,
@@ -435,6 +436,94 @@ class TestRunnerContract:
         assert np.array_equal(traj.steps, np.arange(1, horizon + 1))
         assert np.array_equal(traj.queries, per_iteration * np.arange(1, horizon + 1))
         assert traj.theta_final.shape == (size,)
+
+
+class TestDrawAhead:
+    """_search draws its directions in blocks, read ahead on one helper
+    thread for large rows; the rows and the stream's end state are those of
+    sequential draws, and no thread outlives the run."""
+
+    D = 3000  # 32,768 // 3000 = 10 rows a block, with 2,768 normals to spare
+
+    @staticmethod
+    def _search(d, horizon, rng, move):
+        return algorithms._search(
+            np.zeros(d), constant_schedule(0.1, horizon), rng, None, move, lambda t: t
+        )
+
+    @pytest.mark.parametrize("d, horizon", [(D, 35), (50, 2000)])  # >= 3 blocks each
+    def test_directions_and_end_state_match_sequential_draws(self, d, horizon):
+        block = geometry.DRAW_AHEAD_NORMALS // d
+        assert geometry.DRAW_AHEAD_NORMALS % d and horizon > 3 * block
+        handed = []
+
+        def move(step, theta, direction):
+            handed.append(direction.copy())
+            return theta, False
+
+        rng = _stream(250, "algorithm")
+        self._search(d, horizon, rng, move)
+        fresh = _stream(250, "algorithm")
+        assert len(handed) == horizon
+        for direction in handed:
+            assert np.array_equal(direction, gaussian_vector(fresh, d))
+        assert np.array_equal(rng.gen.standard_normal(7), fresh.gen.standard_normal(7))
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_raising_move_stops_the_helper(self, error):
+        before = threading.active_count()
+        running = []  # thread counts seen by the move
+
+        def move(step, theta, direction):
+            if len(running) == 4:
+                raise error("move failed at iteration 5")
+            running.append(threading.active_count())
+            return theta, False
+
+        with pytest.raises(error, match="iteration 5"):
+            self._search(self.D, 1000, _stream(251, "algorithm"), move)
+        assert running == [before + 1] * 4
+        assert threading.active_count() == before
+
+    def test_only_a_large_multi_block_run_starts_a_thread(self, monkeypatch):
+        started = []
+        thread = threading.Thread
+        monkeypatch.setattr(
+            geometry.threading, "Thread", lambda *a, **kw: started.append(1) or thread(*a, **kw)
+        )
+        block = geometry.DRAW_AHEAD_NORMALS // self.D
+        small = geometry.DRAW_AHEAD_HELPER_MIN_SIZE - 1
+        for d, horizon in [(self.D, block), (small, 5 * geometry.DRAW_AHEAD_NORMALS // small)]:
+            self._search(d, horizon, _stream(252, "algorithm"), lambda step, x, s: (x, False))
+            assert started == [], (d, horizon)  # one block, or rows the caller draws
+        self._search(self.D, block + 1, _stream(252, "algorithm"), lambda step, x, s: (x, False))
+        assert started == [1]
+
+    def test_a_helper_error_is_raised_at_the_next_draw(self):
+        class FailingGenerator:
+            """Fills the caller's first block, then fails in the helper."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                if self.calls > 1:
+                    raise MemoryError("helper fill failed")
+                return np.zeros(shape)
+
+        rng = RngStream(0)
+        rng.gen = FailingGenerator()
+        before = threading.active_count()
+        draws = DrawAhead(rng, self.D, 25)
+        try:
+            for _ in range(10):
+                gaussian_vector(draws, self.D)
+            with pytest.raises(MemoryError, match="helper fill failed"):
+                gaussian_vector(draws, self.D)
+        finally:
+            draws.close()
+        assert threading.active_count() == before
 
 
 class _RecordingSignOracle(SignOracle):

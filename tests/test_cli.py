@@ -195,6 +195,19 @@ class TestRunCommand:
         assert "dup.yaml" in err and "repeated key 'problem'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["ncrs", "rsgf"])
+    def test_start_point_out_of_float_range_exits_2(self, config_path, tmp_path, capsys, kind):
+        """A start radius whose value overflows would give ncrs an inf step
+        and rsgf an inf target, so the run is refused before either."""
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--out", str(out_dir),
+            "--set", f"algorithm.kind={kind}", "--set", "problem.init_radius_scale=1.0e200",
+        ])
+        assert code == 2
+        assert "problem.init_radius_scale=1e+200" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_decay_beyond_horizon_exits_2(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main([
@@ -265,6 +278,16 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
         assert code == 2
         assert "sweep.tau entries must be distinct; repeated: [0.001]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("axis", ["seeds", "d"])
+    def test_empty_sweep_list_exits_2(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(BASE_YAML + f"sweep:\n  {axis}: []\n")
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2
+        assert f"sweep.{axis} must not be empty" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_bad_worker_count_exits_2(self, tmp_path, capsys):

@@ -121,6 +121,8 @@ class TestValidateConfig:
         {"sweep": {"tau": ["x"]}},  # axis values are checked like the key
         {"sweep": {"seeds": [0, 2**64]}},  # 2**64 would replay seed 0
         {"sweep": {"seeds": [1.5]}},
+        {"sweep": {"seeds": []}},  # would run no run
+        {"sweep": {"d": []}},  # would make no cell
     ])
     def test_rejections(self, raw):
         with pytest.raises(ConfigError):
@@ -628,11 +630,13 @@ class TestRunSweep:
         assert agg["plan"]["seeds"] == [1, 2, 3, 4, 5]
         assert agg["cells"][0]["iterations_to_target"]["count"] <= 5
 
-    def test_empty_axis_gives_empty_sweep(self, tmp_path):
+    def test_empty_axis_is_rejected(self, tmp_path):
+        """An empty axis would make a sweep of no cell that still reports success."""
         cfg = _tiny_config(horizon=50)
         cfg["sweep"] = {"k": [], "seeds": [1]}
-        agg = run_sweep(cfg, tmp_path)
-        assert agg["cells"] == []
+        with pytest.raises(ConfigError, match="sweep.k must not be empty"):
+            run_sweep(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failures_are_recorded_not_raised(self, tmp_path):
         # valid at config time, impossible at run time: decay longer than the
