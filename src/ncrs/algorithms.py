@@ -20,12 +20,12 @@ ahead by at most a few blocks on one helper thread when they are large
 (geometry.DrawAhead), so nothing else may draw from that stream during the
 run.  Every direction equals the per-iteration draw bit for bit, a
 finished run leaves the stream where sequential draws would, and no thread
-outlives the run.  Every iterate
-and candidate is a read-only array, so an oracle or instrument that writes
-to a point it was handed raises ValueError, and an objective may remember
-values by array identity (RidgeObjective.evaluate).  For the same reason
-the loop reads the instrument only when theta is a new array: while moves
-are rejected, the logged reading repeats.
+outlives the run.  Every iterate and candidate is sealed (geometry.seal):
+its values sit in an immutable buffer, so an oracle or instrument that
+writes to a point it was handed raises ValueError, and an objective may
+remember values by array identity (RidgeObjective.value).  For the same
+reason the loop reads the instrument only when theta is a new array: while
+moves are rejected, the logged reading repeats.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DrawAhead, RngStream, gaussian_vector
+from .geometry import DrawAhead, RngStream, gaussian_vector, seal
 
 SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
 
@@ -149,12 +149,6 @@ class Trajectory:
         return int(self.queries[-1]) if len(self.queries) else 0
 
 
-def _frozen(point: np.ndarray) -> np.ndarray:
-    """point, made read-only."""
-    point.flags.writeable = False
-    return point
-
-
 def _search(
     theta1: np.ndarray,
     schedule: StepSchedule,
@@ -179,13 +173,14 @@ def _search(
     log_stride(horizon)-th iteration and the last one are recorded: the
     instrument reading of theta before the move, the accept flag, and
     queries(t), the cumulative query count after the move.  Iterates are
-    read-only, so the same array means the same point: the instrument is
+    sealed, so the same array means the same point: the instrument is
     called only when theta is not the array of the last reading, and a
     rejected move logs that reading again.  theta_final is a writeable copy.
     """
-    theta = _frozen(np.array(theta1, dtype=np.float64))
-    if theta.ndim != 1 or theta.size == 0:
+    theta = np.asarray(theta1, dtype=np.float64)
+    if theta.ndim != 1 or theta.size == 0:  # before seal, which flattens
         raise ValueError("theta1 must be a non-empty 1-D vector")
+    theta = seal(theta)
     horizon = schedule.horizon
     stride = log_stride(horizon)
     steps = np.arange(1, horizon + 1, stride, dtype=np.int64)
@@ -231,7 +226,7 @@ def ncrs_run(
     """
 
     def move(step, theta, direction):
-        candidate = _frozen(theta + step * direction)
+        candidate = seal(theta + step * direction)
         if oracle.compare(theta, candidate) > 0:
             return candidate, True
         return theta, False
@@ -257,7 +252,7 @@ def ncrs_vote_run(
         raise ValueError("votes must be at least 1")
 
     def move(step, theta, direction):
-        candidate = _frozen(theta + step * direction)
+        candidate = seal(theta + step * direction)
         if oracle.compare_batch(theta, candidate, votes).sum() > 0.0:
             return candidate, True
         return theta, False
@@ -284,7 +279,7 @@ def rsgf_run(
 
     def move(step, theta, direction):
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
-        return _frozen(theta - step * slope * direction), True
+        return seal(theta - step * slope * direction), True
 
     return _search(theta1, schedule, rng, instrument, move, lambda t: 2 * t)
 

@@ -15,6 +15,7 @@ flat in the sample size, and SE = std(ddof=1) / sqrt(n).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -59,11 +60,11 @@ class CheckReport:
         return asdict(self)
 
 
-def _row_chunks(n: int, width: int) -> list[int]:
+def _row_chunks(n: int, width: int) -> Iterator[int]:
     """Chunk sizes for n samples of `width` numbers each, at most _MC_CHUNK
-    numbers per chunk."""
+    numbers per chunk; yielded one by one, so memory stays flat in n."""
     rows = max(1, _MC_CHUNK // width)
-    return [min(rows, n - start) for start in range(0, n, rows)]
+    return (min(rows, n - start) for start in range(0, n, rows))
 
 
 def _mc_mean_se(n: int, width: int, draw) -> tuple[np.ndarray, np.ndarray]:

@@ -58,6 +58,21 @@ class RngStream:
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
 
+def seal(point: np.ndarray) -> np.ndarray:
+    """A float64 copy of point's data over an immutable bytes buffer, flattened.
+
+    Writing to the result raises ValueError, and numpy refuses to make it
+    writeable again, so its values can never change: an objective may
+    remember them by array identity (is_sealed).
+    """
+    return np.frombuffer(np.asarray(point, dtype=np.float64).tobytes())
+
+
+def is_sealed(x) -> bool:
+    """Whether x is a vector over an immutable bytes buffer, as seal makes."""
+    return type(x) is np.ndarray and type(x.base) is bytes and x.ndim == 1
+
+
 def gaussian_vector(rng: RngStream | DrawAhead, d: int) -> np.ndarray:
     """Draw one standard Gaussian vector in R^d."""
     if d < 1:

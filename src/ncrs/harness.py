@@ -457,7 +457,7 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
         horizon = a["horizon"]
 
     def instrument(theta: np.ndarray) -> tuple[float, float]:
-        value = objective.evaluate(theta)
+        value = objective.value(theta)
         g = objective.gradient(theta)
         return value, math.sqrt(g.dot(g))  # np.linalg.norm of a 1-D real array
 
@@ -472,7 +472,7 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
         oracle = ConfidenceOracle(objective, o["kind"], link, streams["oracle"])
         traj = ncrs_vote_run(oracle, theta1, schedule, a["votes"], rng, instrument)
     else:
-        traj = rsgf_run(objective.evaluate, theta1, schedule, a["mu"], rng, instrument)
+        traj = rsgf_run(objective.value, theta1, schedule, a["mu"], rng, instrument)
     wall = time.perf_counter() - start
 
     avg = running_average(traj.grad_norms)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RngStream, Subspace, gaussian_vector, random_subspace
+from .geometry import RngStream, Subspace, gaussian_vector, is_sealed, random_subspace
 
 INNER_KINDS = ("pure_quadratic", "quadratic_cosine", "bounded_well")
 
@@ -116,24 +116,23 @@ class NuisanceSpec:
         return (self.tau / math.sqrt(self.dim)) * (np.cos(phases) @ self.subspace.basis)
 
 
-# Points remembered by RidgeObjective.evaluate: the current iterate and the
+# Points remembered by RidgeObjective.value: the current iterate and the
 # candidate it is compared with.
-EVALUATE_CACHE_SIZE = 2
+VALUE_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
 class RidgeObjective:
     """f(x) = g(U x) + eta(x), with certified smoothness and lower bound.
 
-    value and gradient are batched over leading axes.  evaluate is the
-    single-point evaluator of the search loop: it remembers f(x), the
-    active coordinates U x and the nuisance phases of the last
-    EVALUATE_CACHE_SIZE points it was given, keyed by array identity and
-    evicting the least recently used.  Only read-only arrays that own their
-    data are remembered, and an entry is dropped once its array is
-    writeable again; any other input is passed straight to value.  gradient
-    reuses a remembered U x and phases.  The cache is not locked: do not
-    call evaluate or gradient on one objective from several threads at once.
+    value and gradient are batched over leading axes; value returns a float
+    at one point.  value remembers f(x), the active coordinates U x and the
+    nuisance phases of the last VALUE_CACHE_SIZE sealed points it computed
+    (geometry.seal: vectors whose values can never change), keyed by array
+    identity and evicting the least recently used.  Any other input is
+    computed afresh and not remembered.  gradient reuses a remembered U x
+    and phases.  The cache is not locked: do not call value or gradient on
+    one objective from several threads at once.
     """
 
     active: Subspace
@@ -170,16 +169,21 @@ class RidgeObjective:
             low -= self.nuisance.tau * math.sqrt(self.nuisance.dim)
         return low
 
-    def value(
-        self, x: np.ndarray, z: np.ndarray | None = None, phases: np.ndarray | None = None
-    ) -> np.ndarray | float:
-        """f(x); z and phases, when given, must be U x and the nuisance phases of x."""
-        if z is None:
-            z = self.active.coordinates(x)
-        out = self.inner.value(z)
-        if self.nuisance is not None:
-            out = out + self.nuisance.value(x, phases)
-        return out
+    def value(self, x: np.ndarray) -> np.ndarray | float:
+        """f(x); remembered for sealed points."""
+        entry = self._lookup(x)
+        if entry is not None:
+            return entry[1]
+        z = self.active.coordinates(x)
+        phases = None if self.nuisance is None else self.nuisance.phases(x)
+        fx = self.inner.value(z)
+        if phases is not None:
+            fx = fx + self.nuisance.value(x, phases)
+        if is_sealed(x):
+            self._recent.append((x, fx, z, phases))
+            if len(self._recent) > VALUE_CACHE_SIZE:
+                del self._recent[0]
+        return fx
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         entry = self._lookup(x)
@@ -193,29 +197,11 @@ class RidgeObjective:
             grad = grad + self.nuisance.gradient(x, phases)
         return grad
 
-    def evaluate(self, x: np.ndarray) -> float:
-        """f(x) at one point, as a float; remembered for read-only points."""
-        entry = self._lookup(x)
-        if entry is not None:
-            return entry[1]
-        if type(x) is not np.ndarray or x.flags.writeable or not x.flags.owndata:
-            return float(self.value(x))
-        z = self.active.coordinates(x)
-        phases = None if self.nuisance is None else self.nuisance.phases(x)
-        fx = float(self.value(x, z, phases))
-        self._recent.append((x, fx, z, phases))
-        if len(self._recent) > EVALUATE_CACHE_SIZE:
-            del self._recent[0]
-        return fx
-
     def _lookup(self, x) -> tuple | None:
         """The cache entry of x, marked most recently used; None if x has none."""
         recent = self._recent
         for i, entry in enumerate(recent):
             if entry[0] is x:
-                if x.flags.writeable:  # made writeable again since it was cached
-                    del recent[i]
-                    return None
                 recent.append(recent.pop(i))
                 return entry
         return None

@@ -219,7 +219,7 @@ class SignOracle:
         Draws one uniform from the oracle's stream, after evaluating the pair.
         """
         self.query_count += 1
-        gap = self.objective.evaluate(x) - self.objective.evaluate(y)
+        gap = float(self.objective.value(x)) - float(self.objective.value(y))
         return _sign_reply(gap, self.rng.gen.random(), self.advantage)
 
     def compare_gaps(self, gaps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -294,7 +294,7 @@ class ConfidenceOracle:
         if n < 1:
             raise ValueError("batch size must be at least 1")
         self.query_count += n
-        gap = self.objective.evaluate(x) - self.objective.evaluate(y)
+        gap = float(self.objective.value(x)) - float(self.objective.value(y))
         if gap == 0.0:
             return np.zeros(n)
         return self._respond(gap, (n,))

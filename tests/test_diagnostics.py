@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from ncrs.diagnostics import (
     _mc_mean_se,
     _point_at_gap,
+    _row_chunks,
     check_cross_moment,
     check_descent_ncrs,
     check_grad_fd,
@@ -358,6 +359,18 @@ class TestMcMeanSe:
         assert calls == [20_000, 20_000, 10_000]
         assert_allclose(mean, values.mean(axis=0), rtol=1e-12)
         assert_allclose(se, values.std(axis=0, ddof=1) / math.sqrt(50_000), rtol=1e-12)
+
+    def test_chunk_sizes_take_flat_memory_in_the_sample_count(self):
+        tracemalloc.start()
+        try:
+            chunks = _row_chunks(10**9, 50)
+            first = [next(chunks) for _ in range(3)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == [4_000, 4_000, 4_000]
+        assert peak < 100_000
+        assert list(_row_chunks(10_001, 50)) == [4_000, 4_000, 2_001]
 
 
 class TestLinkReduction:

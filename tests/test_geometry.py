@@ -8,7 +8,9 @@ from ncrs.geometry import (
     RngStream,
     Subspace,
     gaussian_vector,
+    is_sealed,
     random_subspace,
+    seal,
     stream_id_for,
 )
 
@@ -56,6 +58,33 @@ class TestRngStream:
                 RngStream(seed, stream_id)
         top = RngStream(2**64 - 1, 2**64 - 1).gen.standard_normal(4)
         assert not np.array_equal(top, RngStream(0, 0).gen.standard_normal(4))
+
+
+class TestSeal:
+    def test_sealed_point_rejects_writes_and_reenabled_writes(self):
+        p = seal(np.arange(5.0))
+        assert is_sealed(p)
+        with pytest.raises(ValueError):
+            p[0] = 1.0
+        with pytest.raises(ValueError):
+            p.flags.writeable = True
+        assert np.array_equal(p, np.arange(5.0))
+
+    def test_copies_the_data_as_float64(self):
+        source = np.arange(4)
+        p = seal(source)
+        source[0] = 7
+        assert p.dtype == np.float64 and np.array_equal(p, [0.0, 1.0, 2.0, 3.0])
+        assert is_sealed(seal([1, 2]))
+        assert seal(np.ones((2, 3))).shape == (6,)  # flattened
+
+    def test_only_sealed_vectors_count(self):
+        frozen = np.ones(4)
+        frozen.flags.writeable = False
+        sealed = seal(np.ones(4))
+        for other in (np.ones(4), frozen, sealed[:], sealed.copy(), sealed.reshape(2, 2),
+                      np.ndarray((2, 2), buffer=bytes(32)), [1.0, 2.0]):
+            assert not is_sealed(other)
 
 
 class TestGaussianVector:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrs.geometry import RngStream, stream_id_for
+from ncrs.geometry import RngStream, Subspace, seal, stream_id_for
 from ncrs.objectives import (
     InnerFunction,
     NuisanceSpec,
@@ -228,7 +228,7 @@ class TestRidgeObjective:
 
 
 class TestEvaluate:
-    """RidgeObjective.evaluate remembers read-only points by identity."""
+    """RidgeObjective.value remembers sealed points by identity, and only them."""
 
     def _make(self, tau=0.0):
         return random_ridge_objective(
@@ -243,14 +243,15 @@ class TestEvaluate:
 
     @pytest.fixture
     def value_calls(self, monkeypatch):
+        """The points whose value is computed, not answered from memory."""
         calls = []
-        original = RidgeObjective.value
+        original = Subspace.coordinates
 
-        def counting(obj, x, *args):
-            calls.append(x)
-            return original(obj, x, *args)
+        def counting(sub, v):
+            calls.append(v)
+            return original(sub, v)
 
-        monkeypatch.setattr(RidgeObjective, "value", counting)
+        monkeypatch.setattr(Subspace, "coordinates", counting)
         return calls
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
@@ -259,57 +260,84 @@ class TestEvaluate:
         rng = _stream(61, "test:eval").gen
         for _ in range(20):
             x = rng.standard_normal(12)
-            frozen = self._frozen(x.copy())
-            expected = float(obj.value(x))
-            assert obj.evaluate(x) == expected
-            assert obj.evaluate(frozen) == expected
-            assert obj.evaluate(frozen) == expected  # answered from the cache
-            assert np.array_equal(obj.gradient(frozen), obj.gradient(x))
+            sealed = seal(x)
+            expected = float(obj.inner.value(x @ obj.active.basis.T))
+            if tau > 0:
+                expected += float(obj.nuisance.value(x))
+            assert obj.value(x) == expected
+            assert obj.value(sealed) == expected
+            assert obj.value(sealed) == expected  # answered from memory
+            assert np.array_equal(obj.gradient(sealed), obj.gradient(x))
 
     def test_read_only_point_is_computed_once(self, value_calls):
         obj = self._make()
-        x = self._frozen(np.ones(12))
-        first = obj.evaluate(x)
-        assert obj.evaluate(x) == first
+        x = seal(np.ones(12))
+        first = obj.value(x)
+        assert obj.value(x) == first
         assert len(value_calls) == 1
 
     def test_mutated_writeable_array_is_never_answered_from_the_cache(self, value_calls):
         obj = self._make()
         x = np.ones(12)
-        before = obj.evaluate(x)
+        before = obj.value(x)
         x += 0.5 * obj.active.basis[0]
-        assert obj.evaluate(x) == float(obj.value(x.copy())) != before
+        assert obj.value(x) == float(obj.value(x.copy())) != before
         assert len(value_calls) == 3
 
     def test_views_and_reenabled_writes_bypass_the_cache(self, value_calls):
         obj = self._make()
-        base = self._frozen(np.ones(12))
-        obj.evaluate(base)
+        base = seal(np.ones(12))
+        obj.value(base)
         view = base[:]
-        obj.evaluate(view)
-        obj.evaluate(view)
+        obj.value(view)
+        obj.value(view)
         assert len(value_calls) == 3
-        base.flags.writeable = True
-        base += 0.5 * obj.active.basis[0]
-        assert obj.evaluate(base) == float(obj.value(base.copy()))
-        base.flags.writeable = False
-        assert obj.evaluate(base) == float(obj.value(base.copy()))
+        with pytest.raises(ValueError):
+            base.flags.writeable = True
+        obj.value(base)
+        assert len(value_calls) == 3
+        owned = self._frozen(np.ones(12))  # read-only, but it can be made writeable
+        obj.value(owned)
+        obj.value(owned)
+        assert len(value_calls) == 5
+
+    def test_refrozen_array_gets_a_fresh_value_and_gradient(self):
+        obj = random_ridge_objective(RngStream(1, 1), 12, 3, InnerFunction("pure_quadratic"))
+        x = self._frozen(np.ones(12))
+        before = obj.value(x)
+        obj.gradient(x)
+        x.flags.writeable = True
+        x += 0.5 * obj.active.basis[0]
+        x.flags.writeable = False
+        fresh = x.copy()
+        assert obj.value(x) == obj.value(fresh) != before
+        assert np.array_equal(obj.gradient(x), obj.gradient(fresh))
+
+    def test_read_only_batch_is_computed_not_remembered(self, value_calls):
+        obj = self._make()
+        batch = self._frozen(np.stack([np.full(12, v) for v in (1.0, 2.0, 3.0)]))
+        first = obj.value(batch)
+        assert first.shape == (3,)
+        assert np.array_equal(obj.value(batch), first)
+        assert np.array_equal(obj.value(batch.copy()), first)
+        assert [v is batch for v in value_calls] == [True, True, False]
+        assert not obj._recent
 
     def test_least_recently_used_point_is_evicted(self, value_calls):
         obj = self._make()
-        a, b, c = (self._frozen(np.full(12, v)) for v in (1.0, 2.0, 3.0))
+        a, b, c = (seal(np.full(12, v)) for v in (1.0, 2.0, 3.0))
         for x in (a, b, a, c):  # the hit on a makes b the least recent
-            obj.evaluate(x)
+            obj.value(x)
         assert [x is c for x in value_calls] == [False, False, True]
-        obj.evaluate(a)
+        obj.value(a)
         assert len(value_calls) == 3
-        obj.evaluate(b)
+        obj.value(b)
         assert value_calls[-1] is b
 
     def test_gradient_at_a_cached_point_reuses_its_coordinates(self, monkeypatch):
         obj = self._make(tau=0.1)
-        x = self._frozen(np.linspace(-1.0, 1.0, 12).copy())  # linspace gives a view
-        obj.evaluate(x)
+        x = seal(np.linspace(-1.0, 1.0, 12))
+        obj.value(x)
         mapped = []
         original = type(obj.active).coordinates
         monkeypatch.setattr(

@@ -224,7 +224,7 @@ class TestSignOracle:
             pairs.append((x, x.copy() if i % 4 == 0 else y))  # every fourth a tie
         one = SignOracle(obj, advantage, _stream(107, "oracle"))
         answers = np.array([one.compare(x, y) for x, y in pairs])
-        gaps = np.array([obj.evaluate(x) - obj.evaluate(y) for x, y in pairs])
+        gaps = np.array([obj.value(x) - obj.value(y) for x, y in pairs])
         assert np.count_nonzero(gaps == 0.0) == 100
         many = SignOracle(obj, advantage, _stream(107, "oracle"))
         uniforms = many.rng.gen.random(len(pairs))
@@ -238,7 +238,9 @@ class TestSignOracle:
         for bad in (0.0, 0.6, -0.1):
             with pytest.raises(ValueError):
                 SignOracle(obj, bad, rng)
-        SignOracle(obj, 0.5, rng)  # boundary is allowed
+        oracle = SignOracle(obj, 0.5, rng)  # boundary is allowed
+        with pytest.raises(TypeError):  # a query is one pair of points, not a batch
+            oracle.compare(np.ones((2, 8)), np.zeros((2, 8)))
 
 
 class TestConfidenceOracle:
@@ -320,7 +322,7 @@ class TestConfidenceOracle:
         link = LinkFunction(kind="probit", scale=0.7)
         one = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
         expected = np.stack([one.compare_batch(x, y, 33) for x, y in pairs])
-        gaps = np.array([obj.evaluate(x) - obj.evaluate(y) for x, y in pairs])
+        gaps = np.array([obj.value(x) - obj.value(y) for x, y in pairs])
         assert gaps[2] == 0.0 and gaps[1] < 0.0
         many = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
         got = many.compare_gaps(gaps, 33)
@@ -338,6 +340,8 @@ class TestConfidenceOracle:
         assert oracle.query_count == 10
         with pytest.raises(ValueError):
             oracle.compare_batch(x, y, 0)
+        with pytest.raises(TypeError):  # a query is one pair of points, not a batch
+            oracle.compare_batch(np.stack([x, y]), np.stack([y, x]), 3)
         with pytest.raises(ValueError):
             oracle.compare_gaps(np.ones(3), 0)
         with pytest.raises(ValueError):
