@@ -3,7 +3,8 @@
 The two comparison algorithms are ambient-blind: they receive a starting
 point, whose length is the dimension, a step schedule, which fixes every
 step and the horizon, and an oracle of which they use only compare and
-query_count (ncrs_run) or compare_batch and query_count (ncrs_vote_run).
+query_count (ncrs_run) or compare_batch, first_preferred and query_count
+(ncrs_vote_run); from first_preferred they learn only an index.
 No objective value, gradient, or intrinsic dimension is visible to them;
 problem structure can enter only through how the harness builds the
 schedule.  The instrument callback is likewise opaque: it is a function of
@@ -20,12 +21,20 @@ ahead by at most a few blocks on one helper thread when they are large
 (geometry.DrawAhead), so nothing else may draw from that stream during the
 run.  Every direction equals the per-iteration draw bit for bit, a
 finished run leaves the stream where sequential draws would, and no thread
-outlives the run.  Every iterate and candidate is sealed (geometry.seal):
+outlives the run.  Every iterate and candidate is sealed (geometry.seal;
+a block of candidates is a read-only view of one sealed buffer):
 its values sit in an immutable buffer, so an oracle or instrument that
 writes to a point it was handed raises ValueError, and an objective may
 remember values by array identity (RidgeObjective.value).  For the same
 reason the loop reads the instrument only when theta is a new array: while
 moves are rejected, the logged reading repeats.
+
+Rejection streaks of the vote search are answered in blocks (_search's
+block_move, ConfidenceOracle.first_preferred).  A block's candidates are
+evaluated in one batched objective value, which may differ from the
+single-point values in their last bits, so a decision at a gap within
+rounding of a tie could in principle differ from a per-candidate loop; the
+logged readings are still single-point values at sealed iterates.
 """
 from __future__ import annotations
 
@@ -37,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DrawAhead, RngStream, gaussian_vector, seal
+from .oracles import positive_count
 
 SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
 
@@ -48,6 +58,18 @@ TARGET_LOG_POINTS = 10_000
 # (value, gradient norm) at an iterate: a function of the point alone, read
 # once per distinct iterate.
 Instrument = Callable[[np.ndarray], tuple[float, float]]
+
+# move(step, theta, direction) -> (theta', accepted): one iteration's decision.
+Move = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]]
+# block_move(steps, theta, directions) -> (theta', i): the decisions of the
+# next len(steps) iterations.  Those before i are rejected; iteration i, if
+# i < len(steps), is accepted and theta' is its point (else theta' is theta).
+BlockMove = Callable[[list, np.ndarray, list], tuple[np.ndarray, int]]
+
+# With a block move, _search hands over single iterations until BLOCK_AFTER
+# moves in a row are rejected, then blocks of min(streak, BLOCK_ROWS).
+BLOCK_AFTER = 4
+BLOCK_ROWS = 64
 
 
 def log_stride(horizon: int) -> int:
@@ -154,61 +176,93 @@ def _search(
     schedule: StepSchedule,
     rng: RngStream,
     instrument: Instrument | None,
-    move: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
-    queries: Callable[[int], int],
+    move: Move,
+    queries_per_iteration: int,
+    block_move: BlockMove | None = None,
 ) -> Trajectory:
     """The random line search shared by the three algorithms.
 
     Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
     draws one Gaussian direction s and sets
-    (theta, accepted) = move(schedule.step_at(t), theta, s).  The horizon's
-    directions come from a DrawAhead on rng, in blocks: this thread draws
+    (theta, accepted) = move(schedule.step_at(t), theta, s).  With a
+    block_move, once BLOCK_AFTER moves in a row are rejected, the loop
+    instead hands over the next m = min(streak, BLOCK_ROWS) iterations at
+    once (never past the horizon), with their steps and directions:
+    (theta, i) = block_move(steps, theta, directions) rejects iterations
+    t .. t+i-1, and for i < m accepts iteration t+i, whose point theta
+    becomes; the directions after it are kept, drawn but unused, for the
+    iterations that follow.  The horizon's directions come from a DrawAhead
+    on rng, in blocks, one gaussian_vector call per row: this thread draws
     the first, and when more are needed, one helper thread reads the rest
     ahead by at most a few blocks (for small theta1 this thread draws them).
     So rng belongs to the run until it returns; afterwards it stands where
     horizon sequential draws leave it, and the directions, hence the bytes,
     are those of sequential draws.  A finally stops and joins the helper on
     every exit, an interrupt included; an exception in the helper is raised
-    at the next draw.  Every
-    log_stride(horizon)-th iteration and the last one are recorded: the
-    instrument reading of theta before the move, the accept flag, and
-    queries(t), the cumulative query count after the move.  Iterates are
-    sealed, so the same array means the same point: the instrument is
-    called only when theta is not the array of the last reading, and a
-    rejected move logs that reading again.  theta_final is a writeable copy.
+    at the next draw.  Every log_stride(horizon)-th iteration and the last
+    one are recorded: the instrument reading of theta before the move, the
+    accept flag, and the cumulative query count queries_per_iteration * t.
+    Iterates are sealed, so the same array means the same point: the
+    instrument is called only when theta is not the array of the last
+    reading, and a rejected move logs that reading again.  theta_final is a
+    writeable copy.
     """
     theta = np.asarray(theta1, dtype=np.float64)
     if theta.ndim != 1 or theta.size == 0:  # before seal, which flattens
         raise ValueError("theta1 must be a non-empty 1-D vector")
     theta = seal(theta)
+    size = theta.size
     horizon = schedule.horizon
     stride = log_stride(horizon)
     steps = np.arange(1, horizon + 1, stride, dtype=np.int64)
     if steps[-1] != horizon:
         steps = np.append(steps, horizon)
+    log_at = steps.tolist() + [horizon + 1]  # a sentinel past the last record
     values = np.full(len(steps), math.nan)
     grad_norms = np.full(len(steps), math.nan)
     accepted = np.zeros(len(steps), dtype=bool)
-    counts = np.zeros(len(steps), dtype=np.int64)
     record = 0
     read_at = None  # the iterate of the last instrument reading
-    directions = DrawAhead(rng, theta.size, horizon)
+    pending = []  # directions drawn but not yet used, oldest first
+    t, streak = 1, 0  # the next iteration; moves rejected in a row
+    directions = DrawAhead(rng, size, horizon)
     try:
-        for t in range(1, horizon + 1):
-            logged = (t - 1) % stride == 0 or t == horizon
-            if logged and instrument is not None:
-                if theta is not read_at:
-                    reading, read_at = instrument(theta), theta
-                values[record], grad_norms[record] = reading
-            direction = gaussian_vector(directions, theta.size)
-            theta, accept = move(schedule.step_at(t), theta, direction)
-            if logged:
-                accepted[record] = accept
-                counts[record] = queries(t)
+        while t <= horizon:
+            if block_move is None or streak < BLOCK_AFTER:
+                direction = pending.pop(0) if pending else gaussian_vector(directions, size)
+                moved, accept = move(schedule.step_at(t), theta, direction)
+                last, taken = t, t if accept else 0
+            else:
+                m = min(streak, BLOCK_ROWS, horizon + 1 - t)
+                while len(pending) < m:
+                    pending.append(gaussian_vector(directions, size))
+                block_steps = [schedule.step_at(u) for u in range(t, t + m)]
+                moved, i = block_move(block_steps, theta, pending[:m])
+                last, taken = (t + i, t + i) if i < m else (t + m - 1, 0)
+                del pending[: last + 1 - t]
+            while log_at[record] <= last:  # the records of iterations t .. last
+                if instrument is not None:
+                    if theta is not read_at:
+                        reading, read_at = instrument(theta), theta
+                    values[record], grad_norms[record] = reading
+                accepted[record] = log_at[record] == taken
                 record += 1
+            streak = 0 if taken else streak + last + 1 - t
+            theta, t = moved, last + 1
     finally:
         directions.close()
+    counts = queries_per_iteration * steps
     return Trajectory(steps, values, grad_norms, accepted, counts, theta.copy())
+
+
+def _counted(oracle, before: int, traj: Trajectory) -> Trajectory:
+    """traj, once the oracle is seen to have answered the queries it logs."""
+    asked = oracle.query_count - before
+    if asked != traj.total_queries:
+        raise RuntimeError(
+            f"the oracle counted {asked} queries, the run logged {traj.total_queries}"
+        )
+    return traj
 
 
 def ncrs_run(
@@ -232,7 +286,7 @@ def ncrs_run(
         return theta, False
 
     before = oracle.query_count
-    return _search(theta1, schedule, rng, instrument, move, lambda t: oracle.query_count - before)
+    return _counted(oracle, before, _search(theta1, schedule, rng, instrument, move, 1))
 
 
 def ncrs_vote_run(
@@ -243,13 +297,18 @@ def ncrs_vote_run(
     rng: RngStream,
     instrument: Instrument | None = None,
 ) -> Trajectory:
-    """Confidence-vote random search: one compare_batch of `votes` queries per iteration.
+    """Confidence-vote random search: `votes` queries per iteration.
 
-    The candidate theta + alpha_t * s is accepted exactly when the summed
-    score is positive; a zero sum keeps the current point.
+    The candidate theta + alpha_t * s is accepted exactly when the sum of
+    its `votes` scores is positive; a zero sum keeps the current point.
+    Each candidate gets its own compare_batch call until BLOCK_AFTER
+    straight rejections; from then on _search hands over blocks of
+    candidates, and first_preferred answers a block in one call, exactly
+    as consecutive compare_batch calls would up to the last bits of batched
+    values (oracles module docstring).  The block is read-only, and the
+    accepted row is sealed like a single candidate.
     """
-    if votes < 1:
-        raise ValueError("votes must be at least 1")
+    votes = positive_count(votes, "votes")
 
     def move(step, theta, direction):
         candidate = seal(theta + step * direction)
@@ -257,8 +316,15 @@ def ncrs_vote_run(
             return candidate, True
         return theta, False
 
+    def block_move(steps, theta, directions):
+        block = seal(theta + np.array(steps)[:, None] * np.array(directions))
+        block = block.reshape(len(steps), theta.size)
+        i = oracle.first_preferred(theta, block, votes)
+        return (seal(block[i]), i) if i < len(steps) else (theta, i)
+
     before = oracle.query_count
-    return _search(theta1, schedule, rng, instrument, move, lambda t: oracle.query_count - before)
+    traj = _search(theta1, schedule, rng, instrument, move, votes, block_move)
+    return _counted(oracle, before, traj)
 
 
 def rsgf_run(
@@ -281,7 +347,7 @@ def rsgf_run(
         slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
         return seal(theta - step * slope * direction), True
 
-    return _search(theta1, schedule, rng, instrument, move, lambda t: 2 * t)
+    return _search(theta1, schedule, rng, instrument, move, 2)
 
 
 def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:

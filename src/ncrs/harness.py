@@ -25,7 +25,8 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +596,15 @@ def _sweep_worker(args: tuple[dict, int, str]) -> dict:
         return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _collect(future: Future, seed: int) -> dict:
+    """A pooled run's result, or its error row when a worker process died:
+    a dead worker breaks the pool and loses every run not yet finished."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return {"seed": seed, "error": f"BrokenProcessPool: {exc}"}
+
+
 def _stat(values: list) -> dict:
     present = [v for v in values if v is not None]
     out = {"values": values, "count": len(present)}
@@ -616,6 +626,8 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     Runs derive their randomness from (cell config, seed) alone, so each CSV
     equals what run_one (and `ncrs run`) gives that cell and seed, and the
     aggregate depends only on (plan, seeds), identical for any worker count.
+    A run that fails, or is lost with a worker process that died, gets an
+    error row; the aggregate is written all the same.
     """
     _require(_is_int(workers) and workers >= 1, "workers must be a positive integer")
     cfg = validate_config(cfg)
@@ -633,7 +645,8 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
         results = [_sweep_worker(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            futures = [pool.submit(_sweep_worker, job) for job in jobs]
+            results = [_collect(future, job[1]) for future, job in zip(futures, jobs)]
 
     aggregate = {
         "plan": {

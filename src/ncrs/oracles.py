@@ -14,6 +14,12 @@ these oracles answer.  Two interfaces:
 Both also answer many pairs in one call through compare_gaps, given the
 pairs' value gaps; the Monte Carlo certificates use it.  Each response rule
 is written once and serves the single-pair and the many-pair call alike.
+ConfidenceOracle.first_preferred answers a run of candidates against one
+point, as consecutive compare_batch calls would until one is preferred; the
+vote search uses it through rejection streaks.  It evaluates the candidates
+in one batched objective.value call, and a batched value may differ from
+the single-point value in its last bits (a block matmul does not equal the
+row-by-row one), so its gaps may too.
 
 Sign convention: compare(x, y) > 0 means y is preferred (f(x) > f(y)), so a
 positive answer tells a minimizer to accept the candidate y.
@@ -30,19 +36,31 @@ from .objectives import RidgeObjective
 
 LINK_KINDS = ("logistic", "probit", "arctan")
 
-# Response model -> (factor on the link's margin rho, second-moment constant C).
-# noisy_engage halves the margin and so its certified slope; r is unchanged
-# because rho/2 >= (c/4) t on the same certified interval.
+# Response model -> (factor on the link's margin rho, second-moment constant C,
+# uniforms drawn per score at a non-zero gap).  noisy_engage halves the
+# margin and so its certified slope; r is unchanged because
+# rho/2 >= (c/4) t on the same certified interval.
 _MODELS = {
-    "deterministic_link": (1.0, 1.0),
-    "engage_abstain": (1.0, 1.0),
-    "noisy_engage": (0.5, 2.0),
+    "deterministic_link": (1.0, 1.0, 0),
+    "engage_abstain": (1.0, 1.0, 1),
+    "noisy_engage": (0.5, 2.0, 2),
 }
 CONFIDENCE_KINDS = tuple(_MODELS)
 
 CERT_GRID_POINTS = 1000  # grid resolution for the local-linearity certificate
 
 _SQRT_HALF = math.sqrt(0.5)
+
+
+def positive_count(n, name: str) -> int:
+    """n as an int; a ValueError naming it unless it is an integer >= 1.
+
+    Python and numpy integers pass; a bool, a float (even 3.0) or anything
+    else does not.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _real(x):
@@ -291,8 +309,7 @@ class ConfidenceOracle:
         events and, for noisy_engage, a second block of n uniforms for the
         sign flips, in that order.
         """
-        if n < 1:
-            raise ValueError("batch size must be at least 1")
+        n = positive_count(n, "n")
         self.query_count += n
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
         if gap == 0.0:
@@ -307,8 +324,7 @@ class ConfidenceOracle:
         order: a pair with a non-zero gap consumes its uniform blocks in
         turn, and a zero-gap pair scores 0 and consumes nothing.
         """
-        if n < 1:
-            raise ValueError("batch size must be at least 1")
+        n = positive_count(n, "n")
         gaps = np.asarray(gaps, dtype=np.float64)
         self.query_count += gaps.size * n
         scores = np.zeros((gaps.size, n))
@@ -318,18 +334,49 @@ class ConfidenceOracle:
             scores[live] = self._respond(gaps[live, None], (m, n))
         return scores
 
+    def first_preferred(self, x: np.ndarray, ys: np.ndarray, n: int) -> int:
+        """Index of the first row y of ys whose n scores against x sum above 0,
+        or len(ys) when no row's do.
+
+        Equals calling compare_batch(x, y, n) for the rows in order until a
+        sum is positive: the stream and query_count end where those calls
+        leave them.  The rows are evaluated in one objective.value call and
+        scored in one compare_gaps call; when a row before the last wins, the
+        stream is set back to its state before the scoring and then moved
+        past the uniforms that the answered rows drew, as many as a
+        per-candidate loop would have drawn.  Gaps of the batch may differ
+        from single-point gaps in their last bits (see the module docstring).
+        """
+        n = positive_count(n, "n")
+        ys = np.asarray(ys, dtype=np.float64)
+        if ys.ndim != 2:
+            raise ValueError(f"ys must be a 2-D batch of points, got shape {ys.shape}")
+        gaps = float(self.objective.value(x)) - self.objective.value(ys)
+        bits = self.rng.gen.bit_generator
+        state, count = bits.state, self.query_count
+        wins = np.flatnonzero(self.compare_gaps(gaps, n).sum(axis=1) > 0.0)
+        if wins.size == 0:
+            return len(ys)
+        answered = int(wins[0]) + 1
+        if answered < len(ys):
+            bits.state, self.query_count = state, count + answered * n
+            live = np.count_nonzero(gaps[:answered])
+            self.rng.gen.random(live * n * _MODELS[self.kind][2])
+        return answered - 1
+
     def _respond(self, gap, shape: tuple) -> np.ndarray:
         """Scores of the response model at non-zero gaps, of shape `shape`.
 
         gap is a float, or a column with one gap per row of `shape`.  The
-        uniforms come as one block: per row, n engagement uniforms and then,
-        for noisy_engage, n flip uniforms.
+        uniforms come as one block, as many per score as _MODELS says: per
+        row, n engagement uniforms and then, for noisy_engage, n flip uniforms.
         """
         if self.kind == "deterministic_link":
             return np.full(shape, 2.0 * self.link.probability(gap) - 1.0)
         rho = self.link.rho(abs(gap))
         sign = 2.0 * (gap > 0.0) - 1.0
+        u = self.rng.gen.random(shape[:-1] + (_MODELS[self.kind][2],) + shape[-1:])
+        engaged = u[..., 0, :] < rho
         if self.kind == "engage_abstain":
-            return np.where(self.rng.gen.random(shape) < rho, sign, 0.0)
-        u = self.rng.gen.random(shape[:-1] + (2,) + shape[-1:])
-        return np.where(u[..., 0, :] < rho, np.where(u[..., 1, :] < 0.75, sign, -sign), 0.0)
+            return np.where(engaged, sign, 0.0)
+        return np.where(engaged, np.where(u[..., 1, :] < 0.75, sign, -sign), 0.0)

@@ -61,6 +61,47 @@ class _SilentOracle:
         self.query_count += n
         return np.zeros(n)
 
+    def first_preferred(self, x, ys, n):
+        self.query_count += len(ys) * n
+        return len(ys)
+
+
+class _ScriptedOracle:
+    """Confidence oracle stub that prefers the candidates of the given
+    iterations (counting candidates from 1) and no others."""
+
+    def __init__(self, accepts):
+        self.accepts = accepts
+        self.asked = 0
+        self.blocks = 0  # first_preferred calls
+        self.block_accepts = 0  # those that returned a row
+        self.query_count = 0
+
+    def compare_batch(self, x, y, n):
+        self.asked += 1
+        self.query_count += n
+        return np.full(n, 1.0 if self.asked in self.accepts else 0.0)
+
+    def first_preferred(self, x, ys, n):
+        self.blocks += 1
+        for i in range(len(ys)):
+            self.asked += 1
+            self.query_count += n
+            if self.asked in self.accepts:
+                self.block_accepts += 1
+                return i
+        return len(ys)
+
+
+class _BlockCountingOracle(ConfidenceOracle):
+    """A ConfidenceOracle that counts its first_preferred calls."""
+
+    blocks = 0
+
+    def first_preferred(self, x, ys, n):
+        self.blocks += 1
+        return super().first_preferred(x, ys, n)
+
 
 def _value_and_grad_norm(obj):
     return lambda th: (float(obj.value(th)), float(np.linalg.norm(obj.gradient(th))))
@@ -344,11 +385,77 @@ class TestNcrsVoteRun:
         assert 0 < sum(accepted) < 300
         _assert_trajectory(traj, values, grad_norms, accepted, 5 * np.arange(1, 301), theta)
 
+    def test_low_acceptance_run_matches_per_candidate_loop(self):
+        """A 3,000-iteration engage_abstain run that rejects almost every
+        candidate, so most iterations are answered in blocks, equals the
+        hand-rolled loop with one compare_batch per candidate, field for field."""
+        obj = random_ridge_objective(_stream(224, "subspace"), 50, 5,
+                                     InnerFunction(kind="quadratic_cosine"))
+        theta1 = initial_point(obj, _stream(224, "init"))
+        link = LinkFunction(kind="logistic")
+        horizon, votes, alpha = 3000, 4, 0.02
+        oracle = _BlockCountingOracle(obj, "engage_abstain", link, _stream(224, "oracle"))
+        traj = ncrs_vote_run(oracle, theta1, constant_schedule(alpha, horizon), votes,
+                             _stream(224, "algorithm"), instrument=_value_and_grad_norm(obj))
+        reference = ConfidenceOracle(obj, "engage_abstain", link, _stream(224, "oracle"))
+        gen = _stream(224, "algorithm").gen
+        theta = theta1.copy()
+        values, grad_norms, accepted = [], [], []
+        for _ in range(horizon):
+            values.append(float(obj.value(theta)))
+            grad_norms.append(float(np.linalg.norm(obj.gradient(theta))))
+            candidate = theta + alpha * gen.standard_normal(50)
+            take = float(np.sum(reference.compare_batch(theta, candidate, votes))) > 0.0
+            accepted.append(take)
+            if take:
+                theta = candidate
+        assert 0 < sum(accepted) < 0.05 * horizon
+        assert oracle.blocks > 100
+        _assert_trajectory(traj, values, grad_norms, accepted,
+                           votes * np.arange(1, horizon + 1), theta)
+        assert oracle.query_count == reference.query_count
+        assert oracle.rng.gen.random() == reference.rng.gen.random()
+
+    def test_block_answers_are_logged_per_iteration(self):
+        """Accepts scripted at chosen iterations land in the strided log where
+        they happen, whether a single call or a block answered them."""
+        horizon = FULL_LOG_HORIZON + 1_000  # stride 11
+        stride = log_stride(horizon)
+        accepts = {3, 20, 23, 400, 401, 1 + 11 * 50, 1 + 11 * 50 + 30, horizon}
+        oracle = _ScriptedOracle(accepts)
+        seen = []
+        traj = ncrs_vote_run(oracle, np.zeros(2), constant_schedule(0.1, horizon), 2,
+                             _stream(225, "algorithm"), _counting_instrument(seen))
+        assert oracle.block_accepts >= 3  # accepts that end long streaks fall in blocks
+        assert np.array_equal(traj.steps[:-1], np.arange(1, horizon, stride))
+        assert np.array_equal(traj.accepted, [t in accepts for t in traj.steps])
+        assert np.array_equal(traj.queries, 2 * traj.steps)
+        # the reading at a logged t is of theta before the t-th move, read
+        # once per distinct iterate: the reading count is the iterate's rank
+        moves_before = np.searchsorted(sorted(accepts), traj.steps)
+        distinct, rank = np.unique(moves_before, return_inverse=True)
+        assert np.array_equal(traj.grad_norms, 1.0 + rank)
+        assert len(seen) == len(distinct)
+
+    def test_a_miscounting_oracle_is_an_error(self):
+        class _Miscounting(_SilentOracle):
+            def first_preferred(self, x, ys, n):
+                return len(ys)
+
+        with pytest.raises(RuntimeError, match="queries"):
+            ncrs_vote_run(_Miscounting(), np.zeros(3), constant_schedule(0.1, 20), 2,
+                          _stream(226, "algorithm"))
+
     def test_validation(self):
         oracle = _SilentOracle()
         sched = constant_schedule(0.1, 10)
         with pytest.raises(ValueError):
             ncrs_vote_run(oracle, np.zeros(3), sched, 0, _stream(0, "a"))
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="votes must be a positive integer"):
+                ncrs_vote_run(oracle, np.zeros(3), sched, bad, _stream(0, "a"))
+        traj = ncrs_vote_run(oracle, np.zeros(3), sched, np.int64(3), _stream(0, "a"))
+        assert traj.total_queries == 30
         for bad in (np.zeros((2, 3)), np.zeros(0)):
             with pytest.raises(ValueError, match="non-empty 1-D vector"):
                 ncrs_vote_run(oracle, bad, sched, 5, _stream(0, "a"))
@@ -447,9 +554,7 @@ class TestDrawAhead:
 
     @staticmethod
     def _search(d, horizon, rng, move):
-        return algorithms._search(
-            np.zeros(d), constant_schedule(0.1, horizon), rng, None, move, lambda t: t
-        )
+        return algorithms._search(np.zeros(d), constant_schedule(0.1, horizon), rng, None, move, 1)
 
     @pytest.mark.parametrize("d, horizon", [(D, 35), (50, 2000)])  # >= 3 blocks each
     def test_directions_and_end_state_match_sequential_draws(self, d, horizon):
@@ -547,6 +652,14 @@ class _RecordingConfidenceOracle(ConfidenceOracle):
         self.points += [x, y]
         return super().compare_batch(x, y, n)
 
+    def first_preferred(self, x, ys, n):
+        """Keeps x and the block, after checking that the block is read-only."""
+        assert not ys.flags.writeable
+        with pytest.raises(ValueError):
+            ys.flags.writeable = True
+        self.points += [x, ys]
+        return super().first_preferred(x, ys, n)
+
 
 def _evaluating_instrument(obj, seen):
     """The harness's instrument, keeping the points it reads."""
@@ -599,6 +712,15 @@ class TestSharedEvaluation:
                 point[0] = 1.0
             with pytest.raises(ValueError):
                 point.flags.writeable = True
+
+    def test_vote_blocks_are_read_only(self):
+        obj = _quadratic(244)
+        _, oracle = _run("ncrs_vote", obj, 300, None)
+        blocks = [point for point in oracle.points if point.ndim == 2]
+        assert len(blocks) > 10  # each checked read-only by the recorder
+        for block in blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
 
     @pytest.mark.parametrize("kind", ["ncrs", "ncrs_vote", "rsgf"])
     def test_theta_final_is_writeable(self, kind):

@@ -2,6 +2,9 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +679,32 @@ class TestRunSweep:
                 run_sweep(self._sweep_config(), tmp_path / "bad", workers=bad)
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the patched run_to_csv only when forked")
+    def test_a_dead_worker_costs_only_the_runs_it_takes_down(self, tmp_path, monkeypatch):
+        """A worker that dies mid-run breaks the pool: the runs lost with it
+        get error rows, the finished ones keep theirs, aggregate.json is
+        written, and the sweep exits 1."""
+        real = harness.run_to_csv
+
+        def dying(cell, seed, out_dir):
+            if seed == 2:
+                os._exit(3)
+            return real(cell, seed, out_dir)
+
+        monkeypatch.setattr(harness, "run_to_csv", dying)  # before the pool forks
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump(self._sweep_config()))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--workers", "2"]) == 1
+        aggregate = json.loads((out / "aggregate.json").read_text())
+        for cell in aggregate["cells"]:
+            survivor, dead = cell["errors"]  # seeds 1 and 2
+            assert survivor is None or survivor.startswith("BrokenProcessPool: ")
+            assert dead.startswith("BrokenProcessPool: ")
+            assert (out / cell["cell_hash"] / "1.csv").exists() == (survivor is None)
+            assert not (out / cell["cell_hash"] / "2.csv").exists()
+
     def test_pool_is_capped_by_jobs_and_cores(self, tmp_path, monkeypatch):
         """A huge --workers starts no more processes than jobs or cores; the
         executor here is a fake that records its size and runs jobs inline."""
@@ -691,8 +720,10 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                future = Future()
+                future.set_result(fn(job))
+                return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
         cfg = self._sweep_config()  # 2 cells x 2 seeds = 4 jobs

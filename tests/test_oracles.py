@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ncrs.geometry import RngStream, stream_id_for
-from ncrs.objectives import InnerFunction, random_ridge_objective
+from ncrs.geometry import RngStream, Subspace, stream_id_for
+from ncrs.objectives import InnerFunction, RidgeObjective, random_ridge_objective
 from ncrs.oracles import (
     ConfidenceOracle,
     LinkFunction,
@@ -347,3 +347,94 @@ class TestConfidenceOracle:
         with pytest.raises(ValueError):
             ConfidenceOracle(obj, "always_right", LinkFunction(kind="logistic"),
                              _stream(0, "oracle"))
+
+    def test_vote_counts_must_be_positive_integers(self):
+        obj, oracle = self._oracle("engage_abstain")
+        x, y = _pair_with_gap(obj, 0.4)
+        ys = np.stack([y, x])
+        calls = (
+            lambda n: oracle.compare_batch(x, y, n),
+            lambda n: oracle.compare_gaps(np.ones(2), n),
+            lambda n: oracle.first_preferred(x, ys, n),
+        )
+        for call in calls:
+            for bad in (2.5, 3.0, True, np.bool_(True), "3", None, 0, -1, np.int64(0)):
+                with pytest.raises(ValueError, match="n must be a positive integer"):
+                    call(bad)
+            assert oracle.query_count == 0
+            call(np.int64(3))
+            call(np.uint8(2))
+            assert oracle.query_count > 0
+            oracle.query_count = 0
+
+
+def _stream_state(oracle):
+    """The oracle stream's Philox state, as a comparable tuple."""
+    st = oracle.rng.gen.bit_generator.state
+    return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]), tuple(st["buffer"]),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def _axis_objective():
+    """f(x) = 0.5 (x_0^2 + x_1^2 + x_2^2) in R^8: a 0/1 basis makes every value
+    exact, so a batched value equals the single-point value bit for bit, and
+    moving only coordinates 3..7 keeps the value exactly."""
+    return RidgeObjective(active=Subspace(basis=np.eye(3, 8)),
+                          inner=InnerFunction(kind="pure_quadratic"))
+
+
+class TestFirstPreferred:
+    """first_preferred answers a block as consecutive compare_batch calls do."""
+
+    X = np.array([3.0, -2.0, 1.5, 2.0, 0.0, 0.0, 1.0, 0.0])
+
+    @classmethod
+    def _rows(cls, spec):
+        """Rows by kind: '0' same value as X, '-' slightly worse, '+' much better."""
+        rows = []
+        for j, kind in enumerate(spec):
+            y = cls.X.copy()
+            if kind == "0":
+                y[3 + j % 5] += 1.5  # a flat coordinate only
+            elif kind == "-":
+                y[0] += 1e-6 * (j + 1)
+            else:
+                y[:3] *= 0.01 * (j + 1)
+            rows.append(y)
+        block = np.array(rows)
+        block.flags.writeable = False
+        return block
+
+    # (rows, the index first_preferred returns)
+    CASES = [("+-0+", 0), ("0-0-+-+0", 4), ("0--0-0", 6), ("-0+", 2), ("00", 2)]
+
+    @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
+    def test_equals_consecutive_compare_batch(self, kind):
+        obj = _axis_objective()
+        link = LinkFunction(kind="logistic", scale=0.5)
+        one = ConfidenceOracle(obj, kind, link, _stream(117, "oracle"))
+        many = ConfidenceOracle(obj, kind, link, _stream(117, "oracle"))
+        for spec, expected in self.CASES:
+            block = self._rows(spec)
+            gaps = obj.value(self.X) - obj.value(block)
+            assert np.array_equal(gaps, [obj.value(self.X) - obj.value(y) for y in block])
+            assert np.all((gaps == 0.0) == [c == "0" for c in spec])
+            sequential = len(block)
+            for i, y in enumerate(block):
+                if one.compare_batch(self.X, y, 33).sum() > 0.0:
+                    sequential = i
+                    break
+            assert sequential == expected, (spec, kind)
+            assert many.first_preferred(self.X, block, 33) == expected
+            assert many.query_count == one.query_count
+            assert _stream_state(many) == _stream_state(one)
+        assert many.rng.gen.random() == one.rng.gen.random()
+
+    def test_validation(self):
+        obj = _axis_objective()
+        oracle = ConfidenceOracle(obj, "engage_abstain", LinkFunction(kind="logistic"),
+                                  _stream(119, "oracle"))
+        with pytest.raises(ValueError, match="2-D batch"):
+            oracle.first_preferred(self.X, self.X, 3)
+        assert oracle.first_preferred(self.X, np.empty((0, 8)), 3) == 0
+        assert oracle.query_count == 0
