@@ -16,12 +16,12 @@ objective values through a plain callable, two evaluations per iteration.
 
 All three share one loop, _search, and differ only in the decision rule
 that turns (step, theta, direction) into the next iterate.  A runner owns
-its rng for the whole run: the loop draws its directions in blocks, read
-ahead by at most a few blocks on one helper thread when they are large
-(geometry.DrawAhead), so nothing else may draw from that stream during the
-run.  Every direction equals the per-iteration draw bit for bit, a
-finished run leaves the stream where sequential draws would, and no thread
-outlives the run.  Every iterate and candidate is sealed (geometry.seal;
+its rng for the whole run: the loop draws its directions in blocks, and
+one helper thread reads every block after the first at most a few blocks
+ahead (geometry.DrawAhead), so nothing else may draw from that stream
+during the run.  Every direction equals the per-iteration draw bit for
+bit, a finished run leaves the stream where sequential draws would, and no
+thread outlives the run.  Every iterate and candidate is sealed (geometry.seal;
 a block of candidates is a read-only view of one sealed buffer):
 its values sit in an immutable buffer, so an oracle or instrument that
 writes to a point it was handed raises ValueError, and an objective may
@@ -194,14 +194,14 @@ def _search(
     iterations that follow.  The horizon's directions come from a DrawAhead
     on rng, in blocks, one gaussian_vector call per row: this thread draws
     the first, and when more are needed, one helper thread reads the rest
-    ahead by at most a few blocks (for small theta1 this thread draws them).
-    So rng belongs to the run until it returns; afterwards it stands where
-    horizon sequential draws leave it, and the directions, hence the bytes,
-    are those of sequential draws.  A finally stops and joins the helper on
-    every exit, an interrupt included; an exception in the helper is raised
-    at the next draw.  Every log_stride(horizon)-th iteration and the last
-    one are recorded: the instrument reading of theta before the move, the
-    accept flag, and the cumulative query count queries_per_iteration * t.
+    ahead by at most a few blocks.  So rng belongs to the run until it
+    returns; afterwards it stands where horizon sequential draws leave it,
+    and the directions, hence the bytes, are those of sequential draws.  A
+    finally stops and joins the helper on every exit, an interrupt included;
+    an exception in the helper is raised at the next draw.  Every
+    log_stride(horizon)-th iteration and the last one are recorded: the
+    instrument reading of theta before the move, the accept flag, and the
+    cumulative query count queries_per_iteration * t.
     Iterates are sealed, so the same array means the same point: the
     instrument is called only when theta is not the array of the last
     reading, and a rejected move logs that reading again.  theta_final is a

@@ -30,6 +30,7 @@ from .oracles import (
     SignOracle,
     bisect_increasing,
     local_linearity_constants,
+    positive_count,
 )
 from .objectives import (
     INNER_KINDS,
@@ -107,6 +108,7 @@ def _equality(name: str, n: int, names, means, theory, ses, rule_tail: str = "")
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
     k(k+2)(k+4)."""
+    n = positive_count(n, "n")
     k = subspace.dim
 
     def draw(take):
@@ -125,6 +127,7 @@ def check_cross_moment(
     subspace: Subspace, a: np.ndarray, n: int, rng: RngStream
 ) -> CheckReport:
     """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a."""
+    n = positive_count(n, "n")
     a = np.asarray(a, dtype=np.float64)
     k = subspace.dim
     theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
@@ -139,6 +142,7 @@ def check_cross_moment(
 
 def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
     """E |<g, s>| against sqrt(2/pi) ||g||."""
+    n = positive_count(n, "n")
     g = np.asarray(g, dtype=np.float64)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
     d = g.shape[0]
@@ -168,6 +172,7 @@ def check_descent_ncrs(
     and then the oracle's uniform, one sample at a time; the candidates'
     values and the oracle's answers are then computed a chunk at a time.
     """
+    n = positive_count(n, "n")
     theta = np.asarray(theta, dtype=np.float64)
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
@@ -240,10 +245,7 @@ def check_vote_error(
     frequency of deciding against the better point is at most
     exp(-votes * rho_eff(gap) / (2C + 4/3)) within +3 binomial SE.
     """
-    if votes < 1:
-        raise ValueError("votes must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    votes, trials = positive_count(votes, "votes"), positive_count(trials, "trials")
     worse, better = _point_at_gap(oracle.objective, gap)
     realized = float(oracle.objective.value(worse)) - float(
         oracle.objective.value(better)
@@ -288,6 +290,7 @@ def check_vote_penalty(
     gamma = exp(-votes * rho_eff(r) / (2C + 4/3)) with (c, r) the oracle's
     certified linearity constants.
     """
+    votes, trials = positive_count(votes, "votes"), positive_count(trials, "trials")
     theta = np.asarray(theta, dtype=np.float64)
     objective = oracle.objective
     d = objective.ambient_dim
@@ -368,8 +371,7 @@ def check_grad_fd(
     tol: float = 1e-4,
 ) -> CheckReport:
     """Analytic gradient against central finite differences at random points."""
-    if n_points < 1:
-        raise ValueError("need at least 1 point")
+    n_points = positive_count(n_points, "n_points")
     d = objective.ambient_dim
     eye = np.eye(d)
     worst = 0.0

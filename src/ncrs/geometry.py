@@ -23,18 +23,12 @@ NEAR_DEPENDENCE_TOL = 1e-12
 KEY_LIMIT = 1 << 64
 
 # DrawAhead blocks: 256 KB of normals each, at most DRAW_AHEAD_QUEUE of them
-# queued.  At the smallest size a helper draws for, one block (256 rows) is
-# about 5 ms of search, so the current and the queued blocks cover the up
-# to 5 ms switch interval a helper may wait to get the interpreter lock
-# back while the search loop holds it.
+# queued.  The current and the queued blocks are what the search loop uses
+# while the helper waits, up to a 5 ms switch interval, to get the
+# interpreter lock back from it; a block holds 32768 // d rows, so at small
+# d it covers hundreds of iterations (655 at d = 50).
 DRAW_AHEAD_NORMALS = 32_768
 DRAW_AHEAD_QUEUE = 2
-# Smallest row size whose blocks a helper thread draws.  Below it a row of
-# normals is drawn in about the time the loop loses to lock hand-offs with
-# a waiting helper: in paired runs at d = 50 and 100 (sign, vote and rsgf
-# loops) the helper saved nothing, while blocks drawn by the caller saved
-# 4-6%; at d = 128 the two tied, and from d = 160 the helper won.
-DRAW_AHEAD_HELPER_MIN_SIZE = 128
 
 
 def stream_id_for(run_index: int, role: str) -> int:
@@ -86,13 +80,13 @@ class DrawAhead:
     The rows are drawn in blocks of DRAW_AHEAD_NORMALS // size rows, and
     gaussian_vector(draws, size) returns them one at a time; each equals
     the draw it replaces bit for bit, because a block fill equals the same
-    fills one by one.  The constructor draws the first block itself.  When
-    more rows are needed and size >= DRAW_AHEAD_HELPER_MIN_SIZE, one helper
-    thread draws the rest in order and hands the blocks over through a
-    queue of DRAW_AHEAD_QUEUE, so at most four blocks are alive at once;
-    Philox fills release the interpreter lock, so those draws run beside
-    the caller's loop rather than inside it.  Smaller rows are cheap to
-    draw, and the caller draws each next block itself when it needs it.
+    fills one by one.  The constructor draws the first block itself, so a
+    run that fits in one block starts no thread.  When more rows are
+    needed, one helper thread draws all the rest in order, at every size,
+    and hands the blocks over through a queue of DRAW_AHEAD_QUEUE, so at
+    most four blocks are alive at once; Philox fills release the
+    interpreter lock, so those draws run beside the caller's loop rather
+    than inside it.
 
     The owner of `rng` lends it for the whole read-ahead: nothing else may
     draw from it until close() returns.  Once every row has been taken, rng
@@ -112,7 +106,7 @@ class DrawAhead:
         self._rows = iter(self._source.standard_normal((first, size)))
         self._due = rows - first  # rows not yet handed over as a block
         self._thread = None
-        if self._due and size >= DRAW_AHEAD_HELPER_MIN_SIZE:
+        if self._due:
             self._queue = queue.Queue(maxsize=DRAW_AHEAD_QUEUE)
             self._stop = threading.Event()
             self._thread = threading.Thread(target=self._fill, args=(self._due,), daemon=True)
@@ -137,8 +131,6 @@ class DrawAhead:
             raise RuntimeError("no rows left: all were drawn, or the read-ahead was closed")
         take = min(self._due, self._block)
         self._due -= take
-        if self._thread is None:
-            return self._source.standard_normal((take, self.size))
         block = self._queue.get()
         if isinstance(block, BaseException):
             self._due = 0

@@ -427,8 +427,11 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     )
     tgt = cfg["target"]
     epsilon = tgt["value"] * (grad0 if tgt["kind"] == "relative" else 1.0)
-    if epsilon <= 0:
-        raise ConfigError("resolved target epsilon is not positive")
+    _require(  # a relative target can underflow to 0
+        epsilon > 0,
+        f"target.value={tgt['value']!r} times the start gradient norm ({grad0}) gives a "
+        f"target epsilon of {epsilon}, not positive",
+    )
     value_gap = value0 - objective.lower_bound
 
     a = cfg["algorithm"]

@@ -150,8 +150,8 @@ def local_linearity_constants(link: LinkFunction) -> tuple[float, float]:
 
     c = sigma'(0).  r is found by doubling search: starting from the link's
     scale, the candidate radius is doubled while a 1000-point grid on [0, r]
-    certifies the inequality, and halved until it does if the start fails.
-    The returned r is the largest candidate the grid certified.
+    certifies the inequality.  The returned r is the largest candidate the
+    grid certified; a RuntimeError names the scale if the start fails.
     """
     c = link.slope_at_zero
 
@@ -160,18 +160,12 @@ def local_linearity_constants(link: LinkFunction) -> tuple[float, float]:
         return bool(np.all(np.asarray(link.rho(t)) >= 0.5 * c * t))
 
     r = link.scale
-    if certified(r):
-        for _ in range(60):
-            if not certified(2.0 * r):
-                break
-            r *= 2.0
-    else:
-        for _ in range(60):
-            r *= 0.5
-            if certified(r):
-                break
-        else:
-            raise RuntimeError("no certified local-linearity radius found")
+    if not certified(r):
+        raise RuntimeError(f"no certified local-linearity radius at the link scale {r!r}")
+    for _ in range(60):
+        if not certified(2.0 * r):
+            break
+        r *= 2.0
     return c, r
 
 
@@ -248,6 +242,11 @@ class SignOracle:
         yields uniforms[i]; the caller draws the uniforms.
         """
         gaps = np.asarray(gaps, dtype=np.float64)
+        if np.shape(uniforms) != gaps.shape:
+            raise ValueError(
+                f"need one uniform per gap: gaps have shape {gaps.shape}, "
+                f"uniforms {np.shape(uniforms)}"
+            )
         self.query_count += gaps.size
         return _sign_reply(gaps, uniforms, self.advantage)
 

@@ -546,9 +546,9 @@ class TestRunnerContract:
 
 
 class TestDrawAhead:
-    """_search draws its directions in blocks, read ahead on one helper
-    thread for large rows; the rows and the stream's end state are those of
-    sequential draws, and no thread outlives the run."""
+    """_search draws its directions in blocks, every block after the first
+    read ahead on one helper thread; the rows and the stream's end state are
+    those of sequential draws, and no thread outlives the run."""
 
     D = 3000  # 32,768 // 3000 = 10 rows a block, with 2,768 normals to spare
 
@@ -590,19 +590,20 @@ class TestDrawAhead:
         assert running == [before + 1] * 4
         assert threading.active_count() == before
 
-    def test_only_a_large_multi_block_run_starts_a_thread(self, monkeypatch):
+    def test_only_a_multi_block_run_starts_a_thread(self, monkeypatch):
         started = []
         thread = threading.Thread
         monkeypatch.setattr(
             geometry.threading, "Thread", lambda *a, **kw: started.append(1) or thread(*a, **kw)
         )
-        block = geometry.DRAW_AHEAD_NORMALS // self.D
-        small = geometry.DRAW_AHEAD_HELPER_MIN_SIZE - 1
-        for d, horizon in [(self.D, block), (small, 5 * geometry.DRAW_AHEAD_NORMALS // small)]:
-            self._search(d, horizon, _stream(252, "algorithm"), lambda step, x, s: (x, False))
-            assert started == [], (d, horizon)  # one block, or rows the caller draws
-        self._search(self.D, block + 1, _stream(252, "algorithm"), lambda step, x, s: (x, False))
-        assert started == [1]
+        before = threading.active_count()
+        for d in (50, self.D):
+            block = geometry.DRAW_AHEAD_NORMALS // d
+            for horizon, threads in [(block, 0), (block + 1, 1)]:
+                started.clear()
+                self._search(d, horizon, _stream(252, "algorithm"), lambda step, x, s: (x, False))
+                assert len(started) == threads, (d, horizon)
+                assert threading.active_count() == before, (d, horizon)
 
     def test_a_helper_error_is_raised_at_the_next_draw(self):
         class FailingGenerator:

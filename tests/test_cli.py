@@ -170,6 +170,17 @@ class TestRunCommand:
         assert code == 2
         assert "horizon=auto resolved to 0 iterations" in capsys.readouterr().err
 
+    def test_underflowing_relative_target_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            "problem: {d: 10, k: 2, init_radius_scale: 1.0e-3}\n"
+            "target: {kind: relative, value: 5.0e-324}\n"
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "target.value=5e-324 times the start gradient norm" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["malformed_yaml", "directory", "binary"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
         """A config file that is not YAML, not a file, or not text is a usage

@@ -26,6 +26,10 @@ from ncrs.objectives import InnerFunction, initial_point, random_ridge_objective
 from ncrs.oracles import ConfidenceOracle, LinkFunction, SignOracle
 
 
+# counts every check refuses: a float, a bool and zero
+BAD_COUNTS = (2.5, True, 0)
+
+
 def _stream(seed, tag):
     return RngStream(seed, stream_id_for(0, tag))
 
@@ -60,6 +64,9 @@ class TestProjectorMoments:
         space = random_subspace(_stream(0, "subspace"), 5, 2)
         with pytest.raises(ValueError):
             check_projector_moments(space, 1, _stream(0, "mc"))
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                check_projector_moments(space, bad, _stream(0, "mc"))
 
 
 class TestCrossMoment:
@@ -150,6 +157,9 @@ class TestDescentNcrs:
         obj = _objective(335, 10, 3)
         with pytest.raises(ValueError):
             check_descent_ncrs(obj, 0.5, np.zeros(10), 0.1, 1, _stream(335, "mc"))
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                check_descent_ncrs(obj, 0.5, np.zeros(10), 0.1, bad, _stream(335, "mc"))
 
 
 class TestVoteError:
@@ -198,10 +208,11 @@ class TestVoteError:
 
     def test_validation(self):
         oracle = self._oracle(345, "engage_abstain")
-        with pytest.raises(ValueError):
-            check_vote_error(oracle, 0.4, 0, 10)
-        with pytest.raises(ValueError):
-            check_vote_error(oracle, 0.4, 5, 0)
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="votes must be a positive integer"):
+                check_vote_error(oracle, 0.4, bad, 10)
+            with pytest.raises(ValueError, match="trials must be a positive integer"):
+                check_vote_error(oracle, 0.4, 5, bad)
         with pytest.raises(ValueError):
             check_vote_error(oracle, -0.4, 5, 10)
 
@@ -224,6 +235,11 @@ class TestVotePenalty:
         )
         with pytest.raises(ValueError):
             check_vote_penalty(oracle, np.zeros(12), 0.05, 16, 1, _stream(351, "mc"))
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="votes must be a positive integer"):
+                check_vote_penalty(oracle, np.zeros(12), 0.05, bad, 10, _stream(351, "mc"))
+            with pytest.raises(ValueError, match="trials must be a positive integer"):
+                check_vote_penalty(oracle, np.zeros(12), 0.05, 16, bad, _stream(351, "mc"))
 
 
 def _replay_descent(objective, advantage, theta, alpha, n, rng):
@@ -405,8 +421,9 @@ class TestGradFd:
 
     def test_validation(self):
         obj = _objective(362, 10, 3)
-        with pytest.raises(ValueError):
-            check_grad_fd(obj, 0, 1e-5, _stream(362, "mc"))
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="n_points must be a positive integer"):
+                check_grad_fd(obj, bad, 1e-5, _stream(362, "mc"))
 
 
 class TestDefaultSuite:

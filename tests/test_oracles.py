@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ class TestLocalLinearity:
             _, r3 = local_linearity_constants(LinkFunction(kind=kind, scale=3.0))
             assert_allclose(r3, 3.0 * r1, rtol=1e-12)
 
+    def test_an_uncertified_start_names_the_scale(self):
+        """Below the normal floats, the slope sigma'(0) overflows and the
+        start radius cannot be certified."""
+        for kind in ("logistic", "probit", "arctan"):
+            with pytest.raises(RuntimeError, match="link scale 1e-320"):
+                local_linearity_constants(LinkFunction(kind=kind, scale=1e-320))
+
 
 class TestRhoInverse:
     @pytest.mark.parametrize("kind", ["logistic", "probit", "arctan"])
@@ -241,6 +249,12 @@ class TestSignOracle:
         oracle = SignOracle(obj, 0.5, rng)  # boundary is allowed
         with pytest.raises(TypeError):  # a query is one pair of points, not a batch
             oracle.compare(np.ones((2, 8)), np.zeros((2, 8)))
+        asked = oracle.query_count
+        for uniforms in (np.full(1, 0.5), np.full(4, 0.5), np.full((3, 1), 0.5), 0.5):
+            shapes = re.escape(f"(3,), uniforms {np.shape(uniforms)}")
+            with pytest.raises(ValueError, match=shapes):  # one uniform per gap
+                oracle.compare_gaps(np.ones(3), uniforms)
+        assert oracle.query_count == asked
 
 
 class TestConfidenceOracle:
