@@ -67,9 +67,12 @@ Move = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]]
 BlockMove = Callable[[list, np.ndarray, list], tuple[np.ndarray, int]]
 
 # With a block move, _search hands over single iterations until BLOCK_AFTER
-# moves in a row are rejected, then blocks of min(streak, BLOCK_ROWS).
+# moves in a row are rejected, then blocks of min(streak, BLOCK_ROWS) rows,
+# at most max(1, BLOCK_QUERIES // queries_per_iteration) rows: a block's
+# uniforms, one or two per query, then stay flat in the vote count.
 BLOCK_AFTER = 4
 BLOCK_ROWS = 64
+BLOCK_QUERIES = 2**20
 
 
 def log_stride(horizon: int) -> int:
@@ -100,8 +103,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        object.__setattr__(self, "horizon", positive_count(self.horizon, "horizon"))
         if self.kind in ("constant", "theory_constant") and not 0 < self.alpha0 < math.inf:
             raise ValueError("alpha0 must be finite and positive")
         if self.kind == "theory_constant" and self.intrinsic_dim < 1:
@@ -109,7 +111,8 @@ class StepSchedule:
         if self.kind == "cosine_decay":
             if not 0 < self.min_rate <= self.max_rate < math.inf:
                 raise ValueError("cosine_decay needs 0 < min_rate <= max_rate < inf")
-            if not 1 <= self.decay_steps <= self.horizon:
+            object.__setattr__(self, "decay_steps", positive_count(self.decay_steps, "decay_steps"))
+            if self.decay_steps > self.horizon:
                 raise ValueError("cosine_decay needs 1 <= decay_steps <= horizon")
 
     def step_at(self, t: int) -> float:
@@ -187,7 +190,7 @@ def _search(
     (theta, accepted) = move(schedule.step_at(t), theta, s).  With a
     block_move, once BLOCK_AFTER moves in a row are rejected, the loop
     instead hands over the next m = min(streak, BLOCK_ROWS) iterations at
-    once (never past the horizon), with their steps and directions:
+    once (fewer past the horizon or BLOCK_QUERIES), with their steps and directions:
     (theta, i) = block_move(steps, theta, directions) rejects iterations
     t .. t+i-1, and for i < m accepts iteration t+i, whose point theta
     becomes; the directions after it are kept, drawn but unused, for the
@@ -225,6 +228,7 @@ def _search(
     read_at = None  # the iterate of the last instrument reading
     pending = []  # directions drawn but not yet used, oldest first
     t, streak = 1, 0  # the next iteration; moves rejected in a row
+    block_rows = min(BLOCK_ROWS, max(1, BLOCK_QUERIES // queries_per_iteration))
     directions = DrawAhead(rng, size, horizon)
     try:
         while t <= horizon:
@@ -233,7 +237,7 @@ def _search(
                 moved, accept = move(schedule.step_at(t), theta, direction)
                 last, taken = t, t if accept else 0
             else:
-                m = min(streak, BLOCK_ROWS, horizon + 1 - t)
+                m = min(streak, block_rows, horizon + 1 - t)
                 while len(pending) < m:
                     pending.append(gaussian_vector(directions, size))
                 block_steps = [schedule.step_at(u) for u in range(t, t + m)]

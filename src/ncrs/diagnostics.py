@@ -2,15 +2,18 @@
 relies on.
 
 Every check returns a CheckReport carrying its estimates, the theoretical
-values or bounds, sample counts, standard errors, and a pass flag.  The
-tolerance discipline is uniform: Monte Carlo equalities pass within 4
-standard errors, one-sided Monte Carlo bounds within +3 standard errors,
-and deterministic identities within 1e-12; the equality verdict and its rule
-are written once, in `_equality`.  Checks draw all randomness from
-the RngStream handed to them, so a report is reproducible bit-exactly from
-(master seed, check name).  Every Monte Carlo mean is one streaming
-estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so memory stays
-flat in the sample size, and SE = std(ddof=1) / sqrt(n).
+values or bounds, sample counts, standard errors, and a pass flag.  Monte
+Carlo verdicts and their rules are written only in `_equality` (every
+estimate within EQUALITY_SE_BAND = 4 standard errors of its theory value)
+and `_bound` (one-sided: small <= large + band * SE, with band
+BOUND_SE_BAND = 3 unless a check is given another).  The link identities
+hold within DETERMINISTIC_TOL = 1e-12; the gradient check is not held to
+that: it takes central differences of step GRAD_FD_STEP = 1e-5 and passes
+at a maximum relative error of GRAD_FD_TOL = 1e-4.  Checks draw all
+randomness from the RngStream handed to them, so a report is reproducible
+bit-exactly from (master seed, check name).  Every Monte Carlo mean is one
+streaming estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so
+memory stays flat in the sample size, and SE = std(ddof=1) / sqrt(n).
 """
 from __future__ import annotations
 
@@ -43,6 +46,8 @@ from .objectives import (
 EQUALITY_SE_BAND = 4.0
 BOUND_SE_BAND = 3.0
 DETERMINISTIC_TOL = 1e-12
+GRAD_FD_STEP = 1e-5
+GRAD_FD_TOL = 1e-4
 
 _MC_CHUNK = 200_000
 
@@ -102,6 +107,21 @@ def _equality(name: str, n: int, names, means, theory, ses, rule_tail: str = "")
         estimates=dict(zip(names, means)),
         theory=dict(zip(names, theory)),
         standard_errors=dict(zip(names, ses)),
+    )
+
+
+def _bound(name: str, n: int, rule: str, small: float, large: float, se: float,
+           estimates: dict, theory: dict, band=BOUND_SE_BAND, rule_tail="") -> CheckReport:
+    """Report of a one-sided Monte Carlo bound: it passes when
+    small <= large + band * se, where se is the SE of the first estimate."""
+    return CheckReport(
+        name=name,
+        passed=small <= large + band * se,
+        n_samples=n,
+        rule=f"{rule} + {band} SE{rule_tail}",
+        estimates=estimates,
+        theory=theory,
+        standard_errors={next(iter(estimates)): se},
     )
 
 
@@ -198,20 +218,12 @@ def check_descent_ncrs(
             2.0 * objective.nuisance.tau * alpha * math.sqrt(objective.nuisance.dim)
         )
     rhs = mean_drop + curvature + nuisance_term
-    passed = lhs <= rhs + se_band * se
-    return CheckReport(
-        name="descent_ncrs",
-        passed=passed,
-        n_samples=n,
-        rule=f"lhs <= mean drop + curvature (+ nuisance) + {se_band} SE",
-        estimates={"mean_drop": mean_drop, "rhs": rhs},
-        theory={
-            "lhs": lhs,
-            "curvature_term": curvature,
-            "nuisance_term": nuisance_term,
-            "grad_norm": grad_norm,
-        },
-        standard_errors={"mean_drop": se},
+    return _bound(
+        "descent_ncrs", n, "lhs <= mean drop + curvature (+ nuisance)", lhs, rhs, se,
+        {"mean_drop": mean_drop, "rhs": rhs},
+        {"lhs": lhs, "curvature_term": curvature, "nuisance_term": nuisance_term,
+         "grad_norm": grad_norm},
+        band=se_band,
     )
 
 
@@ -259,15 +271,11 @@ def check_vote_error(
     bernstein = vote_bernstein(oracle.second_moment_bound)
     bound = math.exp(-votes * float(oracle.rho_effective(realized)) / bernstein)
     se = math.sqrt(bound * (1.0 - bound) / trials)
-    passed = freq <= bound + BOUND_SE_BAND * se
-    return CheckReport(
-        name="vote_error",
-        passed=passed,
-        n_samples=trials,
-        rule=f"frequency <= bound + {BOUND_SE_BAND} SE (binomial SE at the bound)",
-        estimates={"wrong_decision_freq": freq},
-        theory={"bound": bound, "gap": realized, "votes": float(votes)},
-        standard_errors={"wrong_decision_freq": se},
+    return _bound(
+        "vote_error", trials, "frequency <= bound", freq, bound, se,
+        {"wrong_decision_freq": freq},
+        {"bound": bound, "gap": realized, "votes": float(votes)},
+        rule_tail=" (binomial SE at the bound)",
     )
 
 
@@ -311,24 +319,16 @@ def check_vote_penalty(
         alpha * math.sqrt(2.0 / math.pi) * grad_norm
         + 0.5 * objective.smoothness * objective.intrinsic_dim * alpha**2
     ) + bernstein / (math.e * c * votes)
-    passed = abs(mean) <= bound + BOUND_SE_BAND * se
-    return CheckReport(
-        name="vote_penalty",
-        passed=passed,
-        n_samples=trials,
-        rule=f"|estimate| <= bound + {BOUND_SE_BAND} SE",
-        estimates={"penalty": mean},
-        theory={"bound": bound, "gamma": gamma, "grad_norm": grad_norm},
-        standard_errors={"penalty": se},
+    return _bound(
+        "vote_penalty", trials, "|estimate| <= bound", abs(mean), bound, se,
+        {"penalty": mean}, {"bound": bound, "gamma": gamma, "grad_norm": grad_norm},
     )
 
 
-def check_link_reduction(link: LinkFunction, grid: np.ndarray | None = None) -> CheckReport:
-    """Deterministic link identities: margin reduction, reflection symmetry,
-    monotone margin, and the certified local-linearity inequality."""
-    if grid is None:
-        grid = np.linspace(-8.0 * link.scale, 8.0 * link.scale, 321)
-    grid = np.asarray(grid, dtype=np.float64)
+def check_link_reduction(link: LinkFunction) -> CheckReport:
+    """Deterministic link identities at 321 gaps within 8 link scales: margin
+    reduction, reflection symmetry, monotone margin, certified local linearity."""
+    grid = np.linspace(-8.0 * link.scale, 8.0 * link.scale, 321)
     sigma = np.asarray(link.probability(grid))
     margin = np.asarray(link.rho(np.abs(grid)))
     # signed margin identity: 2 sigma(u) - 1 = sign(u) rho(|u|)
@@ -363,34 +363,28 @@ def check_link_reduction(link: LinkFunction, grid: np.ndarray | None = None) -> 
     )
 
 
-def check_grad_fd(
-    objective: RidgeObjective,
-    n_points: int,
-    fd_step: float,
-    rng: RngStream,
-    tol: float = 1e-4,
-) -> CheckReport:
-    """Analytic gradient against central finite differences at random points."""
+def check_grad_fd(objective: RidgeObjective, n_points: int, rng: RngStream) -> CheckReport:
+    """Analytic gradient against central differences of step GRAD_FD_STEP at
+    random points; passes at a maximum relative error of GRAD_FD_TOL."""
     n_points = positive_count(n_points, "n_points")
     d = objective.ambient_dim
     eye = np.eye(d)
     worst = 0.0
     for _ in range(n_points):
         x = 2.0 * gaussian_vector(rng, d)
-        plus = np.asarray(objective.value(x + fd_step * eye))
-        minus = np.asarray(objective.value(x - fd_step * eye))
-        fd = (plus - minus) / (2.0 * fd_step)
+        plus = np.asarray(objective.value(x + GRAD_FD_STEP * eye))
+        minus = np.asarray(objective.value(x - GRAD_FD_STEP * eye))
+        fd = (plus - minus) / (2.0 * GRAD_FD_STEP)
         grad = objective.gradient(x)
         rel = float(np.linalg.norm(fd - grad)) / max(1.0, float(np.linalg.norm(grad)))
         worst = max(worst, rel)
-    passed = worst <= tol
     return CheckReport(
         name="grad_fd",
-        passed=passed,
+        passed=worst <= GRAD_FD_TOL,
         n_samples=n_points,
-        rule=f"max relative error <= {tol}",
+        rule=f"max relative error <= {GRAD_FD_TOL}",
         estimates={"max_rel_error": worst},
-        theory={"tolerance": tol, "fd_step": fd_step},
+        theory={"tolerance": GRAD_FD_TOL, "fd_step": GRAD_FD_STEP},
         standard_errors={},
     )
 
@@ -443,7 +437,7 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
     fd_cases = [(kind, kind, 0.0, 0) for kind in INNER_KINDS]
     for tag, kind, tau, m in fd_cases + [("nuisance", "quadratic_cosine", 0.3, 4)]:
         obj = ridge(f"fd-{tag}", 20, 6, kind, tau, m)
-        rep = check_grad_fd(obj, 25, 1e-5, stream(f"fd-points-{tag}"))
+        rep = check_grad_fd(obj, 25, stream(f"fd-points-{tag}"))
         rep.name = f"grad_fd_{tag}"
         reports.append(rep)
 

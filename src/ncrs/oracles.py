@@ -214,7 +214,7 @@ class SignOracle:
 
     Each query reports the true ordering with probability exactly 1/2 + p,
     independent of the gap size; exact ties return a fair coin flip.
-    query_count tracks the number of queries answered.
+    query_count tracks the queries answered; a call that raises answers none.
     """
 
     def __init__(self, objective: RidgeObjective, advantage: float, rng: RngStream):
@@ -230,8 +230,8 @@ class SignOracle:
 
         Draws one uniform from the oracle's stream, after evaluating the pair.
         """
-        self.query_count += 1
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        self.query_count += 1
         return _sign_reply(gap, self.rng.gen.random(), self.advantage)
 
     def compare_gaps(self, gaps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -309,8 +309,8 @@ class ConfidenceOracle:
         sign flips, in that order.
         """
         n = positive_count(n, "n")
-        self.query_count += n
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        self.query_count += n
         if gap == 0.0:
             return np.zeros(n)
         return self._respond(gap, (n,))

@@ -167,6 +167,16 @@ class TestStepSchedule:
             cosine_schedule(0.2, 0.1, 20, 10)  # decay longer than horizon
         with pytest.raises(ValueError):
             constant_schedule(0.1, 0)
+        for bad in (2.5, 10.0, True, np.bool_(True), "10", None, -1):
+            with pytest.raises(ValueError, match="horizon must be a positive integer"):
+                constant_schedule(0.1, bad)
+            with pytest.raises(ValueError, match="horizon must be a positive integer"):
+                theory_schedule(1.0, 3, bad)
+            with pytest.raises(ValueError, match="decay_steps must be a positive integer"):
+                cosine_schedule(0.2, 0.1, bad, 10)
+        sched = cosine_schedule(0.2, 0.1, np.int64(5), np.uint16(10))
+        assert type(sched.horizon) is int and type(sched.decay_steps) is int
+        assert sched == cosine_schedule(0.2, 0.1, 5, 10)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 constant_schedule(bad, 10)
@@ -437,6 +447,26 @@ class TestNcrsVoteRun:
         assert np.array_equal(traj.grad_norms, 1.0 + rank)
         assert len(seen) == len(distinct)
 
+    def test_block_rows_shrink_as_votes_grow(self):
+        """A block draws uniforms per query, so it holds at most
+        BLOCK_QUERIES // votes rows: 4 at 2**18 votes, still 64 at 64 votes."""
+
+        class _Recording(_SilentOracle):
+            def __init__(self):
+                super().__init__()
+                self.blocks = []  # rows of each first_preferred call
+
+            def first_preferred(self, x, ys, n):
+                self.blocks.append(len(ys))
+                return super().first_preferred(x, ys, n)
+
+        for votes, rows in ((2**18, 4), (64, 64)):
+            oracle = _Recording()
+            traj = ncrs_vote_run(oracle, np.zeros(3), constant_schedule(0.1, 200), votes,
+                                 _stream(227, "algorithm"))
+            assert max(oracle.blocks) == rows
+            assert traj.total_queries == oracle.query_count == 200 * votes
+
     def test_a_miscounting_oracle_is_an_error(self):
         class _Miscounting(_SilentOracle):
             def first_preferred(self, x, ys, n):
@@ -604,6 +634,25 @@ class TestDrawAhead:
                 self._search(d, horizon, _stream(252, "algorithm"), lambda step, x, s: (x, False))
                 assert len(started) == threads, (d, horizon)
                 assert threading.active_count() == before, (d, horizon)
+
+    def test_guards(self):
+        rng = _stream(253, "algorithm")
+        for size, rows in ((0, 5), (5, 0)):
+            with pytest.raises(ValueError, match="need size >= 1 and rows >= 1"):
+                DrawAhead(rng, size, rows)
+        draws = DrawAhead(rng, 5, 2)
+        with pytest.raises(ValueError, match="read ahead for size 5, not 4"):
+            gaussian_vector(draws, 4)
+        gaussian_vector(draws, 5)
+        gaussian_vector(draws, 5)
+        with pytest.raises(RuntimeError, match="no rows left"):
+            gaussian_vector(draws, 5)
+        draws = DrawAhead(rng, self.D, 25)  # three blocks; the helper draws two
+        draws.close()
+        for _ in range(10):
+            gaussian_vector(draws, self.D)
+        with pytest.raises(RuntimeError, match="read-ahead was closed"):
+            gaussian_vector(draws, self.D)
 
     def test_a_helper_error_is_raised_at_the_next_draw(self):
         class FailingGenerator:

@@ -166,6 +166,8 @@ class TestRandomSubspace:
         with pytest.raises(ValueError):
             # complement only has 4 dimensions left
             random_subspace(stream, 10, 5, orthogonal_to=active)
+        with pytest.raises(ValueError, match="different ambient dimension"):
+            random_subspace(stream, 12, 2, orthogonal_to=active)
 
     def test_project_rejects_wrong_length(self):
         sub = random_subspace(_stream(1, "test:len"), 9, 2)

@@ -13,9 +13,10 @@ import yaml
 from numpy.testing import assert_allclose
 
 from ncrs import harness
-from ncrs.algorithms import Trajectory
+from ncrs.algorithms import Trajectory, constant_schedule, ncrs_run
 from ncrs.cli import main
 from ncrs.objectives import NuisanceSpec
+from ncrs.oracles import SignOracle
 from ncrs.harness import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
@@ -424,6 +425,27 @@ class TestRunOne:
         # once per candidate, plus four maps outside the search loop: theta1's
         # value and gradient in run_one, its read-only copy, and the final value
         assert len(mapped) == 1000 + 4
+
+    def test_constant_schedule_replays_ncrs_run(self):
+        """schedule: constant runs ncrs_run with constant_schedule(alpha0, T)
+        on the run's own streams, field for field."""
+        cfg = validate_config(_tiny_config(schedule="constant", alpha0=0.01))
+        traj, summary = run_one(cfg, master_seed=4)
+        streams = harness._streams(4)
+        objective, theta1 = harness._build_problem(cfg, streams)
+        oracle = SignOracle(objective, cfg["oracle"]["advantage"], streams["oracle"])
+
+        def instrument(theta):
+            g = objective.gradient(theta)
+            return objective.value(theta), math.sqrt(g.dot(g))
+
+        replay = ncrs_run(
+            oracle, theta1, constant_schedule(0.01, 300), streams["algorithm"], instrument
+        )
+        for name in ("steps", "values", "grad_norms", "accepted", "queries", "theta_final"):
+            assert np.array_equal(getattr(traj, name), getattr(replay, name)), name
+        assert 0 < traj.accepted.sum() < 300
+        assert summary.total_queries == replay.total_queries == 300
 
     def test_cosine_decay_runs_with_default_alpha0(self):
         # the cosine schedule never reads alpha0, so its "auto" default stands

@@ -430,6 +430,15 @@ class TestNuisance:
         space = random_ridge_objective(
             _stream(0, "s"), 6, 2, InnerFunction(kind="pure_quadratic")
         ).active
+        elsewhere = random_ridge_objective(
+            _stream(1, "s"), 8, 2, InnerFunction(kind="pure_quadratic")
+        ).active
+        with pytest.raises(ValueError, match="disagree on ambient dim"):
+            RidgeObjective(
+                active=space,
+                inner=InnerFunction(kind="pure_quadratic"),
+                nuisance=NuisanceSpec(subspace=elsewhere, tau=0.1),
+            )
         for bad in (math.nan, math.inf, -0.1):
             with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
                 NuisanceSpec(subspace=space, tau=bad)

@@ -249,12 +249,12 @@ class TestSignOracle:
         oracle = SignOracle(obj, 0.5, rng)  # boundary is allowed
         with pytest.raises(TypeError):  # a query is one pair of points, not a batch
             oracle.compare(np.ones((2, 8)), np.zeros((2, 8)))
-        asked = oracle.query_count
+        assert oracle.query_count == 0
         for uniforms in (np.full(1, 0.5), np.full(4, 0.5), np.full((3, 1), 0.5), 0.5):
             shapes = re.escape(f"(3,), uniforms {np.shape(uniforms)}")
             with pytest.raises(ValueError, match=shapes):  # one uniform per gap
                 oracle.compare_gaps(np.ones(3), uniforms)
-        assert oracle.query_count == asked
+        assert oracle.query_count == 0
 
 
 class TestConfidenceOracle:
@@ -358,6 +358,7 @@ class TestConfidenceOracle:
             oracle.compare_batch(np.stack([x, y]), np.stack([y, x]), 3)
         with pytest.raises(ValueError):
             oracle.compare_gaps(np.ones(3), 0)
+        assert oracle.query_count == 10  # a call that raises answers nothing
         with pytest.raises(ValueError):
             ConfidenceOracle(obj, "always_right", LinkFunction(kind="logistic"),
                              _stream(0, "oracle"))
