@@ -7,9 +7,12 @@ query_count (ncrs_run) or compare_batch, first_preferred and query_count
 (ncrs_vote_run); from first_preferred they learn only an index.
 No objective value, gradient, or intrinsic dimension is visible to them;
 problem structure can enter only through how the harness builds the
-schedule.  The instrument callback is likewise opaque: it is a function of
-the iterate alone, read once per distinct iterate, and whatever floats it
-returns are stored in the trajectory and never influence a decision.
+schedule.  A StepSchedule is one cosine formula, and a constant step is
+its case max_rate == min_rate; theory_schedule folds k into such a constant,
+alpha0 / sqrt(k T), before a runner sees it.  The instrument callback is
+likewise opaque: it is a function of the iterate alone, read once per
+distinct iterate, and whatever floats it returns are stored in the
+trajectory and never influence a decision.
 
 rsgf_run is the baseline and is deliberately different: it consumes exact
 objective values through a plain callable, two evaluations per iteration.
@@ -39,6 +42,7 @@ logged readings are still single-point values at sealed iterates.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -47,8 +51,6 @@ import numpy as np
 
 from .geometry import DrawAhead, RngStream, gaussian_vector, seal
 from .oracles import positive_count
-
-SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
 
 # Trajectories record every iteration up to this horizon; longer runs are
 # subsampled to roughly 10^4 evenly spaced records.
@@ -82,46 +84,42 @@ def log_stride(horizon: int) -> int:
     return math.ceil(horizon / TARGET_LOG_POINTS)
 
 
+def _real_number(x, name: str) -> float:
+    """x as a float; a ValueError naming it unless it is a real number (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step size alpha_t as a function of the iteration index t in [1, horizon].
 
-    Kinds:
-      constant         alpha_t = alpha0
-      theory_constant  alpha_t = alpha0 / sqrt(intrinsic_dim * horizon)
-      cosine_decay     max_rate -> min_rate over decay_steps, then min_rate
+    alpha_t falls from max_rate to min_rate along a half cosine over
+    t = 1 .. decay_steps and is min_rate from t = decay_steps on.  With
+    decay_steps = 1 every step is min_rate, so a constant step alpha is
+    max_rate = min_rate = alpha (constant_schedule, theory_schedule).  The
+    rates are stored as floats and need 0 < min_rate <= max_rate < inf.
     """
 
-    kind: str
     horizon: int
-    alpha0: float = 1.0
-    intrinsic_dim: int = 0
-    max_rate: float = 0.0
-    min_rate: float = 0.0
-    decay_steps: int = 0
+    max_rate: float
+    min_rate: float
+    decay_steps: int = 1
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         object.__setattr__(self, "horizon", positive_count(self.horizon, "horizon"))
-        if self.kind in ("constant", "theory_constant") and not 0 < self.alpha0 < math.inf:
-            raise ValueError("alpha0 must be finite and positive")
-        if self.kind == "theory_constant" and self.intrinsic_dim < 1:
-            raise ValueError("theory_constant needs intrinsic_dim >= 1")
-        if self.kind == "cosine_decay":
-            if not 0 < self.min_rate <= self.max_rate < math.inf:
-                raise ValueError("cosine_decay needs 0 < min_rate <= max_rate < inf")
-            object.__setattr__(self, "decay_steps", positive_count(self.decay_steps, "decay_steps"))
-            if self.decay_steps > self.horizon:
-                raise ValueError("cosine_decay needs 1 <= decay_steps <= horizon")
+        object.__setattr__(self, "decay_steps", positive_count(self.decay_steps, "decay_steps"))
+        if self.decay_steps > self.horizon:
+            raise ValueError("decay_steps must not exceed horizon")
+        for name in ("max_rate", "min_rate"):
+            object.__setattr__(self, name, _real_number(getattr(self, name), name))
+        if not 0 < self.min_rate <= self.max_rate < math.inf:
+            raise ValueError("need 0 < min_rate <= max_rate < inf")
 
     def step_at(self, t: int) -> float:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"iteration {t} outside [1, {self.horizon}]")
-        if self.kind == "constant":
-            return self.alpha0
-        if self.kind == "theory_constant":
-            return self.alpha0 / math.sqrt(self.intrinsic_dim * self.horizon)
         if t >= self.decay_steps:
             return self.min_rate
         progress = (t - 1) / (self.decay_steps - 1)
@@ -131,28 +129,20 @@ class StepSchedule:
 
 
 def constant_schedule(alpha: float, horizon: int) -> StepSchedule:
-    return StepSchedule(kind="constant", horizon=horizon, alpha0=alpha)
+    return StepSchedule(horizon, alpha, alpha)
 
 
 def theory_schedule(alpha0: float, intrinsic_dim: int, horizon: int) -> StepSchedule:
-    return StepSchedule(
-        kind="theory_constant",
-        horizon=horizon,
-        alpha0=alpha0,
-        intrinsic_dim=intrinsic_dim,
-    )
+    """The uniform-margin constant step alpha0 / sqrt(intrinsic_dim * horizon)."""
+    k = positive_count(intrinsic_dim, "intrinsic_dim")
+    horizon = positive_count(horizon, "horizon")
+    return constant_schedule(_real_number(alpha0, "alpha0") / math.sqrt(k * horizon), horizon)
 
 
 def cosine_schedule(
     max_rate: float, min_rate: float, decay_steps: int, horizon: int
 ) -> StepSchedule:
-    return StepSchedule(
-        kind="cosine_decay",
-        horizon=horizon,
-        max_rate=max_rate,
-        min_rate=min_rate,
-        decay_steps=decay_steps,
-    )
+    return StepSchedule(horizon, max_rate, min_rate, decay_steps)
 
 
 @dataclass
@@ -356,9 +346,10 @@ def rsgf_run(
 
 def rsgf_stable_step(smoothness: float, intrinsic_dim: int) -> float:
     """Largest step size with a certified per-iteration descent guarantee."""
-    if not 0 < smoothness < math.inf or intrinsic_dim < 1:
-        raise ValueError("need finite smoothness > 0 and intrinsic_dim >= 1")
-    return 1.0 / (4.0 * smoothness * (intrinsic_dim + 2))
+    k = positive_count(intrinsic_dim, "intrinsic_dim")
+    if not 0 < smoothness < math.inf:
+        raise ValueError("smoothness must be finite and positive")
+    return 1.0 / (4.0 * smoothness * (k + 2))
 
 
 def vote_bernstein(second_moment_bound: float) -> float:
@@ -410,8 +401,9 @@ def vote_params(
     ):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if not 1 <= intrinsic_dim <= sys.float_info.max:
-        raise ValueError("intrinsic_dim must be at least 1 and fit a float")
+    intrinsic_dim = positive_count(intrinsic_dim, "intrinsic_dim")
+    if intrinsic_dim > sys.float_info.max:
+        raise ValueError("intrinsic_dim must fit a float")
     if not 1.0 <= second_moment_bound < math.inf:
         raise ValueError("second_moment_bound must be finite and at least 1")
     if not 0.0 < margin_at_radius <= 1.0:

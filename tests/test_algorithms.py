@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -133,10 +134,18 @@ class TestStepSchedule:
         # 1 / sqrt(4 * 100)
         assert sched.step_at(1) == 0.05
         assert sched.step_at(100) == 0.05
+        assert sched == constant_schedule(0.05, 100)
+        for alpha0, k, horizon in [(0.7, 3, 8043), (2.0, 10, 300), (1e-3, 7, 101)]:
+            step = alpha0 / math.sqrt(k * horizon)
+            assert theory_schedule(alpha0, k, horizon).step_at(horizon) == step
 
     def test_constant(self):
         sched = constant_schedule(0.3, 10)
         assert all(sched.step_at(t) == 0.3 for t in range(1, 11))
+        assert sched == StepSchedule(horizon=10, max_rate=0.3, min_rate=0.3, decay_steps=1)
+        assert [f.name for f in dataclasses.fields(StepSchedule)] == [
+            "horizon", "max_rate", "min_rate", "decay_steps"
+        ]
 
     def test_cosine_endpoints_and_floor(self):
         sched = cosine_schedule(max_rate=0.5, min_rate=4e-3, decay_steps=480, horizon=1000)
@@ -156,11 +165,12 @@ class TestStepSchedule:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            StepSchedule(kind="linear", horizon=10)
-        with pytest.raises(ValueError):
             constant_schedule(0.0, 10)
         with pytest.raises(ValueError):
             theory_schedule(1.0, 0, 10)
+        for bad in (2.5, True, 0):
+            with pytest.raises(ValueError, match="intrinsic_dim must be a positive integer"):
+                theory_schedule(1.0, bad, 10)
         with pytest.raises(ValueError):
             cosine_schedule(0.1, 0.2, 5, 10)  # min above max
         with pytest.raises(ValueError):
@@ -186,6 +196,18 @@ class TestStepSchedule:
                 cosine_schedule(bad, 0.1, 5, 10)
             with pytest.raises(ValueError):
                 cosine_schedule(0.2, bad, 5, 10)
+        for bad in (True, np.bool_(True), "0.1", None):
+            with pytest.raises(ValueError, match="max_rate must be a real number"):
+                constant_schedule(bad, 10)
+            with pytest.raises(ValueError, match="alpha0 must be a real number"):
+                theory_schedule(bad, 3, 10)
+            with pytest.raises(ValueError, match="max_rate must be a real number"):
+                cosine_schedule(bad, 0.1, 5, 10)
+            with pytest.raises(ValueError, match="min_rate must be a real number"):
+                cosine_schedule(0.2, bad, 5, 10)
+        sched = cosine_schedule(1, np.float32(0.5), 5, 10)
+        assert type(sched.max_rate) is float and type(sched.min_rate) is float
+        assert type(constant_schedule(2, 10).step_at(1)) is float
 
 
 class TestNcrsRun:
@@ -789,6 +811,9 @@ class TestRsgfStableStep:
             rsgf_stable_step(0.0, 3)
         with pytest.raises(ValueError):
             rsgf_stable_step(1.0, 0)
+        for bad in (2.5, True, 3.0, None):
+            with pytest.raises(ValueError, match="intrinsic_dim must be a positive integer"):
+                rsgf_stable_step(1.0, bad)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 rsgf_stable_step(bad, 3)
@@ -836,6 +861,8 @@ class TestVoteParams:
             ("smoothness", 0.0), ("intrinsic_dim", 0), ("value_gap", 0.0),
             ("margin_slope", 0.0), ("second_moment_bound", 0.5),
             ("margin_at_radius", 0.0), ("margin_at_radius", 1.2),
+            ("intrinsic_dim", 2.5), ("intrinsic_dim", True), ("intrinsic_dim", 4.0),
+            ("intrinsic_dim", 10**400),
         ]:
             with pytest.raises(ValueError):
                 vote_params(**{**good, key: bad})

