@@ -20,7 +20,7 @@ objective values through a plain callable, two evaluations per iteration.
 All three share one loop, _search, and differ only in the decision rule
 that turns (step, theta, direction) into the next iterate.  A runner owns
 its rng for the whole run: the loop draws its directions in blocks, and
-one helper thread reads every block after the first at most a few blocks
+a one-worker executor reads every block after the first at most two blocks
 ahead (geometry.DrawAhead), so nothing else may draw from that stream
 during the run.  Every direction equals the per-iteration draw bit for
 bit, a finished run leaves the stream where sequential draws would, and no
@@ -186,12 +186,13 @@ def _search(
     becomes; the directions after it are kept, drawn but unused, for the
     iterations that follow.  The horizon's directions come from a DrawAhead
     on rng, in blocks, one gaussian_vector call per row: this thread draws
-    the first, and when more are needed, one helper thread reads the rest
-    ahead by at most a few blocks.  So rng belongs to the run until it
+    the first, and when more are needed, a one-worker executor reads the
+    rest ahead by at most two blocks.  So rng belongs to the run until it
     returns; afterwards it stands where horizon sequential draws leave it,
     and the directions, hence the bytes, are those of sequential draws.  A
-    finally stops and joins the helper on every exit, an interrupt included;
-    an exception in the helper is raised at the next draw.  Every
+    finally cancels the blocks asked ahead and joins the helper thread on
+    every exit, an interrupt included; an exception in a helper fill is
+    raised at the next draw, and no direction is handed out after it.  Every
     log_stride(horizon)-th iteration and the last one are recorded: the
     instrument reading of theta before the move, the accept flag, and the
     cumulative query count queries_per_iteration * t.

@@ -10,8 +10,8 @@ sweeps are bit-reproducible under any worker count.
 from __future__ import annotations
 
 import hashlib
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +23,8 @@ NEAR_DEPENDENCE_TOL = 1e-12
 KEY_LIMIT = 1 << 64
 
 # DrawAhead blocks: 256 KB of normals each, at most DRAW_AHEAD_QUEUE of them
-# queued.  The current and the queued blocks are what the search loop uses
-# while the helper waits, up to a 5 ms switch interval, to get the
+# asked ahead.  The current and the asked-ahead blocks are what the search
+# loop uses while the helper waits, up to a 5 ms switch interval, to get the
 # interpreter lock back from it; a block holds 32768 // d rows, so at small
 # d it covers hundreds of iterations (655 at d = 50).
 DRAW_AHEAD_NORMALS = 32_768
@@ -82,17 +82,20 @@ class DrawAhead:
     the draw it replaces bit for bit, because a block fill equals the same
     fills one by one.  The constructor draws the first block itself, so a
     run that fits in one block starts no thread.  When more rows are
-    needed, one helper thread draws all the rest in order, at every size,
-    and hands the blocks over through a queue of DRAW_AHEAD_QUEUE, so at
-    most four blocks are alive at once; Philox fills release the
-    interpreter lock, so those draws run beside the caller's loop rather
-    than inside it.
+    needed, a one-worker executor draws all the rest in order, at every
+    size, and is asked for at most DRAW_AHEAD_QUEUE blocks ahead of the one
+    being handed out, so at most three blocks are alive at once; Philox
+    fills release the interpreter lock, so those draws run beside the
+    caller's loop rather than inside it.  The helper calls the generator
+    directly and nothing else of this package, so a tracer that wraps
+    gaussian_vector sees only the caller's draws.
 
     The owner of `rng` lends it for the whole read-ahead: nothing else may
     draw from it until close() returns.  Once every row has been taken, rng
-    stands where `rows` sequential draws leave it.  close() stops and joins
-    the helper; an exception raised in the helper is raised at the caller's
-    next draw.
+    stands where `rows` sequential draws leave it.  close() cancels the
+    blocks asked ahead and joins the helper; an exception raised in the
+    helper is raised at the caller's next draw, and no row is handed out
+    after it.
     """
 
     def __init__(self, rng: RngStream, size: int, rows: int):
@@ -104,38 +107,21 @@ class DrawAhead:
         self._block = max(1, DRAW_AHEAD_NORMALS // size)
         first = min(rows, self._block)
         self._rows = iter(self._source.standard_normal((first, size)))
-        self._due = rows - first  # rows not yet handed over as a block
-        self._thread = None
+        self._due = rows - first  # rows not yet asked of the helper
+        self._ahead = deque()  # futures of the next blocks, oldest first
+        self._helper = None
         if self._due:
-            self._queue = queue.Queue(maxsize=DRAW_AHEAD_QUEUE)
-            self._stop = threading.Event()
-            self._thread = threading.Thread(target=self._fill, args=(self._due,), daemon=True)
-            self._thread.start()
+            self._helper = ThreadPoolExecutor(1, thread_name_prefix="ncrs-draw-ahead")
+            for _ in range(DRAW_AHEAD_QUEUE):
+                self._ask()
 
-    def _fill(self, rows: int) -> None:
-        """Helper thread: draw `rows` more rows in blocks and queue them.
-
-        It calls the generator directly and nothing else of this package, so
-        a tracer that wraps gaussian_vector sees only the caller's draws.
-        """
-        try:
-            while rows and not self._stop.is_set():
-                take = min(rows, self._block)
-                self._queue.put(self._source.standard_normal((take, self.size)))
-                rows -= take
-        except BaseException as exc:  # handed over, raised by the caller's next draw
-            self._queue.put(exc)
-
-    def _next_block(self) -> np.ndarray:
-        if not self._due:
-            raise RuntimeError("no rows left: all were drawn, or the read-ahead was closed")
-        take = min(self._due, self._block)
-        self._due -= take
-        block = self._queue.get()
-        if isinstance(block, BaseException):
-            self._due = 0
-            raise block
-        return block
+    def _ask(self) -> None:
+        """Ask the helper for the next block, if any rows are still due."""
+        if self._due:
+            take = min(self._due, self._block)
+            self._due -= take
+            fill = self._helper.submit(self._source.standard_normal, (take, self.size))
+            self._ahead.append(fill)
 
     def standard_normal(self, size: int) -> np.ndarray:
         """The next row, as gen.standard_normal(size) would draw it."""
@@ -143,25 +129,23 @@ class DrawAhead:
             raise ValueError(f"draws were read ahead for size {self.size}, not {size}")
         row = next(self._rows, None)
         if row is None:
-            self._rows = iter(self._next_block())
+            if not self._ahead:
+                raise RuntimeError("no rows left: all were drawn, or the read-ahead was closed")
+            try:
+                block = self._ahead.popleft().result()
+            except BaseException:
+                self._ahead.clear()  # a later block's rows would skip the failed one's
+                raise
+            self._ask()
+            self._rows = iter(block)
             row = next(self._rows)
         return row
 
     def close(self) -> None:
-        """Stop and join the helper, if one is running."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        # Empty the queue, so a helper blocked on a full one finishes its
-        # put, sees the stop and returns; it puts at most one more block.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join()
-        self._thread = None
-        self._due = 0  # the stream has moved past the rows not handed over
+        """Cancel the blocks asked ahead and join the helper, if one runs."""
+        self._ahead.clear()
+        if self._helper is not None:
+            self._helper.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

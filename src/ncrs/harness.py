@@ -630,7 +630,7 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     equals what run_one (and `ncrs run`) gives that cell and seed, and the
     aggregate depends only on (plan, seeds), identical for any worker count.
     A run that fails, or is lost with a worker process that died, gets an
-    error row; the aggregate is written all the same.
+    error row and leaves no CSV; the aggregate is written all the same.
     """
     _require(_is_int(workers) and workers >= 1, "workers must be a positive integer")
     cfg = validate_config(cfg)
@@ -650,6 +650,11 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_worker, job) for job in jobs]
             results = [_collect(future, job[1]) for future, job in zip(futures, jobs)]
+    # A survivor may still write its CSV after another worker's death has
+    # turned its row into an error, so a CSV stays only beside a clean row.
+    for (cell_cfg, seed, _), row in zip(jobs, results):
+        if row.get("error") is not None:
+            (out_dir / cell_hash(cell_cfg) / f"{seed}.csv").unlink(missing_ok=True)
 
     aggregate = {
         "plan": {

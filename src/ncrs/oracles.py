@@ -325,6 +325,8 @@ class ConfidenceOracle:
         """
         n = positive_count(n, "n")
         gaps = np.asarray(gaps, dtype=np.float64)
+        if gaps.ndim > 1:
+            raise ValueError(f"gaps must be a scalar or a 1-D vector, got shape {gaps.shape}")
         self.query_count += gaps.size * n
         scores = np.zeros((gaps.size, n))
         live = gaps != 0.0

@@ -646,7 +646,7 @@ class TestDrawAhead:
         started = []
         thread = threading.Thread
         monkeypatch.setattr(
-            geometry.threading, "Thread", lambda *a, **kw: started.append(1) or thread(*a, **kw)
+            threading, "Thread", lambda *a, **kw: started.append(1) or thread(*a, **kw)
         )
         before = threading.active_count()
         for d in (50, self.D):
@@ -678,14 +678,15 @@ class TestDrawAhead:
 
     def test_a_helper_error_is_raised_at_the_next_draw(self):
         class FailingGenerator:
-            """Fills the caller's first block, then fails in the helper."""
+            """Fills the caller's first block, fails the helper's first and
+            fills its second."""
 
             def __init__(self):
                 self.calls = 0
 
             def standard_normal(self, shape):
                 self.calls += 1
-                if self.calls > 1:
+                if self.calls == 2:
                     raise MemoryError("helper fill failed")
                 return np.zeros(shape)
 
@@ -698,6 +699,8 @@ class TestDrawAhead:
                 gaussian_vector(draws, self.D)
             with pytest.raises(MemoryError, match="helper fill failed"):
                 gaussian_vector(draws, self.D)
+            with pytest.raises(RuntimeError, match="no rows left"):
+                gaussian_vector(draws, self.D)  # not the rows of a later block
         finally:
             draws.close()
         assert threading.active_count() == before

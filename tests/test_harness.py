@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -724,6 +725,39 @@ class TestRunSweep:
             assert survivor is None or survivor.startswith("BrokenProcessPool: ")
             assert dead.startswith("BrokenProcessPool: ")
             assert (out / cell["cell_hash"] / "1.csv").exists() == (survivor is None)
+            assert not (out / cell["cell_hash"] / "2.csv").exists()
+
+    def test_a_run_lost_after_writing_its_csv_leaves_none(self, tmp_path, monkeypatch):
+        """A run whose CSV was written but whose result was lost to a broken
+        pool, as a survivor's can be when another worker dies, gets an error
+        row and no CSV; the executor here is a fake that runs jobs inline."""
+
+        class BreakingExecutor:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, job):
+                future = Future()
+                result = fn(job)  # writes the run's CSV
+                if job[1] == 2:
+                    future.set_exception(BrokenProcessPool("a worker died"))
+                else:
+                    future.set_result(result)
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", BreakingExecutor)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        aggregate = run_sweep(self._sweep_config(), out, workers=2)
+        for cell in aggregate["cells"]:
+            assert cell["errors"] == [None, "BrokenProcessPool: a worker died"]  # seeds 1, 2
+            assert (out / cell["cell_hash"] / "1.csv").exists()
             assert not (out / cell["cell_hash"] / "2.csv").exists()
 
     def test_pool_is_capped_by_jobs_and_cores(self, tmp_path, monkeypatch):

@@ -358,6 +358,11 @@ class TestConfidenceOracle:
             oracle.compare_batch(np.stack([x, y]), np.stack([y, x]), 3)
         with pytest.raises(ValueError):
             oracle.compare_gaps(np.ones(3), 0)
+        state = _stream_state(oracle)
+        for gaps in (np.ones((2, 3)), [[0.1]]):
+            with pytest.raises(ValueError, match=r"gaps must be .* got shape \("):
+                oracle.compare_gaps(gaps, 3)
+        assert _stream_state(oracle) == state
         assert oracle.query_count == 10  # a call that raises answers nothing
         with pytest.raises(ValueError):
             ConfidenceOracle(obj, "always_right", LinkFunction(kind="logistic"),
