@@ -132,7 +132,7 @@ def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> Check
     k = subspace.dim
 
     def draw(take):
-        s = rng.gen.standard_normal((take, subspace.ambient_dim))
+        s = rng.standard_normal((take, subspace.ambient_dim))
         # rows of the basis are orthonormal, so ||P s|| = ||U s||
         q = np.sum((s @ subspace.basis.T) ** 2, axis=1)
         return np.stack([q, q**2, q**3], axis=1)
@@ -153,7 +153,7 @@ def check_cross_moment(
     theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
 
     def draw(take):
-        s = rng.gen.standard_normal((take, subspace.ambient_dim))
+        s = rng.standard_normal((take, subspace.ambient_dim))
         return (s @ a) ** 2 * np.sum((s @ subspace.basis.T) ** 2, axis=1)
 
     mean, se = _mc_mean_se(n, subspace.ambient_dim, draw)
@@ -166,7 +166,7 @@ def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
     g = np.asarray(g, dtype=np.float64)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
     d = g.shape[0]
-    mean, se = _mc_mean_se(n, d, lambda take: np.abs(rng.gen.standard_normal((take, d)) @ g))
+    mean, se = _mc_mean_se(n, d, lambda take: np.abs(rng.standard_normal((take, d)) @ g))
     return _equality("halfnormal", n, ("abs_mean",), mean, theory, se)
 
 
@@ -197,7 +197,7 @@ def check_descent_ncrs(
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
-    normal, uniform = rng.gen.standard_normal, rng.gen.random
+    normal, uniform = rng.standard_normal, rng.random
 
     def draw(take):
         directions = np.empty((take, d))
@@ -305,7 +305,7 @@ def check_vote_penalty(
     f_theta = float(objective.value(theta))
 
     def draw(take):
-        values = objective.value(theta + alpha * rng.gen.standard_normal((take, d)))
+        values = objective.value(theta + alpha * rng.standard_normal((take, d)))
         accept = oracle.compare_gaps(f_theta - values, votes).sum(axis=1) > 0.0
         gaps = values - f_theta
         return gaps * (accept.astype(np.float64) - (gaps < 0.0))

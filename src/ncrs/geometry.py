@@ -1,11 +1,11 @@
 """Seeded random streams and orthonormal subspace utilities.
 
 Everything downstream (objectives, oracles, algorithms, harness) draws its
-randomness through `RngStream`, a thin wrapper over a counter-based Philox
-generator keyed by (master_seed, stream_id).  Distinct stream ids give
-statistically independent sequences, and a given key reproduces the same
-sequence on any machine and regardless of what other streams are doing, so
-sweeps are bit-reproducible under any worker count.
+randomness from an `RngStream`, the numpy Generator over a counter-based
+Philox bit generator keyed by (master_seed, stream_id).  Distinct stream
+ids give statistically independent sequences, and a given key reproduces
+the same sequence on any machine and regardless of what other streams are
+doing, so sweeps are bit-reproducible under any worker count.
 """
 from __future__ import annotations
 
@@ -42,14 +42,16 @@ def stream_id_for(run_index: int, role: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-class RngStream:
-    """Independent deterministic random stream keyed by (master_seed, stream_id)."""
+class RngStream(np.random.Generator):
+    """The Generator over Philox(key=[master_seed, stream_id]): an independent
+    deterministic stream.  Both keys are ints (not bool) in [0, 2**64)."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        if not (0 <= master_seed < KEY_LIMIT and 0 <= stream_id < KEY_LIMIT):
-            raise ValueError("master_seed and stream_id must lie in [0, 2**64)")
-        key = np.array([master_seed, stream_id], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        for name, key in (("master_seed", master_seed), ("stream_id", stream_id)):
+            is_int = isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+            if not (is_int and 0 <= key < KEY_LIMIT):
+                raise ValueError(f"{name} must be an int in [0, 2**64), got {key!r}")
+        super().__init__(np.random.Philox(key=np.array([master_seed, stream_id], np.uint64)))
 
 
 def seal(point: np.ndarray) -> np.ndarray:
@@ -68,17 +70,18 @@ def is_sealed(x) -> bool:
 
 
 def gaussian_vector(rng: RngStream | DrawAhead, d: int) -> np.ndarray:
-    """Draw one standard Gaussian vector in R^d."""
+    """One standard Gaussian vector in R^d, drawn by rng.standard_normal(d)."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    return rng.gen.standard_normal(d)
+    return rng.standard_normal(d)
 
 
 class DrawAhead:
     """The next `rows` draws gaussian_vector(rng, size) would make, read ahead.
 
-    The rows are drawn in blocks of DRAW_AHEAD_NORMALS // size rows, and
-    gaussian_vector(draws, size) returns them one at a time; each equals
+    The rows are drawn from rng in blocks of DRAW_AHEAD_NORMALS // size
+    rows, and draws.standard_normal(size), which gaussian_vector(draws,
+    size) calls as it would rng's, returns them one at a time; each equals
     the draw it replaces bit for bit, because a block fill equals the same
     fills one by one.  The constructor draws the first block itself, so a
     run that fits in one block starts no thread.  When more rows are
@@ -101,9 +104,8 @@ class DrawAhead:
     def __init__(self, rng: RngStream, size: int, rows: int):
         if size < 1 or rows < 1:
             raise ValueError(f"need size >= 1 and rows >= 1, got size={size}, rows={rows}")
-        self.gen = self  # gaussian_vector draws through .gen, as on an RngStream
         self.size = size
-        self._source = rng.gen
+        self._source = rng
         self._block = max(1, DRAW_AHEAD_NORMALS // size)
         first = min(rows, self._block)
         self._rows = iter(self._source.standard_normal((first, size)))
@@ -124,7 +126,7 @@ class DrawAhead:
             self._ahead.append(fill)
 
     def standard_normal(self, size: int) -> np.ndarray:
-        """The next row, as gen.standard_normal(size) would draw it."""
+        """The next row, as rng.standard_normal(size) would draw it."""
         if size != self.size:
             raise ValueError(f"draws were read ahead for size {self.size}, not {size}")
         row = next(self._rows, None)

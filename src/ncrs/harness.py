@@ -95,7 +95,7 @@ CONFIG_KEYS = {
     },
     "oracle": {
         "kind": ("sign", ORACLE_KINDS),
-        "advantage": (0.5, "real > 0"),
+        "advantage": (0.5, "real > 0 and <= 0.5"),
         "link": ("logistic", LINK_KINDS),
         "scale": (1.0, "real > 0"),
     },
@@ -154,7 +154,7 @@ def _checked(where: str, value, rule):
     typed = (isinstance(value, float) and math.isfinite(value)) if kind == "real" else _is_int(value)
     in_range = typed and (value > float(bound) if op == ">" else value >= float(bound))
     if rest[:2] == ["and", "<="]:
-        in_range = in_range and value <= int(rest[2])
+        in_range = in_range and value <= (float if kind == "real" else int)(rest[2])
     _require(in_range, f"{where} must be {rule}, got {value!r}")
     return value
 
@@ -198,7 +198,6 @@ def validate_config(raw: dict) -> dict:
             f"problem.k + problem.nuisance_dim must not exceed problem.d="
             f"{p['d']} (got {p['k']} + {p['nuisance_dim']})",
         )
-    _require(o["advantage"] <= 0.5, "oracle.advantage must lie in (0, 0.5]")
     if a["kind"] == "ncrs":
         _require(o["kind"] == "sign", "algorithm.kind=ncrs needs oracle.kind=sign")
     if a["kind"] == "ncrs_vote":
@@ -247,6 +246,9 @@ def validate_config(raw: dict) -> dict:
             else:  # as validated, so the plan reports what the cells run
                 section, name = axes[key]
                 values = [_checked(where, v, CONFIG_KEYS[section][name][1]) for v in values]
+                reader = {"advantage": "ncrs", "votes": "ncrs_vote"}.get(key, a["kind"])
+                _require(a["kind"] == reader, f"{where} is read only by algorithm.kind={reader}; "
+                         f"under {a['kind']} every value would run the same cell")
             repeated = [v for v, n in Counter(values).items() if n > 1]
             _require(not repeated, f"{where} entries must be distinct; repeated: {repeated}")
             cfg["sweep"][key] = list(values)

@@ -232,16 +232,18 @@ class SignOracle:
         """
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
         self.query_count += 1
-        return _sign_reply(gap, self.rng.gen.random(), self.advantage)
+        return _sign_reply(gap, self.rng.random(), self.advantage)
 
     def compare_gaps(self, gaps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Answers to many pairs at once, given their gaps f(x) - f(y) and one
-        uniform each, counted as len(gaps) queries.
+        """Answers to many pairs at once, given their gaps f(x) - f(y) as a
+        scalar or a 1-D vector and one uniform each, counted as one query each.
 
         Answer i equals what compare returns for pair i when its stream
         yields uniforms[i]; the caller draws the uniforms.
         """
         gaps = np.asarray(gaps, dtype=np.float64)
+        if gaps.ndim > 1:
+            raise ValueError(f"gaps must be a scalar or a 1-D vector, got shape {gaps.shape}")
         if np.shape(uniforms) != gaps.shape:
             raise ValueError(
                 f"need one uniform per gap: gaps have shape {gaps.shape}, "
@@ -353,7 +355,7 @@ class ConfidenceOracle:
         if ys.ndim != 2:
             raise ValueError(f"ys must be a 2-D batch of points, got shape {ys.shape}")
         gaps = float(self.objective.value(x)) - self.objective.value(ys)
-        bits = self.rng.gen.bit_generator
+        bits = self.rng.bit_generator
         state, count = bits.state, self.query_count
         wins = np.flatnonzero(self.compare_gaps(gaps, n).sum(axis=1) > 0.0)
         if wins.size == 0:
@@ -362,7 +364,7 @@ class ConfidenceOracle:
         if answered < len(ys):
             bits.state, self.query_count = state, count + answered * n
             live = np.count_nonzero(gaps[:answered])
-            self.rng.gen.random(live * n * _MODELS[self.kind][2])
+            self.rng.random(live * n * _MODELS[self.kind][2])
         return answered - 1
 
     def _respond(self, gap, shape: tuple) -> np.ndarray:
@@ -376,7 +378,7 @@ class ConfidenceOracle:
             return np.full(shape, 2.0 * self.link.probability(gap) - 1.0)
         rho = self.link.rho(abs(gap))
         sign = 2.0 * (gap > 0.0) - 1.0
-        u = self.rng.gen.random(shape[:-1] + (_MODELS[self.kind][2],) + shape[-1:])
+        u = self.rng.random(shape[:-1] + (_MODELS[self.kind][2],) + shape[-1:])
         engaged = u[..., 0, :] < rho
         if self.kind == "engage_abstain":
             return np.where(engaged, sign, 0.0)

@@ -82,7 +82,7 @@ def test_criterion_02_descent_inequalities_random_configs():
     n = 25_000
     failures = []
     for idx in range(20):
-        cfg_rng = RngStream(MASTER, stream_id_for(idx, "acc2-config")).gen
+        cfg_rng = RngStream(MASTER, stream_id_for(idx, "acc2-config"))
         d, k, m = 25, 3, 2
         radius = float(cfg_rng.uniform(0.5, 4.0)) * math.sqrt(k)
         alpha = float(np.exp(cfg_rng.uniform(math.log(1e-3), math.log(0.1))))

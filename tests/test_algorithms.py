@@ -223,7 +223,7 @@ class TestNcrsRun:
         theta1 = np.zeros(4)
         sched = constant_schedule(0.25, 30)
         traj = ncrs_run(_FixedAnswerOracle(1), theta1, sched, _stream(202, "algorithm"))
-        gen = _stream(202, "algorithm").gen
+        gen = _stream(202, "algorithm")
         theta = theta1.copy()
         for _ in range(30):
             theta = theta + 0.25 * gen.standard_normal(4)
@@ -241,7 +241,7 @@ class TestNcrsRun:
             instrument=_value_and_grad_norm(obj),
         )
         oracle = SignOracle(obj, 0.3, _stream(203, "oracle"))
-        gen = _stream(203, "algorithm").gen
+        gen = _stream(203, "algorithm")
         theta = theta1.copy()
         values, grad_norms, accepted = [], [], []
         for t in range(1, 401):
@@ -403,7 +403,7 @@ class TestNcrsVoteRun:
             instrument=_value_and_grad_norm(obj),
         )
         oracle = ConfidenceOracle(obj, "noisy_engage", link, _stream(223, "oracle"))
-        gen = _stream(223, "algorithm").gen
+        gen = _stream(223, "algorithm")
         theta = theta1.copy()
         values, grad_norms, accepted = [], [], []
         for _ in range(300):
@@ -430,7 +430,7 @@ class TestNcrsVoteRun:
         traj = ncrs_vote_run(oracle, theta1, constant_schedule(alpha, horizon), votes,
                              _stream(224, "algorithm"), instrument=_value_and_grad_norm(obj))
         reference = ConfidenceOracle(obj, "engage_abstain", link, _stream(224, "oracle"))
-        gen = _stream(224, "algorithm").gen
+        gen = _stream(224, "algorithm")
         theta = theta1.copy()
         values, grad_norms, accepted = [], [], []
         for _ in range(horizon):
@@ -446,7 +446,7 @@ class TestNcrsVoteRun:
         _assert_trajectory(traj, values, grad_norms, accepted,
                            votes * np.arange(1, horizon + 1), theta)
         assert oracle.query_count == reference.query_count
-        assert oracle.rng.gen.random() == reference.rng.gen.random()
+        assert oracle.rng.random() == reference.rng.random()
 
     def test_block_answers_are_logged_per_iteration(self):
         """Accepts scripted at chosen iterations land in the strided log where
@@ -520,7 +520,7 @@ class TestRsgfRun:
         alpha, mu = 0.02, 1e-4
         traj = rsgf_run(obj.value, theta1, constant_schedule(alpha, 50), mu,
                         _stream(230, "algorithm"), instrument=_value_and_grad_norm(obj))
-        gen = _stream(230, "algorithm").gen
+        gen = _stream(230, "algorithm")
         theta = theta1.copy()
         values, grad_norms = [], []
         for _ in range(50):
@@ -550,7 +550,7 @@ class TestRsgfRun:
         obj = _quadratic(233, d=8, k=3)
         theta = 2.0 * obj.active.basis[0]
         grad = obj.gradient(theta)
-        gen = _stream(233, "test:mc").gen
+        gen = _stream(233, "test:mc")
         mu, n = 1e-3, 200_000
         s = gen.standard_normal((n, 8))
         slope = (obj.value(theta + mu * s) - float(obj.value(theta))) / mu
@@ -624,7 +624,7 @@ class TestDrawAhead:
         assert len(handed) == horizon
         for direction in handed:
             assert np.array_equal(direction, gaussian_vector(fresh, d))
-        assert np.array_equal(rng.gen.standard_normal(7), fresh.gen.standard_normal(7))
+        assert np.array_equal(rng.standard_normal(7), fresh.standard_normal(7))
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_a_raising_move_stops_the_helper(self, error):
@@ -690,8 +690,7 @@ class TestDrawAhead:
                     raise MemoryError("helper fill failed")
                 return np.zeros(shape)
 
-        rng = RngStream(0)
-        rng.gen = FailingGenerator()
+        rng = FailingGenerator()
         before = threading.active_count()
         draws = DrawAhead(rng, self.D, 25)
         try:

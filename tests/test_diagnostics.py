@@ -80,7 +80,7 @@ class TestCrossMoment:
 
     def test_vector_orthogonal_to_range(self):
         space = random_subspace(_stream(311, "subspace"), 18, 4)
-        a = _stream(311, "dir").gen.standard_normal(18)
+        a = _stream(311, "dir").standard_normal(18)
         a = a - space.project(a)
         report = check_cross_moment(space, a, 200_000, _stream(311, "mc"))
         assert_allclose(
@@ -90,7 +90,7 @@ class TestCrossMoment:
 
     def test_general_vector(self):
         space = random_subspace(_stream(312, "subspace"), 18, 4)
-        a = _stream(312, "dir").gen.standard_normal(18)
+        a = _stream(312, "dir").standard_normal(18)
         expected = 4.0 * float(a @ a) + 2.0 * float(a @ space.project(a))
         report = check_cross_moment(space, a, 200_000, _stream(312, "mc"))
         assert_allclose(report.theory["cross_moment"], expected, rtol=1e-12)
@@ -99,7 +99,7 @@ class TestCrossMoment:
 
 class TestHalfnormal:
     def test_theory_and_pass(self):
-        g = _stream(320, "dir").gen.standard_normal(12) * 1.7
+        g = _stream(320, "dir").standard_normal(12) * 1.7
         report = check_halfnormal(g, 200_000, _stream(320, "mc"))
         assert_allclose(
             report.theory["abs_mean"],
@@ -249,7 +249,7 @@ def _replay_descent(objective, advantage, theta, alpha, n, rng):
     f_theta = float(objective.value(theta))
     drops = np.zeros(n)
     for i in range(n):
-        candidate = theta + alpha * rng.gen.standard_normal(objective.ambient_dim)
+        candidate = theta + alpha * rng.standard_normal(objective.ambient_dim)
         if oracle.compare(theta, candidate) > 0:
             drops[i] = f_theta - float(objective.value(candidate))
     return float(drops.mean()), float(drops.std(ddof=1)) / math.sqrt(n)
@@ -268,7 +268,7 @@ def _replay_vote_penalty(oracle, theta, alpha, votes, trials, rng):
     f_theta = float(objective.value(theta))
     terms = np.zeros(trials)
     for i in range(trials):
-        candidate = theta + alpha * rng.gen.standard_normal(objective.ambient_dim)
+        candidate = theta + alpha * rng.standard_normal(objective.ambient_dim)
         gap = float(objective.value(candidate)) - f_theta
         accept = float(np.sum(oracle.compare_batch(theta, candidate, votes))) > 0.0
         terms[i] = gap * (float(accept) - float(gap < 0.0))
@@ -354,7 +354,7 @@ class TestBatchedChecksReplayTheLoops:
 
 class TestMcMeanSe:
     def test_one_chunk_is_the_two_pass_formula(self):
-        values = _stream(380, "values").gen.standard_normal(5_000) ** 3
+        values = _stream(380, "values").standard_normal(5_000) ** 3
         mean, se = _mc_mean_se(values.size, 1, lambda take: values[:take])
         assert mean == values.mean()
         assert se == values.std(ddof=1) / math.sqrt(values.size)
@@ -362,7 +362,7 @@ class TestMcMeanSe:
     def test_chunks_merge_per_column(self):
         """50,000 samples of width 10 are three chunks; each column of a
         (take, 3) draw is its own estimate."""
-        values = _stream(381, "values").gen.standard_normal((50_000, 3)) * [1.0, 5.0, 1e-3]
+        values = _stream(381, "values").standard_normal((50_000, 3)) * [1.0, 5.0, 1e-3]
         values += [0.0, 1e6, -2.0]
         calls = []
 

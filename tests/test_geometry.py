@@ -40,14 +40,14 @@ class TestStreamIds:
 
 class TestRngStream:
     def test_same_key_same_draws(self):
-        a = RngStream(123, stream_id_for(0, "algorithm")).gen.standard_normal(64)
-        b = RngStream(123, stream_id_for(0, "algorithm")).gen.standard_normal(64)
+        a = RngStream(123, stream_id_for(0, "algorithm")).standard_normal(64)
+        b = RngStream(123, stream_id_for(0, "algorithm")).standard_normal(64)
         assert np.array_equal(a, b)
 
     def test_different_stream_different_draws(self):
-        a = RngStream(123, stream_id_for(0, "algorithm")).gen.standard_normal(64)
-        b = RngStream(123, stream_id_for(1, "algorithm")).gen.standard_normal(64)
-        c = RngStream(124, stream_id_for(0, "algorithm")).gen.standard_normal(64)
+        a = RngStream(123, stream_id_for(0, "algorithm")).standard_normal(64)
+        b = RngStream(123, stream_id_for(1, "algorithm")).standard_normal(64)
+        c = RngStream(124, stream_id_for(0, "algorithm")).standard_normal(64)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -56,8 +56,26 @@ class TestRngStream:
         for seed, stream_id in [(-1, 0), (0, -4), (2**64, 0), (0, 2**64 + 5)]:
             with pytest.raises(ValueError):
                 RngStream(seed, stream_id)
-        top = RngStream(2**64 - 1, 2**64 - 1).gen.standard_normal(4)
-        assert not np.array_equal(top, RngStream(0, 0).gen.standard_normal(4))
+        top = RngStream(2**64 - 1, 2**64 - 1).standard_normal(4)
+        assert not np.array_equal(top, RngStream(0, 0).standard_normal(4))
+
+    def test_rejects_non_integer_keys(self):
+        """A float, bool or string key would otherwise replay an integer seed."""
+        for bad in (1.5, 2.0, True, np.float64(3), "3", None):
+            with pytest.raises(ValueError, match="master_seed must be an int"):
+                RngStream(bad, 0)
+            with pytest.raises(ValueError, match="stream_id must be an int"):
+                RngStream(0, bad)
+        a = RngStream(np.int64(3), np.uint64(2**64 - 1)).standard_normal(4)
+        assert np.array_equal(a, RngStream(3, 2**64 - 1).standard_normal(4))
+
+    def test_is_the_keyed_philox_generator(self):
+        key = np.array([9, 2**64 - 1], dtype=np.uint64)
+        rng = RngStream(9, 2**64 - 1)
+        reference = np.random.Generator(np.random.Philox(key=key))
+        assert isinstance(rng, np.random.Generator)
+        assert np.array_equal(rng.standard_normal(50), reference.standard_normal(50))
+        assert np.array_equal(rng.random(7), reference.random(7))
 
 
 class TestSeal:
@@ -127,7 +145,7 @@ class TestRandomSubspace:
     def test_project_and_coordinates(self):
         stream = _stream(5, "test:coords")
         sub = random_subspace(stream, 25, 6)
-        v = stream.gen.standard_normal(25)
+        v = stream.standard_normal(25)
         pv = sub.project(v)
         # projection is a fixed point and coordinate norms agree
         assert_allclose(sub.project(pv), pv, atol=1e-12)
@@ -142,7 +160,7 @@ class TestRandomSubspace:
     def test_projection_batched_matches_loop(self):
         stream = _stream(8, "test:batch")
         sub = random_subspace(stream, 15, 4)
-        vs = stream.gen.standard_normal((7, 15))
+        vs = stream.standard_normal((7, 15))
         batched = sub.project(vs)
         for i in range(7):
             assert_allclose(batched[i], sub.project(vs[i]), rtol=1e-13)

@@ -128,6 +128,10 @@ class TestValidateConfig:
         {"sweep": {"seeds": [1.5]}},
         {"sweep": {"seeds": []}},  # would run no run
         {"sweep": {"d": []}},  # would make no cell
+        {"sweep": {"votes": [1, 64]}},  # ncrs never reads votes
+        {"algorithm": {"kind": "ncrs_vote"}, "oracle": {"kind": "noisy_engage"},
+         "sweep": {"advantage": [0.1, 0.4]}},  # nor ncrs_vote advantage
+        {"algorithm": {"kind": "rsgf"}, "sweep": {"advantage": [0.1, 0.4]}},
     ])
     def test_rejections(self, raw):
         with pytest.raises(ConfigError):
@@ -163,6 +167,18 @@ class TestValidateConfig:
         raw = {"problem": {"d": 10, "k": 2, "nuisance_dim": 1},
                "sweep": {axis: values, "seeds": [1]}}
         with pytest.raises(ConfigError, match=rf"sweep.{axis} .*repeated: \[{repeated}\]"):
+            validate_config(raw)
+
+    def test_a_sweep_axis_is_checked_against_its_key_and_reader(self):
+        with pytest.raises(ConfigError, match=r"sweep.advantage must be real > 0 and <= 0.5"):
+            validate_config({"sweep": {"advantage": [0.25, 0.9]}})
+        raw = {"algorithm": {"kind": "rsgf"}, "sweep": {"advantage": [0.1, 0.4]}}
+        with pytest.raises(ConfigError, match="sweep.advantage is read only by "
+                           "algorithm.kind=ncrs; under rsgf"):
+            validate_config(raw)
+        raw = {"algorithm": {"kind": "ncrs"}, "sweep": {"votes": [1, 64]}}
+        with pytest.raises(ConfigError, match="sweep.votes is read only by "
+                           "algorithm.kind=ncrs_vote; under ncrs"):
             validate_config(raw)
 
     def test_sweep_cells_validated_upfront(self):

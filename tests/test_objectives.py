@@ -74,7 +74,7 @@ class TestInnerValues:
                 InnerFunction(kind="quadratic_cosine", frequency=bad)
 
     def test_batched_value_matches_scalar(self):
-        rng = _stream(3, "test:batch").gen
+        rng = _stream(3, "test:batch")
         zs = rng.standard_normal((11, 4))
         for kind in ("pure_quadratic", "quadratic_cosine", "bounded_well"):
             g = InnerFunction(kind=kind)
@@ -89,7 +89,7 @@ class TestInnerGradients:
     def test_matches_finite_differences(self, kind):
         """Central differences at h=1e-5 agree to 1e-4 relative; the quadratic is exact."""
         g = InnerFunction(kind=kind)
-        rng = _stream(17, f"test:fd:{kind}").gen
+        rng = _stream(17, f"test:fd:{kind}")
         for scale in (0.3, 1.0, 4.0):
             z = scale * rng.standard_normal(6)
             fd = _fd_gradient(g.value, z)
@@ -116,7 +116,7 @@ class TestSmoothnessCertificates:
     def test_secant_bound_holds(self, kind):
         """||grad(z1)-grad(z2)|| <= L ||z1-z2|| over 10^4 random pairs at mixed scales."""
         g = InnerFunction(kind=kind)
-        rng = _stream(29, f"test:secant:{kind}").gen
+        rng = _stream(29, f"test:secant:{kind}")
         scales = 10.0 ** rng.uniform(-2, 1, size=10_000)
         z1 = scales[:, None] * rng.standard_normal((10_000, 5))
         z2 = z1 + scales[:, None] * rng.standard_normal((10_000, 5))
@@ -148,7 +148,7 @@ class TestLowerBounds:
     @pytest.mark.parametrize("kind", ["pure_quadratic", "quadratic_cosine", "bounded_well"])
     def test_bound_holds_on_samples(self, kind):
         g = InnerFunction(kind=kind)
-        rng = _stream(31, f"test:low:{kind}").gen
+        rng = _stream(31, f"test:low:{kind}")
         z = 5.0 * rng.standard_normal((100_000, 4))
         assert np.all(g.value(z) >= g.lower_bound(4) - 1e-12)
 
@@ -172,7 +172,7 @@ class TestRidgeObjective:
     def test_kernel_directions_are_flat(self):
         """f(x + s) == f(x + Ps): moves off the active subspace change nothing."""
         obj = self._make(40, 30, 6, kind="quadratic_cosine")
-        rng = _stream(41, "test:flat").gen
+        rng = _stream(41, "test:flat")
         for _ in range(100):
             x = rng.standard_normal(30)
             s = 3.0 * rng.standard_normal(30)
@@ -182,7 +182,7 @@ class TestRidgeObjective:
 
     def test_gradient_lies_in_active_subspace(self):
         obj = self._make(42, 25, 5, kind="bounded_well")
-        rng = _stream(43, "test:span").gen
+        rng = _stream(43, "test:span")
         for _ in range(50):
             grad = obj.gradient(rng.standard_normal(25))
             off = grad - obj.active.project(grad)
@@ -190,7 +190,7 @@ class TestRidgeObjective:
 
     def test_gradient_matches_finite_differences(self):
         obj = self._make(44, 12, 4, kind="quadratic_cosine")
-        rng = _stream(45, "test:fdr").gen
+        rng = _stream(45, "test:fdr")
         x = rng.standard_normal(12)
         fd = _fd_gradient(obj.value, x)
         assert_allclose(obj.gradient(x), fd, rtol=0, atol=2e-6)
@@ -199,7 +199,7 @@ class TestRidgeObjective:
         """|f(y) - f(x) - <grad f(x), y-x>| <= (L/2) ||y-x||^2 on 10^4 random pairs."""
         for kind in ("pure_quadratic", "quadratic_cosine", "bounded_well"):
             obj = self._make(46, 10, 3, kind=kind)
-            rng = _stream(47, f"test:desc:{kind}").gen
+            rng = _stream(47, f"test:desc:{kind}")
             x = rng.standard_normal((10_000, 10))
             y = x + 0.5 * rng.standard_normal((10_000, 10))
             gap = obj.value(y) - obj.value(x)
@@ -215,7 +215,7 @@ class TestRidgeObjective:
 
     def test_value_lower_bound_sampled(self):
         obj = self._make(49, 15, 5, kind="quadratic_cosine")
-        rng = _stream(50, "test:lbs").gen
+        rng = _stream(50, "test:lbs")
         x = 4.0 * rng.standard_normal((50_000, 15))
         assert np.all(obj.value(x) >= obj.lower_bound - 1e-12)
 
@@ -257,7 +257,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     def test_same_bits_as_value(self, tau):
         obj = self._make(tau)
-        rng = _stream(61, "test:eval").gen
+        rng = _stream(61, "test:eval")
         for _ in range(20):
             x = rng.standard_normal(12)
             sealed = seal(x)
@@ -364,7 +364,7 @@ class TestNuisance:
     def test_gradient_norm_bounded_by_tau(self):
         obj = self._make()
         eta = obj.nuisance
-        rng = _stream(61, "test:etan").gen
+        rng = _stream(61, "test:etan")
         x = 5.0 * rng.standard_normal((10_000, 30))
         norms = np.linalg.norm(eta.gradient(x), axis=-1)
         assert np.all(norms <= 0.3 * (1 + 1e-12))
@@ -373,14 +373,14 @@ class TestNuisance:
 
     def test_value_bounded(self):
         obj = self._make()
-        rng = _stream(62, "test:etab").gen
+        rng = _stream(62, "test:etab")
         x = 5.0 * rng.standard_normal((10_000, 30))
         assert np.all(np.abs(obj.nuisance.value(x)) <= 0.3 * math.sqrt(4) + 1e-12)
         assert obj.nuisance.value(np.zeros(30)) == 0.0
 
     def test_gradient_orthogonal_to_active(self):
         obj = self._make()
-        rng = _stream(63, "test:etao").gen
+        rng = _stream(63, "test:etao")
         for _ in range(50):
             g = obj.nuisance.gradient(rng.standard_normal(30))
             assert np.linalg.norm(obj.active.project(g)) < 1e-10
@@ -392,7 +392,7 @@ class TestNuisance:
 
     def test_full_gradient_matches_finite_differences(self):
         obj = self._make(d=14, k=3, m=2)
-        rng = _stream(64, "test:etafd").gen
+        rng = _stream(64, "test:etafd")
         x = rng.standard_normal(14)
         fd = _fd_gradient(obj.value, x)
         assert_allclose(obj.gradient(x), fd, rtol=0, atol=2e-6)

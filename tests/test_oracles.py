@@ -181,7 +181,7 @@ class TestSignOracle:
     def test_advantage_half_is_exact(self):
         obj = _quadratic_ridge(101)
         oracle = SignOracle(obj, 0.5, _stream(101, "oracle"))
-        rng = _stream(102, "test:pairs").gen
+        rng = _stream(102, "test:pairs")
         for _ in range(2000):
             x, y = rng.standard_normal((2, 8))
             fx, fy = float(obj.value(x)), float(obj.value(y))
@@ -225,7 +225,7 @@ class TestSignOracle:
         """compare_gaps, fed each pair's gap and the uniform compare would
         draw, gives compare's answer for every pair, ties included."""
         obj = _quadratic_ridge(107)
-        rng = _stream(107, "test:pairs").gen
+        rng = _stream(107, "test:pairs")
         pairs = []
         for i in range(400):
             x, y = rng.standard_normal((2, 8))
@@ -235,7 +235,7 @@ class TestSignOracle:
         gaps = np.array([obj.value(x) - obj.value(y) for x, y in pairs])
         assert np.count_nonzero(gaps == 0.0) == 100
         many = SignOracle(obj, advantage, _stream(107, "oracle"))
-        uniforms = many.rng.gen.random(len(pairs))
+        uniforms = many.rng.random(len(pairs))
         got = many.compare_gaps(gaps, uniforms)
         assert np.array_equal(got, answers)
         assert many.query_count == one.query_count == len(pairs)
@@ -254,7 +254,12 @@ class TestSignOracle:
             shapes = re.escape(f"(3,), uniforms {np.shape(uniforms)}")
             with pytest.raises(ValueError, match=shapes):  # one uniform per gap
                 oracle.compare_gaps(np.ones(3), uniforms)
+        with pytest.raises(ValueError, match=re.escape("got shape (2, 3)")):
+            oracle.compare_gaps(np.ones((2, 3)), np.zeros((2, 3)))
         assert oracle.query_count == 0
+        assert oracle.compare_gaps(1.0, 0.0) == 1  # a scalar and a vector still work
+        assert np.array_equal(oracle.compare_gaps(-np.ones(2), np.zeros(2)), [-1, -1])
+        assert oracle.query_count == 3
 
 
 class TestConfidenceOracle:
@@ -344,7 +349,7 @@ class TestConfidenceOracle:
         assert np.array_equal(got, expected)
         assert np.all(got[2] == 0.0)
         assert many.query_count == one.query_count == 5 * 33
-        assert many.rng.gen.random() == one.rng.gen.random()
+        assert many.rng.random() == one.rng.random()
 
     def test_query_counting_and_validation(self):
         obj, oracle = self._oracle("engage_abstain")
@@ -390,7 +395,7 @@ class TestConfidenceOracle:
 
 def _stream_state(oracle):
     """The oracle stream's Philox state, as a comparable tuple."""
-    st = oracle.rng.gen.bit_generator.state
+    st = oracle.rng.bit_generator.state
     return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]), tuple(st["buffer"]),
             st["buffer_pos"], st["has_uint32"], st["uinteger"])
 
@@ -448,7 +453,7 @@ class TestFirstPreferred:
             assert many.first_preferred(self.X, block, 33) == expected
             assert many.query_count == one.query_count
             assert _stream_state(many) == _stream_state(one)
-        assert many.rng.gen.random() == one.rng.gen.random()
+        assert many.rng.random() == one.rng.random()
 
     def test_validation(self):
         obj = _axis_objective()
