@@ -4,7 +4,9 @@ The two comparison algorithms are ambient-blind: they receive a starting
 point, whose length is the dimension, a step schedule, which fixes every
 step and the horizon, and an oracle of which they use only compare and
 query_count (ncrs_run) or compare_batch, first_preferred and query_count
-(ncrs_vote_run); from first_preferred they learn only an index.
+(ncrs_vote_run); from first_preferred they learn only an index.  Both
+oracles answer all four from one core (oracles._Oracle), the sign oracle's
+compare on its own scalar path.
 No objective value, gradient, or intrinsic dimension is visible to them;
 problem structure can enter only through how the harness builds the
 schedule.  A StepSchedule is one cosine formula, and a constant step is
@@ -33,7 +35,7 @@ reason the loop reads the instrument only when theta is a new array: while
 moves are rejected, the logged reading repeats.
 
 Rejection streaks of the vote search are answered in blocks (_search's
-block_move, ConfidenceOracle.first_preferred).  A block's candidates are
+block_move, the oracle's first_preferred).  A block's candidates are
 evaluated in one batched objective value, which may differ from the
 single-point values in their last bits, so a decision at a gap within
 rounding of a tie could in principle differ from a per-candidate loop; the

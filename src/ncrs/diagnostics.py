@@ -13,7 +13,9 @@ at a maximum relative error of GRAD_FD_TOL = 1e-4.  Checks draw all
 randomness from the RngStream handed to them, so a report is reproducible
 bit-exactly from (master seed, check name).  Every Monte Carlo mean is one
 streaming estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so
-memory stays flat in the sample size, and SE = std(ddof=1) / sqrt(n).
+memory stays flat in the sample size, and SE = std(ddof=1) / sqrt(n).  A
+check that asks an oracle draws a chunk's directions, if any, and then the
+oracle draws the chunk's uniforms in one compare_gaps call.
 """
 from __future__ import annotations
 
@@ -188,25 +190,18 @@ def check_descent_ncrs(
             <= E[f(theta) - f(theta')] + (L_f/2) k alpha^2 (+ 2 tau alpha sqrt(m))
 
     where the nuisance term enters exactly when the objective carries one.
-    The oracle shares the check's stream, so each sample draws its direction
-    and then the oracle's uniform, one sample at a time; the candidates'
-    values and the oracle's answers are then computed a chunk at a time.
+    The oracle shares the check's stream: each chunk draws its directions,
+    and then the oracle draws the chunk's uniforms in compare_gaps.
     """
     n = positive_count(n, "n")
     theta = np.asarray(theta, dtype=np.float64)
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
-    normal, uniform = rng.standard_normal, rng.random
 
     def draw(take):
-        directions = np.empty((take, d))
-        uniforms = np.empty(take)
-        for i in range(take):
-            normal(out=directions[i])
-            uniforms[i] = uniform()
-        gaps = f_theta - objective.value(theta + alpha * directions)
-        return np.where(oracle.compare_gaps(gaps, uniforms) > 0, gaps, 0.0)
+        gaps = f_theta - objective.value(theta + alpha * rng.standard_normal((take, d)))
+        return np.where(oracle.compare_gaps(gaps, 1)[:, 0] > 0.0, gaps, 0.0)
 
     mean_drop, se = map(float, _mc_mean_se(n, d, draw))
     grad_norm = float(np.linalg.norm(objective.gradient(theta)))

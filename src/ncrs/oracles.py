@@ -1,25 +1,31 @@
 """Pairwise-comparison oracles over an objective.
 
 Algorithms never see objective values or gradients; they see only what
-these oracles answer.  Two interfaces:
+these oracles answer.  Both models run on one core, _Oracle: it counts the
+queries and answers one pair n times (compare_batch), many pairs given
+their value gaps (compare_gaps; the Monte Carlo certificates use it) and a
+run of candidates against one point (first_preferred), each drawing its
+own uniforms from the oracle's stream.  A model supplies only its response
+to a gap, the uniforms one score draws, and its tie rule:
 
-  SignOracle        returns a noisy sign in {-1, +1}.  The probability of
+  SignOracle        scores a noisy sign in {-1, +1}.  The probability of
                     reporting the true ordering is exactly 1/2 + p for every
                     queried pair, the adversarial worst case allowed by a
-                    fixed advantage p.  Ties are resolved by a fair coin.
-  ConfidenceOracle  returns a score in [-1, 1] whose mean, conditioned on
-                    the pair, is linked to the value gap: E[sign(gap) * R]
-                    >= rho(|gap|) and E[R^2] <= C * rho(|gap|).
+                    fixed advantage p.  One uniform per score; a tie draws
+                    its uniform too and answers a fair coin.
+  ConfidenceOracle  scores in [-1, 1] with a mean, conditioned on the pair,
+                    linked to the value gap: E[sign(gap) * R] >= rho(|gap|)
+                    and E[R^2] <= C * rho(|gap|).  Zero, one or two uniforms
+                    per score by response model; a tie scores 0 and draws
+                    nothing.
 
-Both also answer many pairs in one call through compare_gaps, given the
-pairs' value gaps; the Monte Carlo certificates use it.  Each response rule
-is written once and serves the single-pair and the many-pair call alike.
-ConfidenceOracle.first_preferred answers a run of candidates against one
-point, as consecutive compare_batch calls would until one is preferred; the
-vote search uses it through rejection streaks.  It evaluates the candidates
-in one batched objective.value call, and a batched value may differ from
-the single-point value in its last bits (a block matmul does not equal the
-row-by-row one), so its gaps may too.
+SignOracle.compare, the sign search's one query per iteration, answers as
+compare_batch(x, y, 1) does on a scalar path.  first_preferred answers a
+run of candidates as consecutive compare_batch calls would until one is
+preferred; the vote search uses it through rejection streaks.  It
+evaluates the candidates in one batched objective.value call, and a
+batched value may differ from the single-point value in its last bits (a
+block matmul does not equal the row-by-row one), so its gaps may too.
 
 Sign convention: compare(x, y) > 0 means y is preferred (f(x) > f(y)), so a
 positive answer tells a minimizer to accept the candidate y.
@@ -196,145 +202,53 @@ def bisect_increasing(fn, target: float, lo: float, hi: float, unreachable: str)
     return 0.5 * (lo + hi)
 
 
-def _sign_reply(gap, u, advantage: float):
-    """The sign oracle's answer to a pair with value gap f(x) - f(y), given one
-    uniform u in [0, 1); gap and u may be floats or matching arrays.
+class _Oracle:
+    """The comparison core both models share: query counting and the scores
+    of one pair (compare_batch), of many pairs given their value gaps
+    (compare_gaps) and of a run of candidates (first_preferred).
 
-    The answer is the true ordering sign(gap) when u < 1/2 + advantage and
-    its opposite otherwise.  A tie (gap == 0) is a fair coin: +1 when
-    u < 1/2, else -1.
-    """
-    sign = 2 * (gap >= 0.0) - 1
-    agree = u < 0.5 + advantage * (gap != 0.0)
-    return sign * (2 * agree - 1)
-
-
-class SignOracle:
-    """Noisy ordering oracle with a fixed per-query advantage p in (0, 1/2].
-
-    Each query reports the true ordering with probability exactly 1/2 + p,
-    independent of the gap size; exact ties return a fair coin flip.
-    query_count tracks the queries answered; a call that raises answers none.
+    A model sets three things.  _respond(gap, shape) gives its scores at
+    the gap(s), drawing _uniforms uniforms per score from the oracle's
+    stream as one block, per row in the order single calls would draw them.
+    _ties_respond is its tie rule: True sends a tie to _respond, False
+    scores it 0 and draws nothing.  query_count tracks the queries answered;
+    a call that raises answers none.
     """
 
-    def __init__(self, objective: RidgeObjective, advantage: float, rng: RngStream):
-        if not 0.0 < advantage <= 0.5:
-            raise ValueError(f"advantage must lie in (0, 0.5], got {advantage}")
+    def __init__(self, objective: RidgeObjective, rng: RngStream):
         self.objective = objective
-        self.advantage = advantage
         self.rng = rng
         self.query_count = 0
-
-    def compare(self, x: np.ndarray, y: np.ndarray) -> int:
-        """+1 if the oracle claims f(x) > f(y) (y preferred), else -1.
-
-        Draws one uniform from the oracle's stream, after evaluating the pair.
-        """
-        gap = float(self.objective.value(x)) - float(self.objective.value(y))
-        self.query_count += 1
-        return _sign_reply(gap, self.rng.random(), self.advantage)
-
-    def compare_gaps(self, gaps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Answers to many pairs at once, given their gaps f(x) - f(y) as a
-        scalar or a 1-D vector and one uniform each, counted as one query each.
-
-        Answer i equals what compare returns for pair i when its stream
-        yields uniforms[i]; the caller draws the uniforms.
-        """
-        gaps = np.asarray(gaps, dtype=np.float64)
-        if gaps.ndim > 1:
-            raise ValueError(f"gaps must be a scalar or a 1-D vector, got shape {gaps.shape}")
-        if np.shape(uniforms) != gaps.shape:
-            raise ValueError(
-                f"need one uniform per gap: gaps have shape {gaps.shape}, "
-                f"uniforms {np.shape(uniforms)}"
-            )
-        self.query_count += gaps.size
-        return _sign_reply(gaps, uniforms, self.advantage)
-
-
-class ConfidenceOracle:
-    """Comparison oracle returning a confidence-weighted score in [-1, 1].
-
-    Response models, at gap magnitude t = |f(x) - f(y)| with margin rho(t):
-
-      deterministic_link  always answers 2 sigma(gap) - 1      (C = 1)
-      engage_abstain      answers sign(gap) w.p. rho(t), else 0 (C = 1)
-      noisy_engage        w.p. rho(t) answers sign(gap) * B with
-                          B = +1 w.p. 3/4 and -1 w.p. 1/4, else 0; the
-                          certified margin drops to rho(t)/2 and C = 2.
-
-    Exact ties always score 0.  rho_effective / second_moment_bound /
-    linearity_constants expose the constants certified for the model, which
-    is what vote-length recipes and error bounds consume.
-    """
-
-    def __init__(
-        self,
-        objective: RidgeObjective,
-        kind: str,
-        link: LinkFunction,
-        rng: RngStream,
-    ):
-        if kind not in _MODELS:
-            raise ValueError(f"unknown confidence oracle kind {kind!r}")
-        self.objective = objective
-        self.kind = kind
-        self.link = link
-        self.rng = rng
-        self.query_count = 0
-
-    def rho_effective(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Certified mean-margin lower bound at gap magnitude t."""
-        return _MODELS[self.kind][0] * self.link.rho(t)
-
-    @property
-    def second_moment_bound(self) -> float:
-        """C with E[R^2] <= C * rho_effective(|gap|)."""
-        return _MODELS[self.kind][1]
-
-    @property
-    def linearity_constants(self) -> tuple[float, float]:
-        """(c, r) certified for rho_effective: rho_effective(t) >= (c/2) t on [0, r]."""
-        c, r = local_linearity_constants(self.link)
-        return _MODELS[self.kind][0] * c, r
-
-    def compare(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One score; positive means y preferred."""
-        return float(self.compare_batch(x, y, 1)[0])
 
     def compare_batch(self, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-        """n independent scores for the same pair, counted as n queries.
-
-        The generator consumes one block of n uniforms for the engagement
-        events and, for noisy_engage, a second block of n uniforms for the
-        sign flips, in that order.
-        """
+        """n independent scores for the same pair, counted as n queries;
+        positive means y preferred."""
         n = positive_count(n, "n")
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
         self.query_count += n
-        if gap == 0.0:
+        if not self._asked(gap):
             return np.zeros(n)
         return self._respond(gap, (n,))
 
     def compare_gaps(self, gaps: np.ndarray, n: int) -> np.ndarray:
-        """n scores for each of many pairs, given their gaps f(x) - f(y), as a
-        (len(gaps), n) array counted as len(gaps) * n queries.
+        """n scores for each of many pairs, given their gaps f(x) - f(y) as a
+        scalar or a 1-D vector, as a (len(gaps), n) array counted as
+        len(gaps) * n queries.
 
         Row i equals what compare_batch returns for pair i called in pair
-        order: a pair with a non-zero gap consumes its uniform blocks in
-        turn, and a zero-gap pair scores 0 and consumes nothing.
+        order, and the stream ends where those calls leave it.
         """
         n = positive_count(n, "n")
         gaps = np.asarray(gaps, dtype=np.float64)
         if gaps.ndim > 1:
             raise ValueError(f"gaps must be a scalar or a 1-D vector, got shape {gaps.shape}")
+        gaps = gaps.reshape(-1)
         self.query_count += gaps.size * n
         scores = np.zeros((gaps.size, n))
-        live = gaps != 0.0
-        m = int(np.count_nonzero(live))
+        asked = self._asked(gaps)
+        m = int(np.count_nonzero(asked))
         if m:
-            scores[live] = self._respond(gaps[live, None], (m, n))
+            scores[asked] = self._respond(gaps[asked, None], (m, n))
         return scores
 
     def first_preferred(self, x: np.ndarray, ys: np.ndarray, n: int) -> int:
@@ -363,22 +277,104 @@ class ConfidenceOracle:
         answered = int(wins[0]) + 1
         if answered < len(ys):
             bits.state, self.query_count = state, count + answered * n
-            live = np.count_nonzero(gaps[:answered])
-            self.rng.random(live * n * _MODELS[self.kind][2])
+            asked = np.count_nonzero(self._asked(gaps[:answered]))
+            self.rng.random(asked * n * self._uniforms)
         return answered - 1
 
-    def _respond(self, gap, shape: tuple) -> np.ndarray:
-        """Scores of the response model at non-zero gaps, of shape `shape`.
+    def _asked(self, gaps):
+        """Whether each gap goes to the response model (the tie rule): every
+        gap, or the non-zero ones; a float gap gives a bool."""
+        return (gaps != 0.0) | self._ties_respond
 
-        gap is a float, or a column with one gap per row of `shape`.  The
-        uniforms come as one block, as many per score as _MODELS says: per
-        row, n engagement uniforms and then, for noisy_engage, n flip uniforms.
+
+class SignOracle(_Oracle):
+    """Noisy ordering oracle with a fixed per-query advantage p in (0, 1/2].
+
+    Each score reports the true ordering with probability exactly 1/2 + p,
+    independent of the gap size; exact ties return a fair coin flip.
+    """
+
+    _ties_respond = True
+    _uniforms = 1
+
+    def __init__(self, objective: RidgeObjective, advantage: float, rng: RngStream):
+        if not 0.0 < advantage <= 0.5:
+            raise ValueError(f"advantage must lie in (0, 0.5], got {advantage}")
+        super().__init__(objective, rng)
+        self.advantage = advantage
+
+    def compare(self, x: np.ndarray, y: np.ndarray) -> int:
+        """+1 if the oracle claims f(x) > f(y) (y preferred), else -1.
+
+        compare_batch(x, y, 1)'s answer on a scalar path: one uniform drawn
+        from the oracle's stream, after evaluating the pair.
         """
+        gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        self.query_count += 1
+        return self._respond(gap, None)
+
+    def _respond(self, gap, shape):
+        """sign(gap) when the score's uniform u < 1/2 + advantage, else its
+        opposite; a tie (gap == 0) is +1 when u < 1/2, else -1.  A float gap
+        with shape None draws one uniform and answers an int."""
+        sign = 2 * (gap >= 0.0) - 1
+        agree = self.rng.random(shape) < 0.5 + self.advantage * (gap != 0.0)
+        return sign * (2 * agree - 1)
+
+
+class ConfidenceOracle(_Oracle):
+    """Comparison oracle returning a confidence-weighted score in [-1, 1].
+
+    Response models, at gap magnitude t = |f(x) - f(y)| with margin rho(t):
+
+      deterministic_link  always answers 2 sigma(gap) - 1      (C = 1)
+      engage_abstain      answers sign(gap) w.p. rho(t), else 0 (C = 1)
+      noisy_engage        w.p. rho(t) answers sign(gap) * B with
+                          B = +1 w.p. 3/4 and -1 w.p. 1/4, else 0; the
+                          certified margin drops to rho(t)/2 and C = 2.
+
+    Exact ties always score 0.  rho_effective / second_moment_bound /
+    linearity_constants expose the constants certified for the model, which
+    is what vote-length recipes and error bounds consume.
+    """
+
+    _ties_respond = False
+
+    def __init__(self, objective: RidgeObjective, kind: str, link: LinkFunction, rng: RngStream):
+        if kind not in _MODELS:
+            raise ValueError(f"unknown confidence oracle kind {kind!r}")
+        super().__init__(objective, rng)
+        self.kind = kind
+        self.link = link
+        self._uniforms = _MODELS[kind][2]
+
+    def rho_effective(self, t: np.ndarray | float) -> np.ndarray | float:
+        """Certified mean-margin lower bound at gap magnitude t."""
+        return _MODELS[self.kind][0] * self.link.rho(t)
+
+    @property
+    def second_moment_bound(self) -> float:
+        """C with E[R^2] <= C * rho_effective(|gap|)."""
+        return _MODELS[self.kind][1]
+
+    @property
+    def linearity_constants(self) -> tuple[float, float]:
+        """(c, r) certified for rho_effective: rho_effective(t) >= (c/2) t on [0, r]."""
+        c, r = local_linearity_constants(self.link)
+        return _MODELS[self.kind][0] * c, r
+
+    def compare(self, x: np.ndarray, y: np.ndarray) -> float:
+        """One score; positive means y preferred."""
+        return float(self.compare_batch(x, y, 1)[0])
+
+    def _respond(self, gap, shape: tuple) -> np.ndarray:
+        """Scores at non-zero gaps: per row, n engagement uniforms and then,
+        for noisy_engage, n flip uniforms (none for deterministic_link)."""
         if self.kind == "deterministic_link":
             return np.full(shape, 2.0 * self.link.probability(gap) - 1.0)
         rho = self.link.rho(abs(gap))
         sign = 2.0 * (gap > 0.0) - 1.0
-        u = self.rng.random(shape[:-1] + (_MODELS[self.kind][2],) + shape[-1:])
+        u = self.rng.random(shape[:-1] + (self._uniforms,) + shape[-1:])
         engaged = u[..., 0, :] < rho
         if self.kind == "engage_abstain":
             return np.where(engaged, sign, 0.0)

@@ -1,3 +1,4 @@
+import ctypes
 import threading
 
 import pytest
@@ -12,3 +13,18 @@ def no_thread_outlives_its_test():
     left = threading.enumerate()
     if len(left) > before:
         pytest.fail(f"{len(left) - before} thread(s) outlived the test: {[t.name for t in left]}")
+
+
+@pytest.fixture(scope="session")
+def blas_core():
+    """The OpenBLAS kernel numpy runs, such as "SkylakeX", or "unknown" when
+    its bundled OpenBLAS does not say.  Kernels sum products in different
+    orders, so the digest tests name it when their bytes differ."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()

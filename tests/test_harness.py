@@ -569,11 +569,12 @@ class TestCsvDigests:
         ("ncrs_vote", "ddd4c38b02b45cc8eb61a357a2a91e94c5400cea2a038de2557bfe3b55f658bf"),
         ("rsgf", "638776decabf514b4f9b0f79a078c5616c54d5ae169f1401b72d5585f10bfb13"),
     ])
-    def test_run_one_csv_bytes(self, tmp_path, name, digest):
+    def test_run_one_csv_bytes(self, tmp_path, name, digest, blas_core):
         traj, _ = run_one(_digest_configs()[name], master_seed=3)
         path = tmp_path / "run.csv"
         write_trajectory_csv(traj, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (
+            f"OpenBLAS kernel {blas_core}; the digest was pinned on SkylakeX")
 
 
 class TestCellsAndHashes:

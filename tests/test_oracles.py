@@ -222,8 +222,9 @@ class TestSignOracle:
 
     @pytest.mark.parametrize("advantage", [0.1, 0.5])
     def test_many_gaps_answer_like_compare(self, advantage):
-        """compare_gaps, fed each pair's gap and the uniform compare would
-        draw, gives compare's answer for every pair, ties included."""
+        """compare_gaps(gaps, 1), on a stream with compare's key, gives
+        compare's answer for every pair, ties included, and leaves the
+        stream where the compare calls leave it."""
         obj = _quadratic_ridge(107)
         rng = _stream(107, "test:pairs")
         pairs = []
@@ -235,10 +236,11 @@ class TestSignOracle:
         gaps = np.array([obj.value(x) - obj.value(y) for x, y in pairs])
         assert np.count_nonzero(gaps == 0.0) == 100
         many = SignOracle(obj, advantage, _stream(107, "oracle"))
-        uniforms = many.rng.random(len(pairs))
-        got = many.compare_gaps(gaps, uniforms)
-        assert np.array_equal(got, answers)
+        got = many.compare_gaps(gaps, 1)
+        assert got.shape == (len(pairs), 1)
+        assert np.array_equal(got[:, 0], answers)
         assert many.query_count == one.query_count == len(pairs)
+        assert many.rng.random() == one.rng.random()
 
     def test_validation(self):
         obj = _quadratic_ridge(106)
@@ -250,15 +252,13 @@ class TestSignOracle:
         with pytest.raises(TypeError):  # a query is one pair of points, not a batch
             oracle.compare(np.ones((2, 8)), np.zeros((2, 8)))
         assert oracle.query_count == 0
-        for uniforms in (np.full(1, 0.5), np.full(4, 0.5), np.full((3, 1), 0.5), 0.5):
-            shapes = re.escape(f"(3,), uniforms {np.shape(uniforms)}")
-            with pytest.raises(ValueError, match=shapes):  # one uniform per gap
-                oracle.compare_gaps(np.ones(3), uniforms)
+        state = _stream_state(oracle)
         with pytest.raises(ValueError, match=re.escape("got shape (2, 3)")):
-            oracle.compare_gaps(np.ones((2, 3)), np.zeros((2, 3)))
+            oracle.compare_gaps(np.ones((2, 3)), 1)
+        assert _stream_state(oracle) == state
         assert oracle.query_count == 0
-        assert oracle.compare_gaps(1.0, 0.0) == 1  # a scalar and a vector still work
-        assert np.array_equal(oracle.compare_gaps(-np.ones(2), np.zeros(2)), [-1, -1])
+        assert oracle.compare_gaps(1.0, 1).tolist() == [[1.0]]  # a scalar and a vector work
+        assert oracle.compare_gaps(-np.ones(2), 1).tolist() == [[-1.0], [-1.0]]
         assert oracle.query_count == 3
 
 
@@ -430,15 +430,25 @@ class TestFirstPreferred:
         block.flags.writeable = False
         return block
 
-    # (rows, the index first_preferred returns)
-    CASES = [("+-0+", 0), ("0-0-+-+0", 4), ("0--0-0", 6), ("-0+", 2), ("00", 2)]
+    # (rows, the index first_preferred returns for a confidence oracle)
+    CASES = [("+-0+", 0), ("0-0-+-+0", 4), ("0--0-0", 6), ("-0+", 2), ("00", 2), ("---", 3)]
 
-    @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
+    @staticmethod
+    def _oracle(obj, kind):
+        if kind == "sign":
+            return SignOracle(obj, 0.25, _stream(117, "oracle"))
+        return ConfidenceOracle(obj, kind, LinkFunction(kind="logistic", scale=0.5),
+                                _stream(117, "oracle"))
+
+    @pytest.mark.parametrize(
+        "kind", ["deterministic_link", "engage_abstain", "noisy_engage", "sign"]
+    )
     def test_equals_consecutive_compare_batch(self, kind):
+        """The sign oracle's ties are coins, so its index is checked against
+        the sequential loop only, not against CASES."""
         obj = _axis_objective()
-        link = LinkFunction(kind="logistic", scale=0.5)
-        one = ConfidenceOracle(obj, kind, link, _stream(117, "oracle"))
-        many = ConfidenceOracle(obj, kind, link, _stream(117, "oracle"))
+        one, many = self._oracle(obj, kind), self._oracle(obj, kind)
+        rewound = 0
         for spec, expected in self.CASES:
             block = self._rows(spec)
             gaps = obj.value(self.X) - obj.value(block)
@@ -449,10 +459,13 @@ class TestFirstPreferred:
                 if one.compare_batch(self.X, y, 33).sum() > 0.0:
                     sequential = i
                     break
-            assert sequential == expected, (spec, kind)
-            assert many.first_preferred(self.X, block, 33) == expected
+            if kind != "sign":
+                assert sequential == expected, (spec, kind)
+            assert many.first_preferred(self.X, block, 33) == sequential, (spec, kind)
             assert many.query_count == one.query_count
             assert _stream_state(many) == _stream_state(one)
+            rewound += sequential < len(block) - 1
+        assert rewound >= 2  # a win before the last row rewinds the stream
         assert many.rng.random() == one.rng.random()
 
     def test_validation(self):
