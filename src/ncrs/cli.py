@@ -120,7 +120,10 @@ def _cmd_validate(args) -> int:
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  n={r.n_samples}", file=sys.stderr)
+        # the verdict closest to its bound, in SEs inside it
+        margins = [m for m in (r.margins or {}).values() if m is not None]
+        margin = f"{min(margins):.2f} SE" if margins else "-"
+        print(f"{r.name:<{width}}  {status}  n={r.n_samples:<8}  margin {margin}", file=sys.stderr)
     print(json.dumps([r.to_json() for r in reports], sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1
 

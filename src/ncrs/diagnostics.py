@@ -11,16 +11,38 @@ hold within DETERMINISTIC_TOL = 1e-12; the gradient check is not held to
 that: it takes central differences of step GRAD_FD_STEP = 1e-5 and passes
 at a maximum relative error of GRAD_FD_TOL = 1e-4.  Checks draw all
 randomness from the RngStream handed to them, so a report is reproducible
-bit-exactly from (master seed, check name).  Every Monte Carlo mean is one
-streaming estimate, `_mc_mean_se`: chunks of at most _MC_CHUNK numbers, so
-memory stays flat in the sample size, and SE = std(ddof=1) / sqrt(n).  A
-check that asks an oracle draws a chunk's directions, if any, and then the
-oracle draws the chunk's uniforms in one compare_gaps call.
+bit-exactly from (master seed, check name).  Each report also records, per
+verdict, its margin: how many SEs the estimate lies inside its bound.
+
+Every Monte Carlo mean is one streaming estimate: chunks of at most
+_MC_CHUNK = 32,768 numbers, so memory stays flat in the sample size, merged
+by Chan, Golub & LeVeque's pairwise update, and SE = std(ddof=1) / sqrt(n).
+The checks that draw only Gaussians (projector moments, cross moments,
+half-normal) draw in two lanes (`_two_lane_mean_se`): the first half of the
+sample from their rng on the calling thread, the rest from rng's stream
+jumped once (`bit_generator.jumped()`, 2**128 Philox blocks ahead) on a
+one-worker executor, so the two lanes' Philox fills run on two cores.  The
+split is fixed at two lanes, never the CPU count, and such a check leaves
+rng at its start jumped twice, so no two lanes of any checks share a draw.
+The chunk size keeps each chunk's matrix product small: at 200,000 numbers
+per chunk the two lanes were no faster than one lane, yet with OpenBLAS held
+to one thread they were, so the lanes' products contended for its threads.
+
+The checks that ask an oracle (`descent_ncrs`, `vote_error`, `vote_penalty`)
+stay in one lane on the calling thread (`_mc_mean_se`, or `_row_chunks` for
+the vote-error count): the descent check's
+oracle shares its stream, an objective remembers values in an unlocked
+cache, and a tracer that keeps one span stack wraps their oracle and
+objective calls.  Such a check draws a chunk's directions, if any, and then
+the oracle draws the chunk's uniforms in one compare_gaps call.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,7 +73,7 @@ DETERMINISTIC_TOL = 1e-12
 GRAD_FD_STEP = 1e-5
 GRAD_FD_TOL = 1e-4
 
-_MC_CHUNK = 200_000
+_MC_CHUNK = 32_768
 
 
 @dataclass
@@ -63,6 +85,9 @@ class CheckReport:
     estimates: dict = field(default_factory=dict)
     theory: dict = field(default_factory=dict)
     standard_errors: dict = field(default_factory=dict)
+    # per verdict, how many SEs the estimate lies inside its bound (negative
+    # outside); None for a deterministic check or a zero SE
+    margins: dict | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -75,26 +100,97 @@ def _row_chunks(n: int, width: int) -> Iterator[int]:
     return (min(rows, n - start) for start in range(0, n, rows))
 
 
-def _mc_mean_se(n: int, width: int, draw) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of n samples and its standard error std(ddof=1) / sqrt(n).
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Moments (count, mean, sum of squared deviations) of the union of two
+    disjoint samples, by the pairwise update of Chan, Golub & LeVeque."""
+    (count_a, mean_a, m2_a), (count_b, mean_b, m2_b) = a, b
+    total = count_a + count_b
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (count_b / total)
+    return total, mean, m2_a + m2_b + delta * delta * (count_a * count_b / total)
+
+
+def _moments(n: int, width: int, draw, stop: threading.Event | None = None) -> tuple | None:
+    """Moments (count, mean, sum of squared deviations) of n samples.
 
     `draw(take)` returns the next `take` samples, shape (take,) or (take, m),
-    for each chunk of _row_chunks(n, width); the chunks' means and sums of
-    squared deviations merge by the pairwise update of Chan, Golub & LeVeque."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    count, mean, m2 = 0, 0.0, 0.0
+    for each chunk of _row_chunks(n, width), and each chunk merges into the
+    running moments by _merge.  Returns None if `stop` is set at a chunk
+    boundary."""
+    moments = (0, 0.0, 0.0)
     for take in _row_chunks(n, width):
+        if stop is not None and stop.is_set():
+            return None
         # one row per quantity, so each sum runs along contiguous memory
         values = np.ascontiguousarray(draw(take).T)
-        chunk_mean = values.mean(axis=-1)
-        chunk_m2 = np.square(values - chunk_mean[..., None]).sum(axis=-1)
-        total = count + take
-        delta = chunk_mean - mean
-        mean = mean + delta * (take / total)
-        m2 = m2 + chunk_m2 + delta * delta * (count * take / total)
-        count = total
+        mean = values.mean(axis=-1)
+        moments = _merge(moments, (take, mean, np.square(values - mean[..., None]).sum(axis=-1)))
+    return moments
+
+
+def _mean_se(moments: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and its standard error std(ddof=1) / sqrt(n) from moments."""
+    n, mean, m2 = moments
     return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+def _mc_mean_se(n: int, width: int, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of n samples and its standard error std(ddof=1) / sqrt(n), drawn
+    by `draw(take)` on the calling thread (see _moments)."""
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    return _mean_se(_moments(n, width, draw))
+
+
+def _two_lane_mean_se(n: int, width: int, rng: RngStream, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SE of n samples of a check that draws only Gaussians, in two lanes.
+
+    `draw(gen, take)` returns the next `take` samples drawn from the
+    Generator `gen`.  Rows [0, ceil(n/2)) come from `rng` on the calling
+    thread; rows [ceil(n/2), n) come from rng's stream jumped once,
+    `rng.bit_generator.jumped()`, on a one-worker executor.  Each lane
+    streams its chunks through _moments, and the two lanes' moments merge
+    by the same _merge.  Philox fills release the interpreter lock, so the
+    lanes draw on two cores; the split is fixed, so the sample depends on
+    rng's state alone, never on the core count.  `draw` must call only the
+    generator and numpy, nothing of this package, so a tracer that wraps
+    its functions sees no call from the helper.
+
+    On return rng stands at its start jumped twice: a jump is 2**128
+    Philox blocks, so the lanes of consecutive checks on one stream never
+    share a draw.  An exception or interrupt in either lane sets a stop
+    that the other lane reads at its next chunk boundary, and the helper is
+    joined before the exception reaches the caller."""
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    head = (n + 1) // 2
+    far = np.random.Generator(rng.bit_generator.jumped())
+    end = rng.bit_generator.jumped(2).state
+    stop = threading.Event()
+
+    def tail():
+        try:
+            return _moments(n - head, width, functools.partial(draw, far), stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ncrs-lane") as helper:
+        second = helper.submit(tail)
+        try:
+            first = _moments(head, width, functools.partial(draw, rng), stop)
+            # a stopped first lane is None, and then the helper's error raises here
+            moments = _merge(first, second.result())
+        except BaseException:
+            stop.set()
+            raise
+    rng.bit_generator.state = end
+    return _mean_se(moments)
+
+
+def _margin(excess: float, se: float, band: float) -> float | None:
+    """How many SEs `excess` lies inside its allowance of `band` SEs."""
+    return None if se == 0.0 else band - excess / se
 
 
 def _equality(name: str, n: int, names, means, theory, ses, rule_tail: str = "") -> CheckReport:
@@ -109,6 +205,10 @@ def _equality(name: str, n: int, names, means, theory, ses, rule_tail: str = "")
         estimates=dict(zip(names, means)),
         theory=dict(zip(names, theory)),
         standard_errors=dict(zip(names, ses)),
+        margins={
+            key: _margin(abs(m - t), s, EQUALITY_SE_BAND)
+            for key, m, t, s in zip(names, means, theory, ses)
+        },
     )
 
 
@@ -116,6 +216,7 @@ def _bound(name: str, n: int, rule: str, small: float, large: float, se: float,
            estimates: dict, theory: dict, band=BOUND_SE_BAND, rule_tail="") -> CheckReport:
     """Report of a one-sided Monte Carlo bound: it passes when
     small <= large + band * se, where se is the SE of the first estimate."""
+    first = next(iter(estimates))
     return CheckReport(
         name=name,
         passed=small <= large + band * se,
@@ -123,23 +224,27 @@ def _bound(name: str, n: int, rule: str, small: float, large: float, se: float,
         rule=f"{rule} + {band} SE{rule_tail}",
         estimates=estimates,
         theory=theory,
-        standard_errors={next(iter(estimates)): se},
+        standard_errors={first: se},
+        margins={first: _margin(small - large, se, band)},
     )
 
 
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
-    k(k+2)(k+4)."""
+    k(k+2)(k+4).  Draws in two lanes (_two_lane_mean_se): the first half of
+    the sample from rng, the rest from rng's stream jumped once; rng is left
+    at its start jumped twice."""
     n = positive_count(n, "n")
     k = subspace.dim
+    basis_t = subspace.basis.T
 
-    def draw(take):
-        s = rng.standard_normal((take, subspace.ambient_dim))
+    def draw(gen, take):
+        s = gen.standard_normal((take, subspace.ambient_dim))
         # rows of the basis are orthonormal, so ||P s|| = ||U s||
-        q = np.sum((s @ subspace.basis.T) ** 2, axis=1)
+        q = np.sum((s @ basis_t) ** 2, axis=1)
         return np.stack([q, q**2, q**3], axis=1)
 
-    means, ses = _mc_mean_se(n, subspace.ambient_dim, draw)
+    means, ses = _two_lane_mean_se(n, subspace.ambient_dim, rng, draw)
     theory = (k, k * (k + 2), k * (k + 2) * (k + 4))
     names = ("second", "fourth", "sixth")
     return _equality("projector_moments", n, names, means, theory, ses, " for each moment")
@@ -148,27 +253,33 @@ def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> Check
 def check_cross_moment(
     subspace: Subspace, a: np.ndarray, n: int, rng: RngStream
 ) -> CheckReport:
-    """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a."""
+    """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a.  Draws in two
+    lanes as check_projector_moments does, and leaves rng at its start
+    jumped twice, so a second check on the same stream draws afresh."""
     n = positive_count(n, "n")
     a = np.asarray(a, dtype=np.float64)
     k = subspace.dim
     theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
+    basis_t = subspace.basis.T
 
-    def draw(take):
-        s = rng.standard_normal((take, subspace.ambient_dim))
-        return (s @ a) ** 2 * np.sum((s @ subspace.basis.T) ** 2, axis=1)
+    def draw(gen, take):
+        s = gen.standard_normal((take, subspace.ambient_dim))
+        return (s @ a) ** 2 * np.sum((s @ basis_t) ** 2, axis=1)
 
-    mean, se = _mc_mean_se(n, subspace.ambient_dim, draw)
+    mean, se = _two_lane_mean_se(n, subspace.ambient_dim, rng, draw)
     return _equality("cross_moment", n, ("cross_moment",), mean, theory, se)
 
 
 def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
-    """E |<g, s>| against sqrt(2/pi) ||g||."""
+    """E |<g, s>| against sqrt(2/pi) ||g||.  Draws in two lanes as
+    check_projector_moments does, and leaves rng at its start jumped twice."""
     n = positive_count(n, "n")
     g = np.asarray(g, dtype=np.float64)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
     d = g.shape[0]
-    mean, se = _mc_mean_se(n, d, lambda take: np.abs(rng.standard_normal((take, d)) @ g))
+    mean, se = _two_lane_mean_se(
+        n, d, rng, lambda gen, take: np.abs(gen.standard_normal((take, d)) @ g)
+    )
     return _equality("halfnormal", n, ("abs_mean",), mean, theory, se)
 
 
@@ -190,8 +301,9 @@ def check_descent_ncrs(
             <= E[f(theta) - f(theta')] + (L_f/2) k alpha^2 (+ 2 tau alpha sqrt(m))
 
     where the nuisance term enters exactly when the objective carries one.
-    The oracle shares the check's stream: each chunk draws its directions,
-    and then the oracle draws the chunk's uniforms in compare_gaps.
+    The oracle shares the check's stream, so the check draws in one lane:
+    each chunk draws its directions, and then the oracle draws the chunk's
+    uniforms in compare_gaps.
     """
     n = positive_count(n, "n")
     theta = np.asarray(theta, dtype=np.float64)

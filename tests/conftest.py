@@ -6,13 +6,13 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that ends with more live threads than it started with,
-    such as a direction read-ahead helper leaked on an error path."""
-    before = threading.active_count()
+    """Fail a test that ends with a live thread it did not start with, such
+    as a direction read-ahead helper leaked on an error path, and name it."""
+    before = set(threading.enumerate())
     yield
-    left = threading.enumerate()
-    if len(left) > before:
-        pytest.fail(f"{len(left) - before} thread(s) outlived the test: {[t.name for t in left]}")
+    new = [t.name for t in threading.enumerate() if t not in before]
+    if new:
+        pytest.fail(f"{len(new)} thread(s) outlived the test: {new}")
 
 
 @pytest.fixture(scope="session")

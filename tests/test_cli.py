@@ -318,6 +318,20 @@ class TestValidateCommand:
         assert all(r["passed"] for r in payload)
         assert err.count("PASS") == 19
 
+    def test_table_shows_the_closest_margin(self, capsys, monkeypatch):
+        reports = [
+            CheckReport(name="mc", passed=True, n_samples=9, rule="r",
+                        margins={"a": 2.5, "b": 1.25, "c": None}),
+            CheckReport(name="exact", passed=True, n_samples=9, rule="r"),
+        ]
+        monkeypatch.setattr("ncrs.cli.run_default_suite", lambda seed, scale: reports)
+        assert main(["validate"]) == 0
+        payload, err = _stdout_json(capsys)
+        assert payload[0]["margins"] == {"a": 2.5, "b": 1.25, "c": None}
+        assert payload[1]["margins"] is None
+        assert "margin 1.25 SE" in err.splitlines()[0]
+        assert err.splitlines()[1].endswith("margin -")
+
     def test_failing_report_exits_1(self, capsys, monkeypatch):
         stub = CheckReport(
             name="stub", passed=False, n_samples=1, rule="stub",

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ncrs.diagnostics import (
+    _MC_CHUNK,
+    _bound,
+    _equality,
     _mc_mean_se,
+    _mean_se,
+    _merge,
+    _moments,
     _point_at_gap,
     _row_chunks,
+    _two_lane_mean_se,
     check_cross_moment,
     check_descent_ncrs,
     check_grad_fd,
@@ -300,7 +309,7 @@ class TestBatchedChecksReplayTheLoops:
         assert report.passed == (t["lhs"] <= rhs + 3.0 * se)
 
     def test_descent_across_chunks(self):
-        """30,000 samples of 15 numbers are three chunks of at most 200,000."""
+        """30,000 samples of 15 numbers are many chunks of at most _MC_CHUNK."""
         self.test_descent(0.0, 0, 0.1, n=30_000)
 
     @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
@@ -339,6 +348,49 @@ class TestBatchedChecksReplayTheLoops:
         assert report.passed == (abs(mean) <= report.theory["bound"] + 3.0 * se)
         assert batched.query_count == replayed.query_count == 16 * 3_000
 
+    @pytest.mark.parametrize("check", ["projector_moments", "cross_moment", "halfnormal"])
+    def test_two_lane_check(self, check, n=9_001):
+        """A Gaussian-only check's first ceil(n/2) samples are rng's next
+        draws one by one, the rest the draws of rng's stream jumped once; rng
+        is left at its start jumped twice."""
+        space = random_subspace(_stream(374, "subspace"), 15, 4)
+        a = _stream(374, "dir").standard_normal(15)
+        cases = {
+            "projector_moments": (
+                lambda rng: check_projector_moments(space, n, rng),
+                lambda s: [float(np.sum(space.coordinates(s) ** 2)) ** p for p in (1, 2, 3)],
+                ("second", "fourth", "sixth"),
+            ),
+            "cross_moment": (
+                lambda rng: check_cross_moment(space, a, n, rng),
+                lambda s: [float(s @ a) ** 2 * float(np.sum(space.coordinates(s) ** 2))],
+                ("cross_moment",),
+            ),
+            "halfnormal": (
+                lambda rng: check_halfnormal(a, n, rng),
+                lambda s: [abs(float(s @ a))],
+                ("abs_mean",),
+            ),
+        }
+        run, sample, names = cases[check]
+        rng = _stream(374, "mc")
+        report = run(rng)
+        replay = _stream(374, "mc")
+        far = np.random.Generator(replay.bit_generator.jumped())
+        end = np.random.Generator(replay.bit_generator.jumped(2))
+        head = (n + 1) // 2
+        rows = [sample(replay.standard_normal(15)) for _ in range(head)]
+        rows += [sample(far.standard_normal(15)) for _ in range(n - head)]
+        rows = np.array(rows)
+        assert report.n_samples == n
+        assert_allclose([report.estimates[k] for k in names], rows.mean(axis=0), rtol=1e-12)
+        assert_allclose(
+            [report.standard_errors[k] for k in names],
+            rows.std(axis=0, ddof=1) / math.sqrt(n),
+            rtol=1e-12,
+        )
+        assert np.array_equal(rng.standard_normal(5), end.standard_normal(5))
+
     def test_vote_error_works_in_blocks(self):
         """100,000 votes of 125 are 100 MB of uniforms; the check holds a
         small block of them at a time."""
@@ -364,8 +416,8 @@ class TestMcMeanSe:
         assert se == values.std(ddof=1) / math.sqrt(values.size)
 
     def test_chunks_merge_per_column(self):
-        """50,000 samples of width 10 are three chunks; each column of a
-        (take, 3) draw is its own estimate."""
+        """50,000 samples of width 10 are many chunks of _MC_CHUNK // 10
+        rows; each column of a (take, 3) draw is its own estimate."""
         values = _stream(381, "values").standard_normal((50_000, 3)) * [1.0, 5.0, 1e-3]
         values += [0.0, 1e6, -2.0]
         calls = []
@@ -376,7 +428,8 @@ class TestMcMeanSe:
             return values[start : start + take]
 
         mean, se = _mc_mean_se(values.shape[0], 10, draw)
-        assert calls == [20_000, 20_000, 10_000]
+        rows = _MC_CHUNK // 10
+        assert calls == [rows] * (50_000 // rows) + [50_000 % rows]
         assert_allclose(mean, values.mean(axis=0), rtol=1e-12)
         assert_allclose(se, values.std(axis=0, ddof=1) / math.sqrt(50_000), rtol=1e-12)
 
@@ -388,9 +441,95 @@ class TestMcMeanSe:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first == [4_000, 4_000, 4_000]
+        rows = _MC_CHUNK // 50
+        assert first == [rows, rows, rows]
         assert peak < 100_000
-        assert list(_row_chunks(10_001, 50)) == [4_000, 4_000, 2_001]
+        assert list(_row_chunks(10_001, 50)) == [rows] * (10_001 // rows) + [10_001 % rows]
+
+
+class TestTwoLanes:
+    @staticmethod
+    def _draw(gen, take):
+        return np.abs(gen.standard_normal((take, 12)) @ np.linspace(-1.0, 2.0, 12))
+
+    def test_the_helper_lane_inline_equals_the_threaded_result(self):
+        n = 100_001  # odd, and several chunks in each lane
+        threaded = _two_lane_mean_se(n, 12, _stream(390, "mc"), self._draw)
+        rng = _stream(390, "mc")
+        far = np.random.Generator(rng.bit_generator.jumped())
+        head = (n + 1) // 2
+        first = _moments(head, 12, functools.partial(self._draw, rng))
+        second = _moments(n - head, 12, functools.partial(self._draw, far))
+        inline = _mean_se(_merge(first, second))
+        assert threaded[0].tobytes() == inline[0].tobytes()
+        assert threaded[1].tobytes() == inline[1].tobytes()
+
+    def test_consecutive_checks_on_one_stream_draw_disjoint_samples(self):
+        drawn = []
+
+        def draw(gen, take):
+            drawn.append(gen.standard_normal((take, 3)))
+            return drawn[-1]
+
+        rng = _stream(391, "mc")
+        for _ in range(2):
+            _two_lane_mean_se(20_001, 3, rng, draw)
+        values = np.concatenate([block.ravel() for block in drawn])
+        assert values.size == 2 * 20_001 * 3
+        assert np.unique(values).size == values.size
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_an_error_in_either_lane_stops_both(self, failing, error):
+        """The other lane stops at its next chunk boundary, long before its
+        5 * 10**7 samples are drawn, and the helper is joined."""
+        before = threading.active_count()
+        rng = _stream(393, "mc")
+        started = threading.Event()
+        chunks = {"caller": 0, "helper": 0}
+
+        def draw(gen, take):
+            lane = "caller" if gen is rng else "helper"
+            chunks[lane] += 1
+            if lane == failing:
+                started.wait(timeout=10)  # until the other lane has begun
+                raise error(f"{lane} lane failed")
+            started.set()
+            return gen.standard_normal(take)
+
+        with pytest.raises(error, match=f"{failing} lane failed"):
+            _two_lane_mean_se(10**8, 1, rng, draw)
+        assert started.is_set()
+        other = "helper" if failing == "caller" else "caller"
+        assert chunks[failing] == 1
+        assert 1 <= chunks[other] <= 20
+        assert threading.active_count() == before
+
+
+class TestMargins:
+    def test_equality_margins_in_se_units(self):
+        report = _equality(
+            "eq", 10, ("a", "b", "c"), [1.0, 2.0, 0.0], [1.5, 7.0, 0.0], [0.25, 1.0, 0.0]
+        )
+        assert report.margins == {"a": 2.0, "b": -1.0, "c": None}
+        assert not report.passed
+
+    def test_bound_margin_in_se_units(self):
+        inside = _bound("b", 10, "s <= l", 5.0, 4.0, 0.5, {"s": 5.0}, {"l": 4.0})
+        outside = _bound("b", 10, "s <= l", 6.0, 4.0, 0.5, {"s": 6.0}, {"l": 4.0})
+        assert (inside.passed, inside.margins) == (True, {"s": 1.0})
+        assert (outside.passed, outside.margins) == (False, {"s": -1.0})
+        assert _bound("b", 10, "s <= l", 1.0, 1.0, 0.0, {"s": 1.0}, {}).margins == {"s": None}
+
+    def test_deterministic_checks_have_none(self):
+        assert check_link_reduction(LinkFunction(kind="logistic")).margins is None
+        assert check_grad_fd(_objective(363, 10, 3), 2, _stream(363, "mc")).margins is None
+
+    def test_margin_matches_the_verdict(self):
+        for r in run_default_suite(80, scale=0.02):
+            margins = [m for m in (r.margins or {}).values() if m is not None]
+            if margins:
+                assert r.passed == (min(margins) >= 0.0), r.name
 
 
 class TestLinkReduction:
@@ -451,9 +590,9 @@ class TestDefaultSuite:
         assert a == b
 
     @pytest.mark.parametrize("seed,digest", [
-        (0, "54b57feda2e19122f368276fff64282c11135a20a03c6e64d9c794a965936a3c"),
-        (7, "0cfd391cbdaadcb47f85f09e5e20e28189249d485e6d78f65bc098c8527e2347"),
-    ])
+        (0, "ac987d1ba622f251a920cf5f5a136a6690fe84629c4c499daac8d12a6ef11dfa"),
+        (7, "06db77fb8a5b3de0f8d37485e2562fda7c17a94d1881537bca66165e0c4213a2"),
+    ], ids=["0", "7"])
     def test_report_digests(self, seed, digest, blas_core):
         """Pin the suite's JSON bytes: every name, rule, estimate, theory
         value and standard error, in report order.  A digest changes only
@@ -476,7 +615,7 @@ class TestDefaultSuite:
 
     def test_memory_stays_flat(self):
         """Every Monte Carlo check streams its sample in chunks of at most
-        200,000 numbers, so the suite's traced peak stays small."""
+        _MC_CHUNK numbers, so the suite's traced peak stays small."""
         tracemalloc.start()
         try:
             run_default_suite(7, scale=0.2)
@@ -492,5 +631,5 @@ class TestDefaultSuite:
         assert decoded[0]["name"] == "projector_moments"
         assert set(decoded[0]) == {
             "name", "passed", "n_samples", "rule",
-            "estimates", "theory", "standard_errors",
+            "estimates", "theory", "standard_errors", "margins",
         }

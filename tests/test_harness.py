@@ -568,7 +568,7 @@ class TestCsvDigests:
         ("ncrs", "e3b47e397ec41f67fa6c41d7dfbaf2f85117c623f3d2ba903060651cf86e4126"),
         ("ncrs_vote", "ddd4c38b02b45cc8eb61a357a2a91e94c5400cea2a038de2557bfe3b55f658bf"),
         ("rsgf", "638776decabf514b4f9b0f79a078c5616c54d5ae169f1401b72d5585f10bfb13"),
-    ])
+    ], ids=["ncrs", "ncrs_vote", "rsgf"])
     def test_run_one_csv_bytes(self, tmp_path, name, digest, blas_core):
         traj, _ = run_one(_digest_configs()[name], master_seed=3)
         path = tmp_path / "run.csv"
