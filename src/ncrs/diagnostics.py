@@ -30,11 +30,13 @@ to one thread they were, so the lanes' products contended for its threads.
 
 The checks that ask an oracle (`descent_ncrs`, `vote_error`, `vote_penalty`)
 stay in one lane on the calling thread (`_mc_mean_se`, or `_row_chunks` for
-the vote-error count): the descent check's
-oracle shares its stream, an objective remembers values in an unlocked
-cache, and a tracer that keeps one span stack wraps their oracle and
-objective calls.  Such a check draws a chunk's directions, if any, and then
-the oracle draws the chunk's uniforms in one compare_gaps call.
+the vote-error count): the descent check's oracle shares its stream, an
+objective remembers values in an unlocked cache, and a tracer that keeps
+one span stack wraps their oracle and objective calls.  Such a check draws
+a chunk's directions, if any, and then the oracle draws the chunk's
+uniforms in one compare_gaps call.  The vote-error bound depends on a pair
+only through its value gap, so that check builds no pair: it hands the
+oracle its gap and evaluates no objective value.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ from .oracles import (
     ConfidenceOracle,
     LinkFunction,
     SignOracle,
-    bisect_increasing,
     local_linearity_constants,
     positive_count,
 )
@@ -334,54 +335,32 @@ def check_descent_ncrs(
     )
 
 
-def _point_at_gap(objective: RidgeObjective, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """(worse, better) along the first active direction with f(worse) - f(better)
-    equal to `gap`, by bisection on a monotone section of the ray."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    u1 = objective.active.basis[0]
-    inner = objective.inner
-    # start of a section where f(c * u1) increases in c
-    c_lo = 0.0
-    if inner.kind == "quadratic_cosine":
-        c_lo = inner.amplitude * inner.frequency
-
-    def ray_value(c: float) -> float:
-        return float(objective.value(c * u1))
-
-    unreachable = f"gap {gap} is not reachable along the probe ray"
-    c = bisect_increasing(ray_value, ray_value(c_lo) + gap, c_lo, max(2.0 * c_lo, 1.0), unreachable)
-    return c * u1, c_lo * u1
-
-
 def check_vote_error(
     oracle: ConfidenceOracle, gap: float, votes: int, trials: int
 ) -> CheckReport:
     """Wrong-decision frequency of a majority vote against its certified bound.
 
-    Builds a pair with value gap `gap` from the oracle's own objective, runs
-    `trials` independent votes of length `votes`, and checks that the
-    frequency of deciding against the better point is at most
-    exp(-votes * rho_eff(gap) / (2C + 4/3)) within +3 binomial SE.
+    The bound depends on a pair only through its value gap, so the check
+    scores that gap directly: `trials` independent votes of length `votes`
+    at value gap `gap` > 0 (compare_gaps, no objective value evaluated), and
+    checks that the frequency of deciding against the better point is at
+    most exp(-votes * rho_eff(gap) / (2C + 4/3)) within +3 binomial SE.
     """
     votes, trials = positive_count(votes, "votes"), positive_count(trials, "trials")
-    worse, better = _point_at_gap(oracle.objective, gap)
-    realized = float(oracle.objective.value(worse)) - float(
-        oracle.objective.value(better)
-    )
-    # every trial asks the oracle about the same pair, whose gap is `realized`
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"gap must be finite and positive, got {gap!r}")
     wrong = 0
     for take in _row_chunks(trials, 2 * votes):
-        totals = oracle.compare_gaps(np.full(take, realized), votes).sum(axis=1)
+        totals = oracle.compare_gaps(np.full(take, gap), votes).sum(axis=1)
         wrong += int(np.count_nonzero(totals <= 0.0))
     freq = wrong / trials
     bernstein = vote_bernstein(oracle.second_moment_bound)
-    bound = math.exp(-votes * float(oracle.rho_effective(realized)) / bernstein)
+    bound = math.exp(-votes * float(oracle.rho_effective(gap)) / bernstein)
     se = math.sqrt(bound * (1.0 - bound) / trials)
     return _bound(
         "vote_error", trials, "frequency <= bound", freq, bound, se,
         {"wrong_decision_freq": freq},
-        {"bound": bound, "gap": realized, "votes": float(votes)},
+        {"bound": bound, "gap": float(gap), "votes": float(votes)},
         rule_tail=" (binomial SE at the bound)",
     )
 

@@ -207,7 +207,7 @@ def validate_config(raw: dict) -> dict:
         )
     if a["horizon"] == "auto":
         _require(
-            a["kind"] == "ncrs" and o["kind"] == "sign",
+            a["kind"] == "ncrs",
             "algorithm.horizon=auto is defined only for ncrs with a sign oracle",
         )
     if a["alpha0"] == "auto" and a["kind"] == "ncrs":
@@ -348,8 +348,8 @@ def running_average(grad_norms: np.ndarray) -> np.ndarray:
 
 def iterations_to_target(traj: Trajectory, epsilon: float) -> int | None:
     """Smallest logged t whose running-average gradient norm is <= epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     avg = running_average(traj.grad_norms)
     hits = np.nonzero(avg <= epsilon)[0]
     if hits.size == 0:

@@ -100,7 +100,7 @@ class NuisanceSpec:
 
     def phases(self, x: np.ndarray) -> np.ndarray:
         """The phases <w_j, x>, batched over leading axes."""
-        return np.asarray(x, dtype=np.float64) @ self.subspace.basis.T
+        return self.subspace.coordinates(x)
 
     def value(self, x: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray | float:
         """eta(x); phases, when given, must be self.phases(x)."""

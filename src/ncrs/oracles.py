@@ -3,10 +3,12 @@
 Algorithms never see objective values or gradients; they see only what
 these oracles answer.  Both models run on one core, _Oracle: it counts the
 queries and answers one pair n times (compare_batch), many pairs given
-their value gaps (compare_gaps; the Monte Carlo certificates use it) and a
-run of candidates against one point (first_preferred), each drawing its
-own uniforms from the oracle's stream.  A model supplies only its response
-to a gap, the uniforms one score draws, and its tie rule:
+only their value gaps (compare_gaps) and a run of candidates against one
+point (first_preferred), each drawing its own uniforms from the oracle's
+stream.  The Monte Carlo certificates use compare_gaps; the vote-error
+certificate asks it about its certified gap alone, with no pair of points.
+A model supplies only its response to a gap, the uniforms one score draws,
+and its tie rule:
 
   SignOracle        scores a noisy sign in {-1, +1}.  The probability of
                     reporting the true ordering is exactly 1/2 + p for every
@@ -27,8 +29,9 @@ evaluates the candidates in one batched objective.value call, and a
 batched value may differ from the single-point value in its last bits (a
 block matmul does not equal the row-by-row one), so its gaps may too.
 
-Sign convention: compare(x, y) > 0 means y is preferred (f(x) > f(y)), so a
-positive answer tells a minimizer to accept the candidate y.
+Sign convention: a score of the pair (x, y) > 0 means y is preferred
+(f(x) > f(y)), so a positive answer tells a minimizer to accept the
+candidate y; a gap given to compare_gaps is f(x) - f(y).
 """
 from __future__ import annotations
 
@@ -176,26 +179,25 @@ def local_linearity_constants(link: LinkFunction) -> tuple[float, float]:
 
 
 def rho_inverse(link: LinkFunction, target: float) -> float:
-    """Gap t >= 0 with rho(t) = target, by bisection.  Needs 0 <= target < 1."""
+    """Gap t >= 0 with rho(t) = target, by bisection.  Needs 0 <= target < 1.
+
+    Doubles hi from the link's scale until rho(hi) >= target (at most 200
+    times), then halves [0, hi] 200 times; returns the midpoint.
+    """
     if not 0.0 <= target < 1.0:
         raise ValueError("target must be in [0, 1)")
     if target == 0.0:
         return 0.0
-    return bisect_increasing(link.rho, target, 0.0, link.scale, f"rho never reaches {target}")
-
-
-def bisect_increasing(fn, target: float, lo: float, hi: float, unreachable: str) -> float:
-    """Where the increasing fn crosses target above lo: doubles hi until fn(hi) >=
-    target (at most 200 times), then halves [lo, hi] 200 times; the midpoint."""
+    lo, hi = 0.0, link.scale
     for _ in range(200):
-        if fn(hi) >= target:
+        if link.rho(hi) >= target:
             break
         hi *= 2.0
     else:
-        raise ValueError(unreachable)
+        raise ValueError(f"rho never reaches {target}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
+        if link.rho(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -362,10 +364,6 @@ class ConfidenceOracle(_Oracle):
         """(c, r) certified for rho_effective: rho_effective(t) >= (c/2) t on [0, r]."""
         c, r = local_linearity_constants(self.link)
         return _MODELS[self.kind][0] * c, r
-
-    def compare(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One score; positive means y preferred."""
-        return float(self.compare_batch(x, y, 1)[0])
 
     def _respond(self, gap, shape: tuple) -> np.ndarray:
         """Scores at non-zero gaps: per row, n engagement uniforms and then,

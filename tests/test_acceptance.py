@@ -3,8 +3,8 @@
 One test per acceptance criterion, in order; each prints a single
 pass/fail line with its measured quantities. Protocol constants
 (steps, horizons, radii) were pilot-calibrated once and are frozen here.
-The full suite took 141 to 183 s on a shared 2-vCPU Xeon host, criterion
-6 the longest at 41 to 68 s.
+The full suite took 92 to 106 s in two runs on a shared 2-vCPU Xeon host,
+criterion 6 the longest at 35 to 40 s.
 """
 import math
 import time

@@ -295,8 +295,9 @@ class TestRunningAverageAndTarget:
 
     def test_validation(self):
         traj = _synthetic_traj([1], [1.0])
-        with pytest.raises(ValueError):
-            iterations_to_target(traj, 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                iterations_to_target(traj, bad)
 
 
 class TestFitScaling:

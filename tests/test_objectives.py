@@ -341,12 +341,14 @@ class TestEvaluate:
         mapped = []
         original = type(obj.active).coordinates
         monkeypatch.setattr(
-            type(obj.active), "coordinates", lambda sub, v: mapped.append(v) or original(sub, v)
+            type(obj.active), "coordinates", lambda sub, v: mapped.append(sub) or original(sub, v)
         )
         grad = obj.gradient(x)
         assert mapped == []
         assert np.array_equal(grad, obj.gradient(x.copy()))
-        assert len(mapped) == 1
+        # an unremembered point maps onto the active subspace and the nuisance's
+        assert [sub is obj.active for sub in mapped] == [True, False]
+        assert mapped[1] is obj.nuisance.subspace
 
 
 class TestNuisance:
@@ -396,6 +398,19 @@ class TestNuisance:
         x = rng.standard_normal(14)
         fd = _fd_gradient(obj.value, x)
         assert_allclose(obj.gradient(x), fd, rtol=0, atol=2e-6)
+
+    def test_phases_are_subspace_coordinates(self):
+        """phases is the nuisance subspace's coordinates, bit for bit, and a
+        point of the wrong length gets the subspace's error."""
+        eta = self._make().nuisance
+        x = 5.0 * _stream(65, "test:etap").standard_normal((7, 30))
+        assert np.array_equal(eta.phases(x), x @ eta.subspace.basis.T)
+        assert np.array_equal(eta.phases(x[0]), eta.subspace.coordinates(x[0]))
+        for bad in (np.zeros(29), np.zeros((3, 31))):
+            with pytest.raises(ValueError, match="vector has dimension"):
+                eta.phases(bad)
+            with pytest.raises(ValueError, match="vector has dimension"):
+                eta.value(bad)
 
     def test_toggling_nuisance_preserves_active_geometry(self):
         plain = random_ridge_objective(

@@ -273,9 +273,9 @@ class TestConfidenceOracle:
         x, y = _pair_with_gap(obj, 0.8)
         gap = float(obj.value(x)) - float(obj.value(y))
         expected = 2.0 * float(oracle.link.probability(gap)) - 1.0
-        assert oracle.compare(x, y) == expected
+        assert oracle.compare_batch(x, y, 1)[0] == expected
         # antisymmetric under swapping the pair
-        assert oracle.compare(y, x) == pytest.approx(-expected, abs=1e-15)
+        assert oracle.compare_batch(y, x, 1)[0] == pytest.approx(-expected, abs=1e-15)
         assert oracle.second_moment_bound == 1.0
         assert np.all(oracle.compare_batch(x, y, 5) == expected)
         assert oracle.query_count == 7
@@ -354,7 +354,7 @@ class TestConfidenceOracle:
     def test_query_counting_and_validation(self):
         obj, oracle = self._oracle("engage_abstain")
         x, y = _pair_with_gap(obj, 0.4)
-        oracle.compare(x, y)
+        oracle.compare_batch(x, y, 1)
         oracle.compare_batch(x, y, 9)
         assert oracle.query_count == 10
         with pytest.raises(ValueError):
