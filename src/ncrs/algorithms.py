@@ -201,11 +201,14 @@ def _search(
     Iterates are sealed, so the same array means the same point: the
     instrument is called only when theta is not the array of the last
     reading, and a rejected move logs that reading again.  theta_final is a
-    writeable copy.
+    writeable copy.  A theta1 that is not a non-empty 1-D vector of finite
+    numbers raises ValueError before any draw.
     """
     theta = np.asarray(theta1, dtype=np.float64)
     if theta.ndim != 1 or theta.size == 0:  # before seal, which flattens
         raise ValueError("theta1 must be a non-empty 1-D vector")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta1 must have finite coordinates")
     theta = seal(theta)
     size = theta.size
     horizon = schedule.horizon

@@ -13,6 +13,9 @@ at a maximum relative error of GRAD_FD_TOL = 1e-4.  Checks draw all
 randomness from the RngStream handed to them, so a report is reproducible
 bit-exactly from (master seed, check name).  Each report also records, per
 verdict, its margin: how many SEs the estimate lies inside its bound.
+An input a check cannot certify, such as a vector with a NaN or infinite
+entry or a step that is not finite and positive, raises a ValueError that
+names it before any draw.
 
 Every Monte Carlo mean is one streaming estimate: chunks of at most
 _MC_CHUNK = 32,768 numbers, so memory stays flat in the sample size, merged
@@ -189,6 +192,21 @@ def _two_lane_mean_se(n: int, width: int, rng: RngStream, draw) -> tuple[np.ndar
     return _mean_se(moments)
 
 
+def _finite(name: str, x) -> np.ndarray:
+    """x as float64; a ValueError naming it unless every entry is finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _step(alpha: float) -> float:
+    """alpha; a ValueError unless it is finite and positive."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    return alpha
+
+
 def _margin(excess: float, se: float, band: float) -> float | None:
     """How many SEs `excess` lies inside its allowance of `band` SEs."""
     return None if se == 0.0 else band - excess / se
@@ -258,7 +276,7 @@ def check_cross_moment(
     lanes as check_projector_moments does, and leaves rng at its start
     jumped twice, so a second check on the same stream draws afresh."""
     n = positive_count(n, "n")
-    a = np.asarray(a, dtype=np.float64)
+    a = _finite("a", a)
     k = subspace.dim
     theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
     basis_t = subspace.basis.T
@@ -275,7 +293,7 @@ def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
     """E |<g, s>| against sqrt(2/pi) ||g||.  Draws in two lanes as
     check_projector_moments does, and leaves rng at its start jumped twice."""
     n = positive_count(n, "n")
-    g = np.asarray(g, dtype=np.float64)
+    g = _finite("g", g)
     theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
     d = g.shape[0]
     mean, se = _two_lane_mean_se(
@@ -307,7 +325,7 @@ def check_descent_ncrs(
     uniforms in compare_gaps.
     """
     n = positive_count(n, "n")
-    theta = np.asarray(theta, dtype=np.float64)
+    theta, alpha = _finite("theta", theta), _step(alpha)
     oracle = SignOracle(objective, advantage, rng)
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))
@@ -385,7 +403,7 @@ def check_vote_penalty(
     certified linearity constants.
     """
     votes, trials = positive_count(votes, "votes"), positive_count(trials, "trials")
-    theta = np.asarray(theta, dtype=np.float64)
+    theta, alpha = _finite("theta", theta), _step(alpha)
     objective = oracle.objective
     d = objective.ambient_dim
     f_theta = float(objective.value(theta))

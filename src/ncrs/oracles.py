@@ -15,11 +15,12 @@ and its tie rule:
                     queried pair, the adversarial worst case allowed by a
                     fixed advantage p.  One uniform per score; a tie draws
                     its uniform too and answers a fair coin.
-  ConfidenceOracle  scores in [-1, 1] with a mean, conditioned on the pair,
-                    linked to the value gap: E[sign(gap) * R] >= rho(|gap|)
+  ConfidenceOracle  scores in [-1, 1] from the link's margin rho(|gap|)
+                    and sign(gap) alone, so that E[sign(gap) * R] >= rho(|gap|)
                     and E[R^2] <= C * rho(|gap|).  Zero, one or two uniforms
                     per score by response model; a tie scores 0 and draws
-                    nothing.
+                    nothing.  A score is the same double whether its gap
+                    arrives alone or in a block.
 
 SignOracle.compare, the sign search's one query per iteration, answers as
 compare_batch(x, y, 1) does on a scalar path.  first_preferred answers a
@@ -31,7 +32,9 @@ block matmul does not equal the row-by-row one), so its gaps may too.
 
 Sign convention: a score of the pair (x, y) > 0 means y is preferred
 (f(x) > f(y)), so a positive answer tells a minimizer to accept the
-candidate y; a gap given to compare_gaps is f(x) - f(y).
+candidate y; a gap given to compare_gaps is f(x) - f(y).  A NaN gap is a
+ValueError at every entry point, raised before a query is counted or a
+uniform drawn; an infinite gap is legal (rho is 1 there).
 """
 from __future__ import annotations
 
@@ -58,6 +61,8 @@ CONFIDENCE_KINDS = tuple(_MODELS)
 
 CERT_GRID_POINTS = 1000  # grid resolution for the local-linearity certificate
 
+_NAN_GAP = "a value gap f(x) - f(y) is NaN; no model scores it"
+
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -82,11 +87,6 @@ def _real(x):
 
 def _expit(z):
     """1 / (1 + exp(-z)), which saturates to 0 without a warning."""
-    if isinstance(z, float):
-        try:
-            return 1.0 / (1.0 + math.exp(-z))
-        except OverflowError:
-            return 0.0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
 
@@ -121,7 +121,9 @@ class LinkFunction:
     def probability(self, u: np.ndarray | float) -> np.ndarray | float:
         """sigma(u): probability of preferring y at signed gap u = f(x) - f(y).
 
-        The probit is Phi(z) = erfc(-z / sqrt 2) / 2 at z = u / scale.
+        The probit is Phi(z) = erfc(-z / sqrt 2) / 2 at z = u / scale.  This
+        is the link's definition and the link-reduction certificate's
+        reference; no oracle score reads it (scores use rho).
         """
         z = _real(u) / self.scale
         if self.kind == "logistic":
@@ -227,6 +229,8 @@ class _Oracle:
         positive means y preferred."""
         n = positive_count(n, "n")
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        if math.isnan(gap):
+            raise ValueError(_NAN_GAP)
         self.query_count += n
         if not self._asked(gap):
             return np.zeros(n)
@@ -245,6 +249,8 @@ class _Oracle:
         if gaps.ndim > 1:
             raise ValueError(f"gaps must be a scalar or a 1-D vector, got shape {gaps.shape}")
         gaps = gaps.reshape(-1)
+        if np.isnan(gaps).any():
+            raise ValueError(_NAN_GAP)
         self.query_count += gaps.size * n
         scores = np.zeros((gaps.size, n))
         asked = self._asked(gaps)
@@ -312,6 +318,8 @@ class SignOracle(_Oracle):
         from the oracle's stream, after evaluating the pair.
         """
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
+        if math.isnan(gap):
+            raise ValueError(_NAN_GAP)
         self.query_count += 1
         return self._respond(gap, None)
 
@@ -329,7 +337,8 @@ class ConfidenceOracle(_Oracle):
 
     Response models, at gap magnitude t = |f(x) - f(y)| with margin rho(t):
 
-      deterministic_link  always answers 2 sigma(gap) - 1      (C = 1)
+      deterministic_link  always answers sign(gap) * rho(t)     (C = 1),
+                          which is 2 sigma(gap) - 1
       engage_abstain      answers sign(gap) w.p. rho(t), else 0 (C = 1)
       noisy_engage        w.p. rho(t) answers sign(gap) * B with
                           B = +1 w.p. 3/4 and -1 w.p. 1/4, else 0; the
@@ -366,12 +375,13 @@ class ConfidenceOracle(_Oracle):
         return _MODELS[self.kind][0] * c, r
 
     def _respond(self, gap, shape: tuple) -> np.ndarray:
-        """Scores at non-zero gaps: per row, n engagement uniforms and then,
-        for noisy_engage, n flip uniforms (none for deterministic_link)."""
-        if self.kind == "deterministic_link":
-            return np.full(shape, 2.0 * self.link.probability(gap) - 1.0)
-        rho = self.link.rho(abs(gap))
+        """Scores at non-zero gaps from sign(gap) and rho(|gap|): per row, n
+        engagement uniforms and then, for noisy_engage, n flip uniforms
+        (none for deterministic_link)."""
         sign = 2.0 * (gap > 0.0) - 1.0
+        rho = self.link.rho(abs(gap))
+        if self.kind == "deterministic_link":
+            return np.full(shape, sign * rho)
         u = self.rng.random(shape[:-1] + (self._uniforms,) + shape[-1:])
         engaged = u[..., 0, :] < rho
         if self.kind == "engage_abstain":

@@ -596,6 +596,34 @@ class TestRunnerContract:
         assert np.array_equal(traj.queries, per_iteration * np.arange(1, horizon + 1))
         assert traj.theta_final.shape == (size,)
 
+    @pytest.mark.parametrize("kind", RUNS)
+    def test_a_start_point_that_is_not_finite_raises_before_any_draw(self, kind):
+        obj = _quadratic(216, d=12, k=3)
+        link = LinkFunction(kind="logistic")
+        oracle = (SignOracle(obj, 0.2, _stream(216, "oracle")) if kind == "ncrs" else
+                  ConfidenceOracle(obj, "noisy_engage", link, _stream(216, "oracle")))
+        values = []
+
+        def value(x):
+            values.append(x)
+            return obj.value(x)
+
+        sched = constant_schedule(0.1, 100)
+        run = {
+            "ncrs": lambda x, rng: ncrs_run(oracle, x, sched, rng),
+            "ncrs_vote": lambda x, rng: ncrs_vote_run(oracle, x, sched, 3, rng),
+            "rsgf": lambda x, rng: rsgf_run(value, x, sched, 1e-4, rng),
+        }[kind]
+        one_inf = np.ones(12)
+        one_inf[4] = -math.inf
+        rng = _stream(216, "algorithm")
+        for bad in (np.full(12, math.nan), one_inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="theta1 must have finite coordinates"):
+                run(bad, rng)
+        assert oracle.query_count == 0 and values == []
+        assert rng.random() == _stream(216, "algorithm").random()
+        assert oracle.rng.random() == _stream(216, "oracle").random()
+
 
 class TestDrawAhead:
     """_search draws its directions in blocks, every block after the first

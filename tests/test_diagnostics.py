@@ -43,6 +43,36 @@ from ncrs.oracles import ConfidenceOracle, LinkFunction, SignOracle
 BAD_COUNTS = (2.5, True, 0)
 
 
+# OpenBLAS kernel -> seed -> sha256 of run_default_suite(seed, 0.02)'s JSON.
+# Kernels sum products in different orders, so each pins its own bytes
+# (test_kernels.py checks the pins of every kernel this CPU can run).
+SUITE_DIGESTS = {
+    "SkylakeX": {
+        0: "ad260bbc5db512b3f446814265e45bd78459dcc3ce54cd4d646c0e72181316f6",
+        7: "8fe83d01784ed4a373ea65490462a06e239da6320e04b795e5188933fc13bf1a",
+    },
+    "Haswell": {
+        0: "dfda9e4eb568ca29423f70b9af47da160a4e1f4256a82ad25bb81e05e050f19c",
+        7: "a24bc0e47209ad2da1acbfe899b384f02fe4b9a6b2e632f2ebe0ea39a00e04ca",
+    },
+    "Sandybridge": {
+        0: "8578af4d916fe7f66470aff1ef347d2f805e99c3b810945e03725e46ded3f620",
+        7: "ea13762acc13e2da4408db3d19b7e4cd3fabf09758ed473eb519e4a9c2e92813",
+    },
+    "Prescott": {
+        0: "818a4692de81eddeaecef63d2f210cc538df5b4f8c0c1b62e677e6312524740a",
+        7: "40ce008e87bbd700c83e7004dfff3453337f6735a3da5ddf4bbbbe3369221199",
+    },
+}
+
+
+def suite_digest(seed):
+    """sha256 of the JSON reports of run_default_suite(seed, scale=0.02)."""
+    payload = json.dumps([r.to_json() for r in run_default_suite(seed, scale=0.02)],
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def _stream(seed, tag):
     return RngStream(seed, stream_id_for(0, tag))
 
@@ -126,6 +156,18 @@ class TestHalfnormal:
         assert report.passed
         assert report.estimates["abs_mean"] == 0.0
 
+    def test_a_vector_that_is_not_finite_raises_before_any_draw(self):
+        space = random_subspace(_stream(322, "subspace"), 6, 2)
+        rng = _stream(322, "mc")
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.ones(6)
+            v[2] = bad
+            with pytest.raises(ValueError, match="g must be finite"):
+                check_halfnormal(v, 100, rng)
+            with pytest.raises(ValueError, match="a must be finite"):
+                check_cross_moment(space, v, 100, rng)
+        assert rng.random() == _stream(322, "mc").random()
+
 
 class TestDescentNcrs:
     def test_passes_on_quadratic(self):
@@ -173,6 +215,16 @@ class TestDescentNcrs:
         for bad in BAD_COUNTS:
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 check_descent_ncrs(obj, 0.5, np.zeros(10), 0.1, bad, _stream(335, "mc"))
+        rng = _stream(335, "mc")
+        for alpha in (math.nan, math.inf, 0.0, -0.1):
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                check_descent_ncrs(obj, 0.5, np.zeros(10), alpha, 100, rng)
+        for bad in (math.nan, math.inf):
+            theta = np.zeros(10)
+            theta[3] = bad
+            with pytest.raises(ValueError, match="theta must be finite"):
+                check_descent_ncrs(obj, 0.5, theta, 0.1, 100, rng)
+        assert rng.random() == _stream(335, "mc").random()
 
 
 class TestVoteError:
@@ -263,6 +315,18 @@ class TestVotePenalty:
                 check_vote_penalty(oracle, np.zeros(12), 0.05, bad, 10, _stream(351, "mc"))
             with pytest.raises(ValueError, match="trials must be a positive integer"):
                 check_vote_penalty(oracle, np.zeros(12), 0.05, 16, bad, _stream(351, "mc"))
+        rng = _stream(351, "mc")
+        for alpha in (math.nan, math.inf, 0.0, -0.05):
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                check_vote_penalty(oracle, np.zeros(12), alpha, 16, 10, rng)
+        for bad in (math.nan, -math.inf):
+            theta = np.zeros(12)
+            theta[5] = bad
+            with pytest.raises(ValueError, match="theta must be finite"):
+                check_vote_penalty(oracle, theta, 0.05, 16, 10, rng)
+        assert oracle.query_count == 0
+        assert rng.random() == _stream(351, "mc").random()
+        assert oracle.rng.random() == _stream(351, "oracle").random()
 
 
 def _replay_descent(objective, advantage, theta, alpha, n, rng):
@@ -604,18 +668,16 @@ class TestDefaultSuite:
         b = json.dumps([r.to_json() for r in again], sort_keys=True)
         assert a == b
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "ad260bbc5db512b3f446814265e45bd78459dcc3ce54cd4d646c0e72181316f6"),
-        (7, "8fe83d01784ed4a373ea65490462a06e239da6320e04b795e5188933fc13bf1a"),
-    ], ids=["0", "7"])
-    def test_report_digests(self, seed, digest, blas_core):
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_report_digests(self, seed, blas_core):
         """Pin the suite's JSON bytes: every name, rule, estimate, theory
         value and standard error, in report order.  A digest changes only
-        when a report changes, so an intended change re-pins it and says why."""
-        payload = json.dumps([r.to_json() for r in run_default_suite(seed, scale=0.02)],
-                             sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == digest, (
-            f"OpenBLAS kernel {blas_core}; the digest was pinned on SkylakeX")
+        when a report changes, so an intended change re-pins it and says why.
+        The pin is the running OpenBLAS kernel's; a kernel with no pin fails
+        and is named."""
+        assert blas_core in SUITE_DIGESTS, f"no digest pinned for OpenBLAS kernel {blas_core}"
+        assert suite_digest(seed) == SUITE_DIGESTS[blas_core][seed], (
+            f"OpenBLAS kernel {blas_core}")
 
     def test_deterministic_checks_pass_at_any_scale(self):
         reports = run_default_suite(78, scale=0.02)

@@ -100,6 +100,16 @@ class TestLinkFunction:
         assert link.probability(np.array([0.3])).shape == (1,)
         assert link.rho(np.zeros((2, 1))).shape == (2, 1)
 
+    @pytest.mark.parametrize("kind", ["logistic", "probit", "arctan"])
+    def test_a_float_answers_its_array_entry(self, kind):
+        """One formula per function: sigma(u) and rho(|u|) of a float equal,
+        bit for bit, that value's entry in one array call."""
+        link = LinkFunction(kind=kind)
+        u = np.random.default_rng(0).uniform(-8.0, 8.0, 10_000)
+        sigma, rho = link.probability(u), link.rho(np.abs(u))
+        assert [link.probability(float(x)) for x in u] == sigma.tolist()
+        assert [link.rho(abs(float(x))) for x in u] == rho.tolist()
+
     def test_scale_steepens_or_flattens(self):
         sharp = LinkFunction(kind="logistic", scale=0.1)
         flat = LinkFunction(kind="logistic", scale=10.0)
@@ -269,13 +279,15 @@ class TestConfidenceOracle:
         return obj, ConfidenceOracle(obj, kind, link, _stream(seed, "oracle"))
 
     def test_deterministic_link_scores(self):
+        """The score is sign(gap) * rho(|gap|), which is 2 sigma(gap) - 1."""
         obj, oracle = self._oracle("deterministic_link")
         x, y = _pair_with_gap(obj, 0.8)
         gap = float(obj.value(x)) - float(obj.value(y))
-        expected = 2.0 * float(oracle.link.probability(gap)) - 1.0
+        expected = math.copysign(oracle.link.rho(abs(gap)), gap)
         assert oracle.compare_batch(x, y, 1)[0] == expected
+        assert expected == pytest.approx(2.0 * oracle.link.probability(gap) - 1.0, abs=1e-15)
         # antisymmetric under swapping the pair
-        assert oracle.compare_batch(y, x, 1)[0] == pytest.approx(-expected, abs=1e-15)
+        assert oracle.compare_batch(y, x, 1)[0] == -expected
         assert oracle.second_moment_bound == 1.0
         assert np.all(oracle.compare_batch(x, y, 5) == expected)
         assert oracle.query_count == 7
@@ -350,6 +362,39 @@ class TestConfidenceOracle:
         assert np.all(got[2] == 0.0)
         assert many.query_count == one.query_count == 5 * 33
         assert many.rng.random() == one.rng.random()
+
+    @pytest.mark.parametrize("model", ["deterministic_link", "engage_abstain", "noisy_engage"])
+    @pytest.mark.parametrize("link_kind", ["logistic", "probit", "arctan"])
+    def test_a_score_does_not_depend_on_how_its_gap_arrives(self, link_kind, model):
+        """Row i of compare_gaps equals compare_batch on pair i, bit for bit,
+        over 2,000 pairs whose gaps span +-8 link scales (every tenth a tie),
+        and both leave query_count and the stream at the same place."""
+        obj = _quadratic_ridge(118)
+        link = LinkFunction(kind=link_kind, scale=0.5)
+        u1 = obj.active.basis[0]
+        ab = np.random.default_rng(118).uniform(-3.0, 3.0, (2_000, 2))
+        ab[::10, 1] = ab[::10, 0]
+        pairs = [(a * u1, b * u1) for a, b in ab]
+        one = ConfidenceOracle(obj, model, link, _stream(118, "oracle"))
+        expected = np.stack([one.compare_batch(x, y, 3) for x, y in pairs])
+        gaps = np.array([float(obj.value(x)) - float(obj.value(y)) for x, y in pairs])
+        assert gaps.min() < -8.0 * link.scale and gaps.max() > 8.0 * link.scale
+        assert np.count_nonzero(gaps == 0.0) == 200
+        many = ConfidenceOracle(obj, model, link, _stream(118, "oracle"))
+        assert np.array_equal(many.compare_gaps(gaps, 3), expected)
+        assert many.query_count == one.query_count == 6_000
+        assert many.rng.random() == one.rng.random()
+
+    @pytest.mark.parametrize("link_kind", ["logistic", "probit", "arctan"])
+    def test_a_tiny_gap_keeps_its_sign(self, link_kind):
+        """At a gap of 1e-17 link scales 2 sigma - 1 rounds to 0, but the
+        margin rho keeps full relative precision, so the score is not a tie."""
+        link = LinkFunction(kind=link_kind)
+        _, oracle = self._oracle("deterministic_link", link=link)
+        scores = oracle.compare_gaps(np.array([1e-17, -1e-17]), 2)
+        assert 2.0 * link.probability(1e-17) - 1.0 == 0.0
+        assert scores[0, 0] > 0.0
+        assert scores.tolist() == [[link.rho(1e-17)] * 2, [-link.rho(1e-17)] * 2]
 
     def test_query_counting_and_validation(self):
         obj, oracle = self._oracle("engage_abstain")
@@ -476,3 +521,51 @@ class TestFirstPreferred:
             oracle.first_preferred(self.X, self.X, 3)
         assert oracle.first_preferred(self.X, np.empty((0, 8)), 3) == 0
         assert oracle.query_count == 0
+
+
+class TestNanGaps:
+    """No score answers a NaN gap: every entry point raises before it counts
+    a query or draws a uniform.  An infinite gap is legal (rho is 1 there)."""
+
+    @staticmethod
+    def _oracle(kind):
+        obj = _quadratic_ridge(120)
+        if kind == "sign":
+            return SignOracle(obj, 0.25, _stream(120, "oracle"))
+        return ConfidenceOracle(obj, kind, LinkFunction(kind="logistic"),
+                                _stream(120, "oracle"))
+
+    @pytest.mark.parametrize(
+        "kind", ["deterministic_link", "engage_abstain", "noisy_engage", "sign"]
+    )
+    def test_a_nan_gap_raises_before_counting_or_drawing(self, kind):
+        oracle = self._oracle(kind)
+        x, y = _pair_with_gap(oracle.objective, 0.4)
+        nan = np.full_like(x, math.nan)
+        calls = [
+            lambda: oracle.compare_batch(nan, y, 3),
+            lambda: oracle.compare_batch(x, nan, 1),
+            lambda: oracle.compare_gaps(math.nan, 2),
+            lambda: oracle.compare_gaps(np.array([0.3, math.nan, 0.0]), 2),
+            lambda: oracle.first_preferred(x, np.stack([x, nan, y]), 3),
+        ]
+        if kind == "sign":
+            calls.append(lambda: oracle.compare(x, nan))
+        state = _stream_state(oracle)
+        for call in calls:
+            with pytest.raises(ValueError, match="gap f\\(x\\) - f\\(y\\) is NaN"):
+                call()
+            assert oracle.query_count == 0
+            assert _stream_state(oracle) == state
+
+    @pytest.mark.parametrize(
+        "kind", ["deterministic_link", "engage_abstain", "noisy_engage", "sign"]
+    )
+    def test_an_infinite_gap_is_scored(self, kind):
+        oracle = self._oracle(kind)
+        scores = oracle.compare_gaps(np.array([math.inf, -math.inf]), 4)
+        assert oracle.query_count == 8
+        if kind in ("deterministic_link", "engage_abstain"):
+            assert scores.tolist() == [[1.0] * 4, [-1.0] * 4]
+        else:
+            assert np.all(np.isin(scores, [-1.0, 1.0]))
