@@ -14,8 +14,9 @@ randomness from the RngStream handed to them, so a report is reproducible
 bit-exactly from (master seed, check name).  Each report also records, per
 verdict, its margin: how many SEs the estimate lies inside its bound.
 An input a check cannot certify, such as a vector with a NaN or infinite
-entry or a step that is not finite and positive, raises a ValueError that
-names it before any draw.
+entry, a vector that is not 1-D or not of the subspace's dimension, or a
+step that is not finite and positive, raises a ValueError that names it
+before any draw.
 
 Every Monte Carlo mean is one streaming estimate: chunks of at most
 _MC_CHUNK = 32,768 numbers, so memory stays flat in the sample size, merged
@@ -25,8 +26,15 @@ half-normal) draw in two lanes (`_two_lane_mean_se`): the first half of the
 sample from their rng on the calling thread, the rest from rng's stream
 jumped once (`bit_generator.jumped()`, 2**128 Philox blocks ahead) on a
 one-worker executor, so the two lanes' Philox fills run on two cores.  The
-split is fixed at two lanes, never the CPU count, and such a check leaves
-rng at its start jumped twice, so no two lanes of any checks share a draw.
+split is fixed at two lanes, never the CPU count, and a run leaves rng at
+its start jumped twice, so two runs on one stream never share a draw.  One
+run can serve several such checks (`_gaussian_reports`): it draws each
+chunk of s ~ N(0, I_d) once and stacks every check's columns, each the
+expression its check computes alone, so each report equals the one its
+check returns alone on a fresh copy of the stream.  The default suite's
+four Gaussian reports share one sample this way.  Their verdicts are then
+dependent, but each keeps its own false-alarm rate, and a union bound over
+the suite does not need independence.
 The chunk size keeps each chunk's matrix product small: at 200,000 numbers
 per chunk the two lanes were no faster than one lane, yet with OpenBLAS held
 to one thread they were, so the lanes' products contended for its threads.
@@ -46,9 +54,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -248,58 +256,120 @@ def _bound(name: str, n: int, rule: str, small: float, large: float, se: float,
     )
 
 
+@dataclass(frozen=True)
+class _Gaussian:
+    """A check that draws only s ~ N(0, I_dim), in the form that
+    _gaussian_reports runs: `columns(s, q)` maps the rows s of a chunk, and
+    q = ||U s||^2 for the rows of `subspace`'s basis U (None when it has no
+    subspace), to one column per estimate name, whose means the report holds
+    to `theory` by _equality."""
+
+    name: str
+    names: tuple[str, ...]
+    theory: tuple[float, ...]
+    dim: int
+    subspace: Subspace | None
+    columns: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
+    rule_tail: str = ""
+
+
+def _gaussian_reports(checks: list[_Gaussian], n: int, rng: RngStream) -> list[CheckReport]:
+    """The reports of Gaussian-only checks that share one sample.
+
+    Per chunk, draws s ~ N(0, I_d) once through _two_lane_mean_se, computes
+    q = ||U s||^2 once if any check has a subspace, and stacks every check's
+    columns; each check's report reads its own columns' means and SEs.  A
+    column is the same expression whether its check runs alone or with
+    others, so each report equals the one its check returns alone on a
+    fresh copy of rng.  The checks must share d, and any subspace.  rng is
+    left at its start jumped twice."""
+    n = positive_count(n, "n")
+    d = checks[0].dim
+    space = next((check.subspace for check in checks if check.subspace is not None), None)
+    if any(check.dim != d or check.subspace is not None and check.subspace is not space
+           for check in checks):
+        raise ValueError("checks that share a sample need one dimension and one subspace")
+    basis_t = None if space is None else space.basis.T
+
+    def draw(gen, take):
+        s = gen.standard_normal((take, d))
+        # rows of the basis are orthonormal, so ||P s|| = ||U s||
+        q = None if basis_t is None else np.sum((s @ basis_t) ** 2, axis=1)
+        return np.column_stack([check.columns(s, q) for check in checks])
+
+    means, ses = _two_lane_mean_se(n, d, rng, draw)
+    reports, start = [], 0
+    for check in checks:
+        cols = slice(start, start + len(check.names))
+        start = cols.stop
+        reports.append(_equality(
+            check.name, n, check.names, means[cols], check.theory, ses[cols], check.rule_tail
+        ))
+    return reports
+
+
+def _vector(name: str, x, dim: int | None = None) -> np.ndarray:
+    """x as a finite 1-D float64 vector with at least one entry (and `dim`
+    entries, if given); otherwise a ValueError that names it."""
+    x = _finite(name, x)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {x.shape}")
+    if dim is not None and x.size != dim:
+        raise ValueError(f"{name} has {x.size} entries; the subspace's ambient dimension is {dim}")
+    return x
+
+
+def _projector_moments(subspace: Subspace) -> _Gaussian:
+    k = subspace.dim
+    return _Gaussian(
+        "projector_moments", ("second", "fourth", "sixth"),
+        (k, k * (k + 2), k * (k + 2) * (k + 4)), subspace.ambient_dim, subspace,
+        lambda s, q: np.stack([q, q**2, q**3], axis=1), " for each moment",
+    )
+
+
+def _cross_moment(subspace: Subspace, a) -> _Gaussian:
+    a = _vector("a", a, subspace.ambient_dim)
+    theory = subspace.dim * float(a @ a) + 2.0 * float(a @ subspace.project(a))
+    return _Gaussian(
+        "cross_moment", ("cross_moment",), (theory,), subspace.ambient_dim, subspace,
+        lambda s, q: (s @ a) ** 2 * q,
+    )
+
+
+def _halfnormal(g) -> _Gaussian:
+    g = _vector("g", g)
+    theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
+    return _Gaussian(
+        "halfnormal", ("abs_mean",), (theory,), g.size, None, lambda s, q: np.abs(s @ g)
+    )
+
+
 def check_projector_moments(subspace: Subspace, n: int, rng: RngStream) -> CheckReport:
     """E ||P s||^2, ||P s||^4, ||P s||^6 for Gaussian s against k, k(k+2),
     k(k+2)(k+4).  Draws in two lanes (_two_lane_mean_se): the first half of
     the sample from rng, the rest from rng's stream jumped once; rng is left
-    at its start jumped twice."""
-    n = positive_count(n, "n")
-    k = subspace.dim
-    basis_t = subspace.basis.T
-
-    def draw(gen, take):
-        s = gen.standard_normal((take, subspace.ambient_dim))
-        # rows of the basis are orthonormal, so ||P s|| = ||U s||
-        q = np.sum((s @ basis_t) ** 2, axis=1)
-        return np.stack([q, q**2, q**3], axis=1)
-
-    means, ses = _two_lane_mean_se(n, subspace.ambient_dim, rng, draw)
-    theory = (k, k * (k + 2), k * (k + 2) * (k + 4))
-    names = ("second", "fourth", "sixth")
-    return _equality("projector_moments", n, names, means, theory, ses, " for each moment")
+    at its start jumped twice.  The default suite computes this report from
+    one sample it shares with the cross-moment and half-normal reports
+    (_gaussian_reports)."""
+    return _gaussian_reports([_projector_moments(subspace)], n, rng)[0]
 
 
 def check_cross_moment(
     subspace: Subspace, a: np.ndarray, n: int, rng: RngStream
 ) -> CheckReport:
-    """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a.  Draws in two
-    lanes as check_projector_moments does, and leaves rng at its start
-    jumped twice, so a second check on the same stream draws afresh."""
-    n = positive_count(n, "n")
-    a = _finite("a", a)
-    k = subspace.dim
-    theory = k * float(a @ a) + 2.0 * float(a @ subspace.project(a))
-    basis_t = subspace.basis.T
-
-    def draw(gen, take):
-        s = gen.standard_normal((take, subspace.ambient_dim))
-        return (s @ a) ** 2 * np.sum((s @ basis_t) ** 2, axis=1)
-
-    mean, se = _two_lane_mean_se(n, subspace.ambient_dim, rng, draw)
-    return _equality("cross_moment", n, ("cross_moment",), mean, theory, se)
+    """E[(a' s)^2 ||P s||^2] against k ||a||^2 + 2 a' P a, where `a` is a
+    finite vector of the subspace's ambient dimension.  Draws as
+    check_projector_moments does, and leaves rng at its start jumped twice,
+    so a second check on the same stream draws afresh."""
+    return _gaussian_reports([_cross_moment(subspace, a)], n, rng)[0]
 
 
 def check_halfnormal(g: np.ndarray, n: int, rng: RngStream) -> CheckReport:
-    """E |<g, s>| against sqrt(2/pi) ||g||.  Draws in two lanes as
-    check_projector_moments does, and leaves rng at its start jumped twice."""
-    n = positive_count(n, "n")
-    g = _finite("g", g)
-    theory = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(g))
-    d = g.shape[0]
-    mean, se = _two_lane_mean_se(
-        n, d, rng, lambda gen, take: np.abs(gen.standard_normal((take, d)) @ g)
-    )
-    return _equality("halfnormal", n, ("abs_mean",), mean, theory, se)
+    """E |<g, s>| against sqrt(2/pi) ||g|| for a finite nonempty vector g.
+    Draws as check_projector_moments does, and leaves rng at its start
+    jumped twice."""
+    return _gaussian_reports([_halfnormal(g)], n, rng)[0]
 
 
 def check_descent_ncrs(
@@ -515,22 +585,16 @@ def run_default_suite(master_seed: int, scale: float = 1.0) -> list[CheckReport]
 
     reports: list[CheckReport] = []
 
-    rng = stream("projector_moments")
+    # the four Gaussian-only reports read one sample from one stream
     space = random_subspace(stream("subspace"), 50, 7)
-    reports.append(check_projector_moments(space, sized(1_000_000), rng))
-
-    rng = stream("cross_moment")
     a_in = space.basis[0] * 2.0
     a_out = gaussian_vector(stream("cross-dir"), 50)
     a_out = a_out - space.project(a_out)
+    gaussian = [_projector_moments(space)]
     for tag, a in (("in_range", a_in), ("general", a_in + a_out)):
-        rep = check_cross_moment(space, a, sized(1_000_000), rng)
-        rep.name = f"cross_moment_{tag}"
-        reports.append(rep)
-
-    rng = stream("halfnormal")
-    g = gaussian_vector(stream("halfnormal-dir"), 40) * 1.7
-    reports.append(check_halfnormal(g, sized(1_000_000), rng))
+        gaussian.append(replace(_cross_moment(space, a), name=f"cross_moment_{tag}"))
+    gaussian.append(_halfnormal(gaussian_vector(stream("halfnormal-dir"), 50) * 1.7))
+    reports.extend(_gaussian_reports(gaussian, sized(1_000_000), stream("projector_moments")))
 
     links = [(kind, LinkFunction(kind=kind)) for kind in LINK_KINDS]
     for tag, link in links + [("logistic_sharp", LinkFunction(kind="logistic", scale=0.25))]:

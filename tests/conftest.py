@@ -31,8 +31,42 @@ def openblas_core():
     return "Prescott" if name == "Katmai" else name
 
 
+def numpy_target():
+    """numpy's highest enabled SIMD dispatch target, such as "AVX512_SPR", or
+    its highest baseline target, such as "X86_V2", when none is enabled;
+    "unknown" when numpy does not say."""
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__,
+            __cpu_dispatch__,
+            __cpu_features__,
+        )
+    except ImportError:
+        return "unknown"
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return (enabled or list(__cpu_baseline__) or ["unknown"])[-1]
+
+
+# x86-64 numpy targets, lowest first; numpy's own loops are chosen by them
+NUMPY_TARGETS = ("X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def pin_pairs(*groups):
+    """{(kernel, target): pin} from groups (kernels, targets, pin): the pin
+    holds for each kernel in `kernels` with each numpy target in `targets`."""
+    return {(k, t): pin for kernels, targets, pin in groups for k in kernels for t in targets}
+
+
+def pinned(pins, pair):
+    """pins[pair], the pin of an (OpenBLAS kernel, numpy target) pair; a
+    pair with no pin fails and is named."""
+    assert pair in pins, "no digest pinned for OpenBLAS kernel {} with numpy target {}".format(*pair)
+    return pins[pair]
+
+
 @pytest.fixture(scope="session")
-def blas_core():
-    """openblas_core().  Kernels sum products in different orders, so the
-    digest tests look up their pins by it and name it when they fail."""
-    return openblas_core()
+def simd_pair():
+    """(openblas_core(), numpy_target()).  OpenBLAS kernels sum products in
+    different orders and numpy's dispatch picks its own loops, so the digest
+    tests look up their pins by both and name both when they fail."""
+    return openblas_core(), numpy_target()

@@ -7,16 +7,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import NUMPY_TARGETS, pin_pairs, pinned
 from numpy.testing import assert_allclose
 
 from ncrs.diagnostics import (
     _MC_CHUNK,
     _bound,
+    _cross_moment,
     _equality,
+    _gaussian_reports,
+    _halfnormal,
     _mc_mean_se,
     _mean_se,
     _merge,
     _moments,
+    _projector_moments,
     _row_chunks,
     _two_lane_mean_se,
     check_cross_moment,
@@ -29,7 +34,7 @@ from ncrs.diagnostics import (
     check_vote_penalty,
     run_default_suite,
 )
-from ncrs.geometry import RngStream, random_subspace, stream_id_for
+from ncrs.geometry import RngStream, gaussian_vector, random_subspace, stream_id_for
 from ncrs.objectives import (
     InnerFunction,
     RidgeObjective,
@@ -43,27 +48,34 @@ from ncrs.oracles import ConfidenceOracle, LinkFunction, SignOracle
 BAD_COUNTS = (2.5, True, 0)
 
 
-# OpenBLAS kernel -> seed -> sha256 of run_default_suite(seed, 0.02)'s JSON.
-# Kernels sum products in different orders, so each pins its own bytes
-# (test_kernels.py checks the pins of every kernel this CPU can run).
-SUITE_DIGESTS = {
-    "SkylakeX": {
-        0: "ad260bbc5db512b3f446814265e45bd78459dcc3ce54cd4d646c0e72181316f6",
-        7: "8fe83d01784ed4a373ea65490462a06e239da6320e04b795e5188933fc13bf1a",
-    },
-    "Haswell": {
-        0: "dfda9e4eb568ca29423f70b9af47da160a4e1f4256a82ad25bb81e05e050f19c",
-        7: "a24bc0e47209ad2da1acbfe899b384f02fe4b9a6b2e632f2ebe0ea39a00e04ca",
-    },
-    "Sandybridge": {
-        0: "8578af4d916fe7f66470aff1ef347d2f805e99c3b810945e03725e46ded3f620",
-        7: "ea13762acc13e2da4408db3d19b7e4cd3fabf09758ed473eb519e4a9c2e92813",
-    },
-    "Prescott": {
-        0: "818a4692de81eddeaecef63d2f210cc538df5b4f8c0c1b62e677e6312524740a",
-        7: "40ce008e87bbd700c83e7004dfff3453337f6735a3da5ddf4bbbbe3369221199",
-    },
-}
+SUITE_SEEDS = (0, 7)
+# (OpenBLAS kernel, numpy SIMD target) -> seed -> sha256 of
+# run_default_suite(seed, 0.02)'s JSON.  Kernels sum products in different
+# orders, and numpy's AVX-512 loops move a last bit under the Haswell kernel,
+# so each pair pins its own bytes (test_kernels.py checks the pins of every
+# pair this CPU can run).
+SUITE_DIGESTS = pin_pairs(
+    (("SkylakeX",), NUMPY_TARGETS, {
+        0: "21019a28e1b57bc751417d61c476768e95260d2326363e42b283c11ad73d1ded",
+        7: "dc56458308c19568a4ac429e8f541ebdaf0ae0e4228254986b72d7bf25615161",
+    }),
+    (("Haswell",), ("X86_V2", "X86_V3"), {
+        0: "fc275beba106bff00912c44e428afd1377458231452871d0a5ae173bee0c67ea",
+        7: "d339fdf0755c8f50bf958c8a2e2b9d312b8fd6f4267e897e079d2ffafa7fb6b6",
+    }),
+    (("Haswell",), ("X86_V4", "AVX512_ICL", "AVX512_SPR"), {
+        0: "1790ea7ccf83712f9893069f7685bbc6f12da84b43daceadd7b634ec9b179a87",
+        7: "d339fdf0755c8f50bf958c8a2e2b9d312b8fd6f4267e897e079d2ffafa7fb6b6",
+    }),
+    (("Sandybridge",), NUMPY_TARGETS, {
+        0: "151247d0c78170280c63e1a3650978af3d5a47d003ae6afb5c3b69dddb593a00",
+        7: "3543d933183a170da78141dab52207bb0aef7907d8293dd5de0f23387a7d12a9",
+    }),
+    (("Prescott",), NUMPY_TARGETS, {
+        0: "573e671579ebdf7fc5949be9b85c9c076a29aab4a4c2d6ca2130be9e7fc32e05",
+        7: "82779f0ddbdf85574f58bde8319ad092756a5f1ce286019139e379bf025c490e",
+    }),
+)
 
 
 def suite_digest(seed):
@@ -139,6 +151,22 @@ class TestCrossMoment:
         assert_allclose(report.theory["cross_moment"], expected, rtol=1e-12)
         assert report.passed
 
+    def test_a_matrix_raises_before_any_draw(self):
+        space = random_subspace(_stream(324, "subspace"), 6, 2)
+        rng = _stream(324, "mc")
+        with pytest.raises(ValueError, match=r"a must be a nonempty 1-D vector, got shape \(2, 6\)"):
+            check_cross_moment(space, np.ones((2, 6)), 1000, rng)
+        assert rng.random() == _stream(324, "mc").random()
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_an_a_of_another_length_raises_before_any_draw(self, size):
+        space = random_subspace(_stream(325, "subspace"), 6, 2)
+        rng = _stream(325, "mc")
+        with pytest.raises(ValueError, match=f"a has {size} entries; the subspace's "
+                                             "ambient dimension is 6"):
+            check_cross_moment(space, np.ones(size), 1000, rng)
+        assert rng.random() == _stream(325, "mc").random()
+
 
 class TestHalfnormal:
     def test_theory_and_pass(self):
@@ -167,6 +195,15 @@ class TestHalfnormal:
             with pytest.raises(ValueError, match="a must be finite"):
                 check_cross_moment(space, v, 100, rng)
         assert rng.random() == _stream(322, "mc").random()
+
+    @pytest.mark.parametrize("g,shape", [
+        (np.ones((2, 3)), r"\(2, 3\)"), (np.float64(1.5), r"\(\)"), (np.zeros(0), r"\(0,\)"),
+    ], ids=["matrix", "scalar", "empty"])
+    def test_a_g_that_is_not_a_vector_raises_before_any_draw(self, g, shape):
+        rng = _stream(323, "mc")
+        with pytest.raises(ValueError, match=f"g must be a nonempty 1-D vector, got shape {shape}"):
+            check_halfnormal(g, 1000, rng)
+        assert rng.random() == _stream(323, "mc").random()
 
 
 class TestDescentNcrs:
@@ -585,6 +622,37 @@ class TestTwoLanes:
         assert threading.active_count() == before
 
 
+class TestSharedGaussianSample:
+    def _checks(self, seed):
+        space = random_subspace(_stream(seed, "subspace"), 10, 3)
+        a = _stream(seed, "dir").standard_normal(10)
+        return [_projector_moments(space), _cross_moment(space, a), _halfnormal(2.0 * a)]
+
+    def test_leaves_its_stream_at_its_start_jumped_twice(self):
+        rng = _stream(395, "mc")
+        end = np.random.Generator(_stream(395, "mc").bit_generator.jumped(2))
+        reports = _gaussian_reports(self._checks(395), 5_001, rng)
+        assert [r.name for r in reports] == ["projector_moments", "cross_moment", "halfnormal"]
+        assert np.array_equal(rng.standard_normal(5), end.standard_normal(5))
+
+    def test_n_below_two_raises_before_any_draw(self):
+        rng = _stream(397, "mc")
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            _gaussian_reports(self._checks(397), 1, rng)
+        for bad in BAD_COUNTS:
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                _gaussian_reports(self._checks(397), bad, rng)
+        assert rng.random() == _stream(397, "mc").random()
+
+    def test_checks_of_other_dimensions_or_subspaces_do_not_share(self):
+        rng = _stream(398, "mc")
+        other = random_subspace(_stream(398, "other"), 10, 3)
+        for extra in (_halfnormal(np.ones(9)), _projector_moments(other)):
+            with pytest.raises(ValueError, match="one dimension and one subspace"):
+                _gaussian_reports(self._checks(398) + [extra], 1000, rng)
+        assert rng.random() == _stream(398, "mc").random()
+
+
 class TestMargins:
     def test_equality_margins_in_se_units(self):
         report = _equality(
@@ -669,15 +737,44 @@ class TestDefaultSuite:
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_report_digests(self, seed, blas_core):
+    def test_gaussian_reports_equal_their_standalone_checks(self, seed):
+        """The suite's four Gaussian reports share one sample, and each is
+        the report its check returns alone on a fresh projector_moments
+        stream, with the suite's inputs."""
+        suite = {r.name: r.to_json() for r in run_default_suite(seed, scale=0.02)}
+
+        def stream(name):
+            return _stream(seed, f"check:{name}")
+
+        def fresh():
+            return stream("projector_moments")
+
+        n = 20_000
+        space = random_subspace(stream("subspace"), 50, 7)
+        a_in = space.basis[0] * 2.0
+        a_out = gaussian_vector(stream("cross-dir"), 50)
+        a_out = a_out - space.project(a_out)
+        alone = {
+            "projector_moments": check_projector_moments(space, n, fresh()),
+            "cross_moment_in_range": check_cross_moment(space, a_in, n, fresh()),
+            "cross_moment_general": check_cross_moment(space, a_in + a_out, n, fresh()),
+            "halfnormal": check_halfnormal(
+                gaussian_vector(stream("halfnormal-dir"), 50) * 1.7, n, fresh()
+            ),
+        }
+        for name, report in alone.items():
+            report.name = name
+            assert report.to_json() == suite[name], name
+
+    @pytest.mark.parametrize("seed", SUITE_SEEDS)
+    def test_report_digests(self, seed, simd_pair):
         """Pin the suite's JSON bytes: every name, rule, estimate, theory
         value and standard error, in report order.  A digest changes only
         when a report changes, so an intended change re-pins it and says why.
-        The pin is the running OpenBLAS kernel's; a kernel with no pin fails
-        and is named."""
-        assert blas_core in SUITE_DIGESTS, f"no digest pinned for OpenBLAS kernel {blas_core}"
-        assert suite_digest(seed) == SUITE_DIGESTS[blas_core][seed], (
-            f"OpenBLAS kernel {blas_core}")
+        The pin is the running pair's (OpenBLAS kernel, numpy SIMD target);
+        a pair with no pin fails and is named."""
+        assert suite_digest(seed) == pinned(SUITE_DIGESTS, simd_pair)[seed], (
+            "OpenBLAS kernel {}, numpy target {}".format(*simd_pair))
 
     def test_deterministic_checks_pass_at_any_scale(self):
         reports = run_default_suite(78, scale=0.02)

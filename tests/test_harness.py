@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import NUMPY_TARGETS, pin_pairs, pinned
 from numpy.testing import assert_allclose
 
 from ncrs import harness
@@ -557,31 +558,27 @@ def _digest_configs():
     return {"ncrs": ncrs, "ncrs_vote": vote, "rsgf": rsgf}
 
 
-# OpenBLAS kernel -> run -> sha256 of its CSV bytes.  Kernels sum products
-# in different orders, so each pins its own bytes (test_kernels.py checks
-# the pins of every kernel this CPU can run).
-CSV_DIGESTS = {
-    "SkylakeX": {
+# (OpenBLAS kernel, numpy SIMD target) -> run -> sha256 of its CSV bytes.
+# Kernels sum products in different orders, so each pins its own bytes;
+# these runs read the same bytes at every numpy target (test_kernels.py
+# checks the pins of every pair this CPU can run).
+CSV_DIGESTS = pin_pairs(
+    (("SkylakeX",), NUMPY_TARGETS, {
         "ncrs": "e3b47e397ec41f67fa6c41d7dfbaf2f85117c623f3d2ba903060651cf86e4126",
         "ncrs_vote": "ddd4c38b02b45cc8eb61a357a2a91e94c5400cea2a038de2557bfe3b55f658bf",
         "rsgf": "638776decabf514b4f9b0f79a078c5616c54d5ae169f1401b72d5585f10bfb13",
-    },
-    "Haswell": {
+    }),
+    (("Haswell", "Sandybridge"), NUMPY_TARGETS, {
         "ncrs": "a80593a8e3e12f4377fcce5e690ff07138a5a7dd4736885eb6914888ba80a685",
         "ncrs_vote": "3e47894d32e095b9e5f7b3ef81cf8d4423e66fe06e86acc991f46327d479cb83",
         "rsgf": "76abc8f1a08ce08f8570ad42446eb304765f86dd588eddff78cf26b842998b7d",
-    },
-    "Sandybridge": {
-        "ncrs": "a80593a8e3e12f4377fcce5e690ff07138a5a7dd4736885eb6914888ba80a685",
-        "ncrs_vote": "3e47894d32e095b9e5f7b3ef81cf8d4423e66fe06e86acc991f46327d479cb83",
-        "rsgf": "76abc8f1a08ce08f8570ad42446eb304765f86dd588eddff78cf26b842998b7d",
-    },
-    "Prescott": {
+    }),
+    (("Prescott",), NUMPY_TARGETS, {
         "ncrs": "a5300118dfdb5b5451f70d5d8e6bd66632856b47a215d6f767becd6a22467d42",
         "ncrs_vote": "19cc47e1b1a63c9afaf0292c41546984a67546d727d5a5ee7f12ecab70eca8b9",
         "rsgf": "82d3e079ddc18b2e88dc9aee242942651a145f3b78e5754dff006f35947cc4a5",
-    },
-}
+    }),
+)
 
 
 def csv_digest(name, directory):
@@ -598,14 +595,14 @@ class TestCsvDigests:
     The ncrs config draws from all five streams (its tau > 0 adds the
     nuisance term).  A digest changes only when a run's bytes change, so
     an intended change re-pins it and says why.  The pin is the running
-    OpenBLAS kernel's; a kernel with no pin fails and is named.
+    pair's (OpenBLAS kernel, numpy SIMD target); a pair with no pin fails
+    and is named.
     """
 
     @pytest.mark.parametrize("name", ["ncrs", "ncrs_vote", "rsgf"])
-    def test_run_one_csv_bytes(self, tmp_path, name, blas_core):
-        assert blas_core in CSV_DIGESTS, f"no digest pinned for OpenBLAS kernel {blas_core}"
-        assert csv_digest(name, tmp_path) == CSV_DIGESTS[blas_core][name], (
-            f"OpenBLAS kernel {blas_core}")
+    def test_run_one_csv_bytes(self, tmp_path, name, simd_pair):
+        assert csv_digest(name, tmp_path) == pinned(CSV_DIGESTS, simd_pair)[name], (
+            "OpenBLAS kernel {}, numpy target {}".format(*simd_pair))
 
 
 class TestCellsAndHashes:

@@ -1,12 +1,16 @@
-"""The digest tests on every pinned OpenBLAS kernel this CPU can run.
+"""The digest tests on every pinned (OpenBLAS kernel, numpy target) pair
+this CPU can run.
 
 OpenBLAS picks a kernel per CPU, and kernels sum products in different
-orders, so the digest tests pin bytes per kernel.  In-process they check
-the running kernel; here a child process forced onto each other pinned
-kernel (OPENBLAS_CORETYPE) computes the same five digests.  A kernel is
-forced only when /proc/cpuinfo lists its instructions, since a kernel the
-CPU lacks could crash.  The variables are set in the child's environment
-only.
+orders; numpy picks its own SIMD loops by its highest enabled dispatch
+target.  So the digest tests pin bytes per pair.  In-process they check the
+running pair; here a child process forced onto each other pinned pair
+(OPENBLAS_CORETYPE for the kernel, NPY_DISABLE_CPU_FEATURES for every
+dispatch target above the numpy target) computes the same five digests.  A
+pair is forced only when /proc/cpuinfo lists the instructions of both its
+parts, since code the CPU lacks could crash.  The variables are set in the
+child's environment only.  A failing child's whole report is printed, so
+one run of this file reads the new pins of every pair.
 """
 import json
 import os
@@ -15,7 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_diagnostics import SUITE_DIGESTS
+from conftest import pinned
+from test_diagnostics import SUITE_DIGESTS, SUITE_SEEDS
 from test_harness import CSV_DIGESTS
 
 # kernel -> the /proc/cpuinfo flags its instructions need ("pni" is SSE3)
@@ -25,20 +30,33 @@ KERNEL_FLAGS = {
     "Sandybridge": {"avx"},
     "Prescott": {"pni"},
 }
-# numpy's own AVX-512 loops off too, so the child runs what an AVX2-only host would
-NUMPY_FEATURES_OFF = {"Haswell": "X86_V4,AVX512_ICL,AVX512_SPR"}
+# numpy target -> the /proc/cpuinfo flags it adds to the target below it
+_TARGET_STEPS = {
+    "X86_V2": {"cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3"},
+    "X86_V3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"},
+    "X86_V4": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "AVX512_ICL": {"avx512ifma", "avx512vbmi", "avx512_vbmi2", "avx512_vnni",
+                   "avx512_bitalg", "avx512_vpopcntdq", "gfni", "vaes", "vpclmulqdq"},
+    "AVX512_SPR": {"avx512_fp16"},
+}
+# numpy target -> the /proc/cpuinfo flags it needs
+TARGET_FLAGS = {
+    target: set().union(*list(_TARGET_STEPS.values())[: i + 1])
+    for i, target in enumerate(_TARGET_STEPS)
+}
 
 CHILD = """
 import json, sys, tempfile
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from conftest import openblas_core
-from test_diagnostics import SUITE_DIGESTS, suite_digest
+from conftest import numpy_target, openblas_core
+from test_diagnostics import SUITE_SEEDS, suite_digest
 from test_harness import csv_digest
 with tempfile.TemporaryDirectory() as tmp:
     csv = {name: csv_digest(name, Path(tmp)) for name in ("ncrs", "ncrs_vote", "rsgf")}
-suite = {seed: suite_digest(seed) for seed in SUITE_DIGESTS["SkylakeX"]}
-print(json.dumps({"core": openblas_core(), "csv": csv, "suite": suite}))
+suite = {seed: suite_digest(seed) for seed in SUITE_SEEDS}
+print(json.dumps({"core": openblas_core(), "target": numpy_target(), "csv": csv,
+                  "suite": suite}, indent=1))
 """
 
 
@@ -51,17 +69,34 @@ def _cpu_flags():
             for flag in line.split(":", 1)[1].split()}
 
 
-@pytest.mark.parametrize("kernel", list(KERNEL_FLAGS))
-def test_digests_on_a_forced_kernel(kernel, blas_core):
-    if kernel == blas_core:
-        pytest.skip(f"{kernel} is the running kernel, which the digest tests check in-process")
-    missing = KERNEL_FLAGS[kernel] - _cpu_flags()
+def _targets_above(target):
+    """This numpy's dispatch targets above `target`: the ones to turn off."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__
+
+    dispatch = list(__cpu_dispatch__)
+    if target in dispatch:
+        return dispatch[dispatch.index(target) + 1:]
+    if target in __cpu_baseline__:
+        return dispatch
+    pytest.skip(f"this numpy build has no {target} target")
+
+
+@pytest.mark.parametrize(
+    "pair", sorted(set(SUITE_DIGESTS) | set(CSV_DIGESTS)), ids="-".join
+)
+def test_digests_on_a_forced_pair(pair, simd_pair):
+    kernel, target = pair
+    if pair == simd_pair:
+        pytest.skip(f"{kernel}/{target} is the running pair, which the digest tests check "
+                    "in-process")
+    missing = (KERNEL_FLAGS[kernel] | TARGET_FLAGS[target]) - _cpu_flags()
     if missing:
-        pytest.skip(f"this CPU lacks {sorted(missing)} for {kernel}")
+        pytest.skip(f"this CPU lacks {sorted(missing)} for {kernel}/{target}")
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    if kernel in NUMPY_FEATURES_OFF:
-        env["NPY_DISABLE_CPU_FEATURES"] = NUMPY_FEATURES_OFF[kernel]
+    off = _targets_above(target)
+    if off:
+        env["NPY_DISABLE_CPU_FEATURES"] = ",".join(off)
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     child = subprocess.run(
@@ -70,7 +105,15 @@ def test_digests_on_a_forced_kernel(kernel, blas_core):
     )
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    assert got["core"] == kernel
-    assert got["csv"] == CSV_DIGESTS[kernel], f"OpenBLAS kernel {kernel}"
-    assert {int(s): d for s, d in got["suite"].items()} == SUITE_DIGESTS[kernel], (
-        f"OpenBLAS kernel {kernel}")
+    expected = {
+        "core": kernel,
+        "target": target,
+        "csv": CSV_DIGESTS.get(pair),
+        "suite": {str(seed): d for seed, d in SUITE_DIGESTS.get(pair, {}).items()},
+    }
+    assert got == expected, f"OpenBLAS kernel {kernel}, numpy target {target}:\n{child.stdout}"
+
+
+def test_a_pair_with_no_pin_fails_and_names_both_parts():
+    with pytest.raises(AssertionError, match="OpenBLAS kernel Zen with numpy target X86_V4"):
+        pinned(SUITE_DIGESTS, ("Zen", "X86_V4"))
