@@ -4,9 +4,9 @@ The two comparison algorithms are ambient-blind: they receive a starting
 point, whose length is the dimension, a step schedule, which fixes every
 step and the horizon, and an oracle of which they use only compare and
 query_count (ncrs_run) or compare_batch, first_preferred and query_count
-(ncrs_vote_run); from first_preferred they learn only an index.  Both
-oracles answer all four from one core (oracles._Oracle), the sign oracle's
-compare on its own scalar path.
+(ncrs_vote_run); from compare_batch they learn only a vote's tally, and
+from first_preferred only an index.  Both oracles answer all four from one
+core (oracles._Oracle), the sign oracle's compare on its own scalar path.
 No objective value, gradient, or intrinsic dimension is visible to them;
 problem structure can enter only through how the harness builds the
 schedule.  A StepSchedule is one cosine formula, and a constant step is
@@ -66,9 +66,11 @@ Instrument = Callable[[np.ndarray], tuple[float, float]]
 # move(step, theta, direction) -> (theta', accepted): one iteration's decision.
 Move = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]]
 # block_move(steps, theta, directions) -> (theta', i): the decisions of the
-# next len(steps) iterations.  Those before i are rejected; iteration i, if
-# i < len(steps), is accepted and theta' is its point (else theta' is theta).
-BlockMove = Callable[[list, np.ndarray, list], tuple[np.ndarray, int]]
+# next m = len(directions) iterations, given their (m, d) directions and
+# their steps, one float when the schedule is constant, else an (m, 1)
+# column.  Those before i are rejected; iteration i, if i < m, is accepted
+# and theta' is its point (else theta' is theta).
+BlockMove = Callable[[float | np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 
 # With a block move, _search hands over single iterations until BLOCK_AFTER
 # moves in a row are rejected, then blocks of min(streak, BLOCK_ROWS) rows,
@@ -179,17 +181,20 @@ def _search(
 
     Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
     draws one Gaussian direction s and sets
-    (theta, accepted) = move(schedule.step_at(t), theta, s).  With a
-    block_move, once BLOCK_AFTER moves in a row are rejected, the loop
-    instead hands over the next m = min(streak, BLOCK_ROWS) iterations at
-    once (fewer past the horizon or BLOCK_QUERIES), with their steps and directions:
-    (theta, i) = block_move(steps, theta, directions) rejects iterations
-    t .. t+i-1, and for i < m accepts iteration t+i, whose point theta
-    becomes; the directions after it are kept, drawn but unused, for the
-    iterations that follow.  The horizon's directions come from a DrawAhead
-    on rng, in blocks, one gaussian_vector call per row: this thread draws
-    the first, and when more are needed, a one-worker executor reads the
-    rest ahead by at most two blocks.  So rng belongs to the run until it
+    (theta, accepted) = move(schedule.step_at(t), theta, s); a constant
+    schedule's step is read once.  With a block_move, once BLOCK_AFTER moves
+    in a row are rejected, the loop instead hands over the next
+    m = min(streak, BLOCK_ROWS) iterations at once (fewer past the horizon
+    or BLOCK_QUERIES), with their steps and their directions as one (m, d)
+    array: (theta, i) = block_move(steps, theta, directions) rejects
+    iterations t .. t+i-1, and for i < m accepts iteration t+i, whose point
+    theta becomes; the directions after it are kept, drawn but unused, as
+    a slice of that array for the iterations that follow.  The horizon's
+    directions come from a DrawAhead on rng, in blocks, handed over by one
+    gaussian_vector call per single move and by one DrawAhead.rows slice
+    per block move: this thread draws the first block, and when more are
+    needed, a one-worker executor reads the rest ahead by at most two
+    blocks.  So rng belongs to the run until it
     returns; afterwards it stands where horizon sequential draws leave it,
     and the directions, hence the bytes, are those of sequential draws.  A
     finally cancels the blocks asked ahead and joins the helper thread on
@@ -222,24 +227,29 @@ def _search(
     accepted = np.zeros(len(steps), dtype=bool)
     record = 0
     read_at = None  # the iterate of the last instrument reading
-    pending = []  # directions drawn but not yet used, oldest first
+    pending = np.empty((0, size))  # directions drawn but not yet used, oldest first
     t, streak = 1, 0  # the next iteration; moves rejected in a row
     block_rows = min(BLOCK_ROWS, max(1, BLOCK_QUERIES // queries_per_iteration))
+    step = schedule.min_rate if schedule.decay_steps == 1 else None  # every step, if constant
     directions = DrawAhead(rng, size, horizon)
     try:
         while t <= horizon:
             if block_move is None or streak < BLOCK_AFTER:
-                direction = pending.pop(0) if pending else gaussian_vector(directions, size)
-                moved, accept = move(schedule.step_at(t), theta, direction)
+                if len(pending):
+                    direction, pending = pending[0], pending[1:]
+                else:
+                    direction = gaussian_vector(directions, size)
+                moved, accept = move(step or schedule.step_at(t), theta, direction)
                 last, taken = t, t if accept else 0
             else:
                 m = min(streak, block_rows, horizon + 1 - t)
-                while len(pending) < m:
-                    pending.append(gaussian_vector(directions, size))
-                block_steps = [schedule.step_at(u) for u in range(t, t + m)]
+                if len(pending) < m:
+                    drawn = directions.rows(m - len(pending))
+                    pending = np.concatenate((pending, drawn)) if len(pending) else drawn
+                block_steps = step or np.array([[schedule.step_at(u)] for u in range(t, t + m)])
                 moved, i = block_move(block_steps, theta, pending[:m])
                 last, taken = (t + i, t + i) if i < m else (t + m - 1, 0)
-                del pending[: last + 1 - t]
+                pending = pending[last + 1 - t:]
             while log_at[record] <= last:  # the records of iterations t .. last
                 if instrument is not None:
                     if theta is not read_at:
@@ -299,10 +309,10 @@ def ncrs_vote_run(
 ) -> Trajectory:
     """Confidence-vote random search: `votes` queries per iteration.
 
-    The candidate theta + alpha_t * s is accepted exactly when the sum of
-    its `votes` scores is positive; a zero sum keeps the current point.
-    Each candidate gets its own compare_batch call until BLOCK_AFTER
-    straight rejections; from then on _search hands over blocks of
+    The candidate theta + alpha_t * s is accepted exactly when the tally of
+    its `votes` scores, their sum, is positive; a zero tally keeps the
+    current point.  Each candidate gets its own compare_batch call until
+    BLOCK_AFTER straight rejections; from then on _search hands over blocks of
     candidates, and first_preferred answers a block in one call, exactly
     as consecutive compare_batch calls would up to the last bits of batched
     values (oracles module docstring).  The block is read-only, and the
@@ -312,15 +322,14 @@ def ncrs_vote_run(
 
     def move(step, theta, direction):
         candidate = seal(theta + step * direction)
-        if oracle.compare_batch(theta, candidate, votes).sum() > 0.0:
+        if oracle.compare_batch(theta, candidate, votes) > 0.0:
             return candidate, True
         return theta, False
 
     def block_move(steps, theta, directions):
-        block = seal(theta + np.array(steps)[:, None] * np.array(directions))
-        block = block.reshape(len(steps), theta.size)
+        block = seal(theta + steps * directions).reshape(directions.shape)
         i = oracle.first_preferred(theta, block, votes)
-        return (seal(block[i]), i) if i < len(steps) else (theta, i)
+        return (seal(block[i]), i) if i < len(block) else (theta, i)
 
     before = oracle.query_count
     traj = _search(theta1, schedule, rng, instrument, move, votes, block_move)
@@ -344,7 +353,7 @@ def rsgf_run(
         raise ValueError("mu must be finite and positive")
 
     def move(step, theta, direction):
-        slope = (float(value_fn(theta + mu * direction)) - float(value_fn(theta))) / mu
+        slope = (value_fn(theta + mu * direction) - value_fn(theta)) / mu
         return seal(theta - step * slope * direction), True
 
     return _search(theta1, schedule, rng, instrument, move, 2)

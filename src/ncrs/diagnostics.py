@@ -402,7 +402,7 @@ def check_descent_ncrs(
 
     def draw(take):
         gaps = f_theta - objective.value(theta + alpha * rng.standard_normal((take, d)))
-        return np.where(oracle.compare_gaps(gaps, 1)[:, 0] > 0.0, gaps, 0.0)
+        return np.where(oracle.compare_gaps(gaps, 1) > 0.0, gaps, 0.0)
 
     mean_drop, se = map(float, _mc_mean_se(n, d, draw))
     grad_norm = float(np.linalg.norm(objective.gradient(theta)))
@@ -439,8 +439,8 @@ def check_vote_error(
         raise ValueError(f"gap must be finite and positive, got {gap!r}")
     wrong = 0
     for take in _row_chunks(trials, 2 * votes):
-        totals = oracle.compare_gaps(np.full(take, gap), votes).sum(axis=1)
-        wrong += int(np.count_nonzero(totals <= 0.0))
+        tallies = oracle.compare_gaps(np.full(take, gap), votes)
+        wrong += int(np.count_nonzero(tallies <= 0.0))
     freq = wrong / trials
     bernstein = vote_bernstein(oracle.second_moment_bound)
     bound = math.exp(-votes * float(oracle.rho_effective(gap)) / bernstein)
@@ -480,7 +480,7 @@ def check_vote_penalty(
 
     def draw(take):
         values = objective.value(theta + alpha * rng.standard_normal((take, d)))
-        accept = oracle.compare_gaps(f_theta - values, votes).sum(axis=1) > 0.0
+        accept = oracle.compare_gaps(f_theta - values, votes) > 0.0
         gaps = values - f_theta
         return gaps * (accept.astype(np.float64) - (gaps < 0.0))
 

@@ -22,6 +22,10 @@ NEAR_DEPENDENCE_TOL = 1e-12
 
 KEY_LIMIT = 1 << 64
 
+# The dtype evaluations take as it is; comparing against it skips the
+# conversion of np.float64 to a dtype that `x.dtype != np.float64` makes.
+FLOAT64 = np.dtype(np.float64)
+
 # DrawAhead blocks: 256 KB of normals each, at most DRAW_AHEAD_QUEUE of them
 # asked ahead.  The current and the asked-ahead blocks are what the search
 # loop uses while the helper waits, up to a 5 ms switch interval, to get the
@@ -80,9 +84,11 @@ class DrawAhead:
     """The next `rows` draws gaussian_vector(rng, size) would make, read ahead.
 
     The rows are drawn from rng in blocks of DRAW_AHEAD_NORMALS // size
-    rows, and draws.standard_normal(size), which gaussian_vector(draws,
-    size) calls as it would rng's, returns them one at a time; each equals
-    the draw it replaces bit for bit, because a block fill equals the same
+    rows.  draws.standard_normal(size), which gaussian_vector(draws, size)
+    calls as it would rng's, returns them one at a time, and
+    draws.rows(count) returns the next count of them as one (count, size)
+    array, a slice of the block when they fit in it; each row equals the
+    draw it replaces bit for bit, because a block fill equals the same
     fills one by one.  The constructor draws the first block itself, so a
     run that fits in one block starts no thread.  When more rows are
     needed, a one-worker executor draws all the rest in order, at every
@@ -91,7 +97,7 @@ class DrawAhead:
     fills release the interpreter lock, so those draws run beside the
     caller's loop rather than inside it.  The helper calls the generator
     directly and nothing else of this package, so a tracer that wraps
-    gaussian_vector sees only the caller's draws.
+    gaussian_vector sees only the caller's single draws.
 
     The owner of `rng` lends it for the whole read-ahead: nothing else may
     draw from it until close() returns.  Once every row has been taken, rng
@@ -108,7 +114,8 @@ class DrawAhead:
         self._source = rng
         self._block = max(1, DRAW_AHEAD_NORMALS // size)
         first = min(rows, self._block)
-        self._rows = iter(self._source.standard_normal((first, size)))
+        self._rows = self._source.standard_normal((first, size))  # the block handed out
+        self._next = 0  # its first row not yet handed out
         self._due = rows - first  # rows not yet asked of the helper
         self._ahead = deque()  # futures of the next blocks, oldest first
         self._helper = None
@@ -125,23 +132,40 @@ class DrawAhead:
             fill = self._helper.submit(self._source.standard_normal, (take, self.size))
             self._ahead.append(fill)
 
+    def _advance(self) -> None:
+        """Hand out the next block: wait for the helper's oldest fill."""
+        if not self._ahead:
+            raise RuntimeError("no rows left: all were drawn, or the read-ahead was closed")
+        try:
+            block = self._ahead.popleft().result()
+        except BaseException:
+            self._ahead.clear()  # a later block's rows would skip the failed one's
+            raise
+        self._ask()
+        self._rows, self._next = block, 0
+
     def standard_normal(self, size: int) -> np.ndarray:
         """The next row, as rng.standard_normal(size) would draw it."""
         if size != self.size:
             raise ValueError(f"draws were read ahead for size {self.size}, not {size}")
-        row = next(self._rows, None)
-        if row is None:
-            if not self._ahead:
-                raise RuntimeError("no rows left: all were drawn, or the read-ahead was closed")
-            try:
-                block = self._ahead.popleft().result()
-            except BaseException:
-                self._ahead.clear()  # a later block's rows would skip the failed one's
-                raise
-            self._ask()
-            self._rows = iter(block)
-            row = next(self._rows)
-        return row
+        if self._next == len(self._rows):
+            self._advance()
+        self._next += 1
+        return self._rows[self._next - 1]
+
+    def rows(self, count: int) -> np.ndarray:
+        """The next count rows, as count calls of standard_normal(size) would
+        return them, in one (count, size) array: a view of the block handed
+        out when they fit in it, else a copy across blocks."""
+        parts = []
+        while True:
+            part = self._rows[self._next:self._next + count]
+            self._next += len(part)
+            count -= len(part)
+            if not count:
+                return np.concatenate(parts + [part]) if parts else part
+            parts.append(part)
+            self._advance()
 
     def close(self) -> None:
         """Cancel the blocks asked ahead and join the helper, if one runs."""
@@ -164,6 +188,7 @@ class Subspace:
         if not 1 <= k <= d:
             raise ValueError(f"basis must have 1 <= k <= d rows, got shape {basis.shape}")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis_t", basis.T)  # the view every U v multiplies by
 
     @property
     def dim(self) -> int:
@@ -178,14 +203,17 @@ class Subspace:
         return self.coordinates(v) @ self.basis
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of v against the basis rows (the k-dim image U v)."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"vector has dimension {v.shape[-1]}, subspace lives in "
-                f"R^{self.ambient_dim}"
-            )
-        return v @ self.basis.T
+        """Coefficients of v against the basis rows (the k-dim image U v);
+        batched over leading axes.  A float64 array is used as it is; any
+        other input is converted first.  A scalar, or a last axis of the
+        wrong length, raises ValueError."""
+        if type(v) is not np.ndarray or v.dtype != FLOAT64:
+            v = np.asarray(v, dtype=np.float64)
+        try:
+            return v @ self._basis_t  # matmul checks v's last axis
+        except ValueError:
+            got = f"vector has dimension {v.shape[-1]}" if v.ndim else "a scalar has no dimension"
+            raise ValueError(f"{got}, subspace lives in R^{self.ambient_dim}") from None
 
 
 def random_subspace(

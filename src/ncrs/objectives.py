@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RngStream, Subspace, gaussian_vector, is_sealed, random_subspace
+from .geometry import FLOAT64, RngStream, Subspace, gaussian_vector, is_sealed, random_subspace
 
 INNER_KINDS = ("pure_quadratic", "quadratic_cosine", "bounded_well")
 
@@ -41,7 +41,8 @@ class InnerFunction:
                 raise ValueError("quadratic_cosine needs finite amplitude >= 0 and frequency > 0")
 
     def value(self, z: np.ndarray) -> np.ndarray | float:
-        z = np.asarray(z, dtype=np.float64)
+        if type(z) is not np.ndarray or z.dtype != FLOAT64:
+            z = np.asarray(z, dtype=np.float64)
         if self.kind == "pure_quadratic":
             out = 0.5 * np.add.reduce(z * z, axis=-1)
         elif self.kind == "quadratic_cosine":
@@ -171,9 +172,13 @@ class RidgeObjective:
 
     def value(self, x: np.ndarray) -> np.ndarray | float:
         """f(x); remembered for sealed points."""
-        entry = self._lookup(x)
-        if entry is not None:
-            return entry[1]
+        recent = self._recent
+        if recent:  # _lookup, inline for the VALUE_CACHE_SIZE = 2 entries
+            if recent[-1][0] is x:
+                return recent[-1][1]
+            if recent[0][0] is x:
+                recent.append(recent.pop(0))
+                return recent[-1][1]
         z = self.active.coordinates(x)
         phases = None if self.nuisance is None else self.nuisance.phases(x)
         fx = self.inner.value(z)

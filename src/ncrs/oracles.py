@@ -2,35 +2,38 @@
 
 Algorithms never see objective values or gradients; they see only what
 these oracles answer.  Both models run on one core, _Oracle: it counts the
-queries and answers one pair n times (compare_batch), many pairs given
-only their value gaps (compare_gaps) and a run of candidates against one
-point (first_preferred), each drawing its own uniforms from the oracle's
-stream.  The Monte Carlo certificates use compare_gaps; the vote-error
-certificate asks it about its certified gap alone, with no pair of points.
-A model supplies only its response to a gap, the uniforms one score draws,
-and its tie rule:
+queries and answers a vote of n queries with its tally, the sum of its n
+scores, for one pair (compare_batch, a float), for many pairs given only
+their value gaps (compare_gaps, a vector of tallies) and for a run of
+candidates against one point (first_preferred, an index).  Each draws its
+own uniforms from the oracle's stream, and a tally is counted from them
+without building the scores.  The Monte Carlo certificates use
+compare_gaps; the vote-error certificate asks it about its certified gap
+alone, with no pair of points.  A model supplies only its tally at a gap,
+the uniforms one score draws, and its tie rule:
 
   SignOracle        scores a noisy sign in {-1, +1}.  The probability of
                     reporting the true ordering is exactly 1/2 + p for every
                     queried pair, the adversarial worst case allowed by a
                     fixed advantage p.  One uniform per score; a tie draws
-                    its uniform too and answers a fair coin.
+                    its uniform too and answers a fair coin.  A vote
+                    tallies sign(gap) * (2 * #agree - n).
   ConfidenceOracle  scores in [-1, 1] from the link's margin rho(|gap|)
                     and sign(gap) alone, so that E[sign(gap) * R] >= rho(|gap|)
                     and E[R^2] <= C * rho(|gap|).  Zero, one or two uniforms
-                    per score by response model; a tie scores 0 and draws
-                    nothing.  A score is the same double whether its gap
+                    per score by response model; a tie tallies 0 and draws
+                    nothing.  A tally is the same double whether its gap
                     arrives alone or in a block.
 
 SignOracle.compare, the sign search's one query per iteration, answers as
-compare_batch(x, y, 1) does on a scalar path.  first_preferred answers a
-run of candidates as consecutive compare_batch calls would until one is
-preferred; the vote search uses it through rejection streaks.  It
+compare_batch(x, y, 1) does on a scalar path, as an int.  first_preferred
+answers a run of candidates as consecutive compare_batch calls would until
+one is preferred; the vote search uses it through rejection streaks.  It
 evaluates the candidates in one batched objective.value call, and a
 batched value may differ from the single-point value in its last bits (a
 block matmul does not equal the row-by-row one), so its gaps may too.
 
-Sign convention: a score of the pair (x, y) > 0 means y is preferred
+Sign convention: a tally of the pair (x, y) > 0 means y is preferred
 (f(x) > f(y)), so a positive answer tells a minimizer to accept the
 candidate y; a gap given to compare_gaps is f(x) - f(y).  A NaN gap is a
 ValueError at every entry point, raised before a query is counted or a
@@ -206,17 +209,29 @@ def rho_inverse(link: LinkFunction, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-class _Oracle:
-    """The comparison core both models share: query counting and the scores
-    of one pair (compare_batch), of many pairs given their value gaps
-    (compare_gaps) and of a run of candidates (first_preferred).
+def _count(agree):
+    """The True entries of a vote's bools: an int for one vote (n,), an
+    (m, 1) column for m votes (m, n)."""
+    if agree.ndim == 1:
+        return int(np.count_nonzero(agree))  # a Python int: numpy scalar math is slow
+    return np.add.reduce(agree, axis=-1, keepdims=True)
 
-    A model sets three things.  _respond(gap, shape) gives its scores at
-    the gap(s), drawing _uniforms uniforms per score from the oracle's
-    stream as one block, per row in the order single calls would draw them.
-    _ties_respond is its tie rule: True sends a tie to _respond, False
-    scores it 0 and draws nothing.  query_count tracks the queries answered;
-    a call that raises answers none.
+
+class _Oracle:
+    """The comparison core both models share: query counting and the vote
+    tallies of one pair (compare_batch), of many pairs given their value
+    gaps (compare_gaps) and of a run of candidates (first_preferred).
+
+    A vote of n queries answers with its tally, the float sum of its n
+    scores, counted from the uniforms the scores draw; no score array is
+    built.  A model sets three things.  _tally(gap, shape) is its tally at
+    a float gap with shape (n,), or at an (m, 1) column of gaps with shape
+    (m, n) as an (m, 1) column, drawing _uniforms uniforms per score from
+    the oracle's stream as one block laid out (m, _uniforms, n), per row in
+    the order single calls would draw them.  _ties_respond is its tie rule:
+    True sends a tie to _tally, False tallies it 0 and draws nothing.
+    query_count tracks the queries answered; a call that raises answers
+    none.
     """
 
     def __init__(self, objective: RidgeObjective, rng: RngStream):
@@ -224,24 +239,24 @@ class _Oracle:
         self.rng = rng
         self.query_count = 0
 
-    def compare_batch(self, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-        """n independent scores for the same pair, counted as n queries;
-        positive means y preferred."""
+    def compare_batch(self, x: np.ndarray, y: np.ndarray, n: int) -> float:
+        """The tally of n independent scores for the same pair, counted as n
+        queries; positive means y preferred."""
         n = positive_count(n, "n")
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
         if math.isnan(gap):
             raise ValueError(_NAN_GAP)
         self.query_count += n
-        if not self._asked(gap):
-            return np.zeros(n)
-        return self._respond(gap, (n,))
+        if gap == 0.0 and not self._ties_respond:
+            return 0.0
+        return self._tally(gap, (n,))
 
     def compare_gaps(self, gaps: np.ndarray, n: int) -> np.ndarray:
-        """n scores for each of many pairs, given their gaps f(x) - f(y) as a
-        scalar or a 1-D vector, as a (len(gaps), n) array counted as
-        len(gaps) * n queries.
+        """The tallies of n scores for each of many pairs, given their gaps
+        f(x) - f(y) as a scalar or a 1-D vector, as a vector of len(gaps)
+        tallies counted as len(gaps) * n queries.
 
-        Row i equals what compare_batch returns for pair i called in pair
+        Entry i equals what compare_batch returns for pair i called in pair
         order, and the stream ends where those calls leave it.
         """
         n = positive_count(n, "n")
@@ -251,48 +266,52 @@ class _Oracle:
         gaps = gaps.reshape(-1)
         if np.isnan(gaps).any():
             raise ValueError(_NAN_GAP)
-        self.query_count += gaps.size * n
-        scores = np.zeros((gaps.size, n))
-        asked = self._asked(gaps)
-        m = int(np.count_nonzero(asked))
-        if m:
-            scores[asked] = self._respond(gaps[asked, None], (m, n))
-        return scores
+        return self._tallies(gaps, n)
 
     def first_preferred(self, x: np.ndarray, ys: np.ndarray, n: int) -> int:
-        """Index of the first row y of ys whose n scores against x sum above 0,
-        or len(ys) when no row's do.
+        """Index of the first row y of ys whose tally of n scores against x is
+        above 0, or len(ys) when no row's is.
 
         Equals calling compare_batch(x, y, n) for the rows in order until a
-        sum is positive: the stream and query_count end where those calls
+        tally is positive: the stream and query_count end where those calls
         leave them.  The rows are evaluated in one objective.value call and
-        scored in one compare_gaps call; when a row before the last wins, the
-        stream is set back to its state before the scoring and then moved
-        past the uniforms that the answered rows drew, as many as a
-        per-candidate loop would have drawn.  Gaps of the batch may differ
-        from single-point gaps in their last bits (see the module docstring).
+        tallied together; when a row before the last wins, the stream is set
+        back to its state before the tallies and then moved past the
+        uniforms that the answered rows drew, as many as a per-candidate
+        loop would have drawn.  Gaps of the batch may differ from
+        single-point gaps in their last bits (see the module docstring).
         """
         n = positive_count(n, "n")
         ys = np.asarray(ys, dtype=np.float64)
         if ys.ndim != 2:
             raise ValueError(f"ys must be a 2-D batch of points, got shape {ys.shape}")
         gaps = float(self.objective.value(x)) - self.objective.value(ys)
+        if np.isnan(gaps).any():
+            raise ValueError(_NAN_GAP)
         bits = self.rng.bit_generator
         state, count = bits.state, self.query_count
-        wins = np.flatnonzero(self.compare_gaps(gaps, n).sum(axis=1) > 0.0)
+        wins = np.flatnonzero(self._tallies(gaps, n) > 0.0)
         if wins.size == 0:
             return len(ys)
         answered = int(wins[0]) + 1
         if answered < len(ys):
             bits.state, self.query_count = state, count + answered * n
-            asked = np.count_nonzero(self._asked(gaps[:answered]))
+            asked = answered if self._ties_respond else np.count_nonzero(gaps[:answered])
             self.rng.random(asked * n * self._uniforms)
         return answered - 1
 
-    def _asked(self, gaps):
-        """Whether each gap goes to the response model (the tie rule): every
-        gap, or the non-zero ones; a float gap gives a bool."""
-        return (gaps != 0.0) | self._ties_respond
+    def _tallies(self, gaps: np.ndarray, n: int) -> np.ndarray:
+        """The tallies at a 1-D vector of gaps with no NaN, counted as
+        gaps.size * n queries; a tie the tie rule leaves out tallies 0."""
+        self.query_count += gaps.size * n
+        if self._ties_respond or gaps.all():
+            return self._tally(gaps[:, None], (gaps.size, n)).reshape(-1)
+        tallies = np.zeros(gaps.size)
+        asked = gaps != 0.0
+        m = int(np.count_nonzero(asked))
+        if m:
+            tallies[asked] = self._tally(gaps[asked, None], (m, n)).reshape(-1)
+        return tallies
 
 
 class SignOracle(_Oracle):
@@ -314,22 +333,23 @@ class SignOracle(_Oracle):
     def compare(self, x: np.ndarray, y: np.ndarray) -> int:
         """+1 if the oracle claims f(x) > f(y) (y preferred), else -1.
 
-        compare_batch(x, y, 1)'s answer on a scalar path: one uniform drawn
-        from the oracle's stream, after evaluating the pair.
+        compare_batch(x, y, 1)'s answer as an int, on a scalar path: one
+        uniform drawn from the oracle's stream, after evaluating the pair.
         """
         gap = float(self.objective.value(x)) - float(self.objective.value(y))
         if math.isnan(gap):
             raise ValueError(_NAN_GAP)
         self.query_count += 1
-        return self._respond(gap, None)
+        agree = self.rng.random() < 0.5 + self.advantage * (gap != 0.0)
+        return (1 if gap >= 0.0 else -1) * (1 if agree else -1)
 
-    def _respond(self, gap, shape):
-        """sign(gap) when the score's uniform u < 1/2 + advantage, else its
-        opposite; a tie (gap == 0) is +1 when u < 1/2, else -1.  A float gap
-        with shape None draws one uniform and answers an int."""
-        sign = 2 * (gap >= 0.0) - 1
+    def _tally(self, gap, shape):
+        """sign(gap) * (2 * #agree - n), where a score agrees when its uniform
+        u < 1/2 + advantage; a tie (gap == 0) counts as sign +1 with u < 1/2
+        agreeing."""
+        sign = 2.0 * (gap >= 0.0) - 1.0
         agree = self.rng.random(shape) < 0.5 + self.advantage * (gap != 0.0)
-        return sign * (2 * agree - 1)
+        return sign * (2 * _count(agree) - shape[-1])
 
 
 class ConfidenceOracle(_Oracle):
@@ -374,16 +394,20 @@ class ConfidenceOracle(_Oracle):
         c, r = local_linearity_constants(self.link)
         return _MODELS[self.kind][0] * c, r
 
-    def _respond(self, gap, shape: tuple) -> np.ndarray:
-        """Scores at non-zero gaps from sign(gap) and rho(|gap|): per row, n
-        engagement uniforms and then, for noisy_engage, n flip uniforms
-        (none for deterministic_link)."""
-        sign = 2.0 * (gap > 0.0) - 1.0
+    def _tally(self, gap, shape):
+        """Tallies at non-zero gaps: sign(gap) times a count from rho(|gap|)
+        and, per row, n engagement uniforms and then, for noisy_engage, n
+        flip uniforms (none for deterministic_link).  The count is n * rho
+        for deterministic_link, #engaged for engage_abstain and
+        2 * #(engaged and flip u < 3/4) - #engaged for noisy_engage."""
         rho = self.link.rho(abs(gap))
         if self.kind == "deterministic_link":
-            return np.full(shape, sign * rho)
-        u = self.rng.random(shape[:-1] + (self._uniforms,) + shape[-1:])
-        engaged = u[..., 0, :] < rho
-        if self.kind == "engage_abstain":
-            return np.where(engaged, sign, 0.0)
-        return np.where(engaged, np.where(u[..., 1, :] < 0.75, sign, -sign), 0.0)
+            count = shape[-1] * rho
+        else:
+            u = self.rng.random(shape[:-1] + (self._uniforms,) + shape[-1:])
+            engaged = u[..., 0, :] < rho
+            count = _count(engaged)
+            if self.kind == "noisy_engage":
+                count = 2 * _count(engaged & (u[..., 1, :] < 0.75)) - count
+        sign = math.copysign(1.0, gap) if isinstance(gap, float) else np.sign(gap)
+        return sign * count

@@ -60,7 +60,7 @@ class _SilentOracle:
 
     def compare_batch(self, x, y, n):
         self.query_count += n
-        return np.zeros(n)
+        return 0.0
 
     def first_preferred(self, x, ys, n):
         self.query_count += len(ys) * n
@@ -81,7 +81,7 @@ class _ScriptedOracle:
     def compare_batch(self, x, y, n):
         self.asked += 1
         self.query_count += n
-        return np.full(n, 1.0 if self.asked in self.accepts else 0.0)
+        return float(n) if self.asked in self.accepts else 0.0
 
     def first_preferred(self, x, ys, n):
         self.blocks += 1
@@ -448,6 +448,31 @@ class TestNcrsVoteRun:
         assert oracle.query_count == reference.query_count
         assert oracle.rng.random() == reference.rng.random()
 
+    def test_a_decaying_schedule_steps_every_block_row(self):
+        """With a cosine schedule each row of a block takes its own step: a
+        2,000-iteration noisy_engage run answered mostly in blocks equals
+        the per-candidate loop, decision for decision."""
+        obj = random_ridge_objective(_stream(228, "subspace"), 20, 4,
+                                     InnerFunction(kind="pure_quadratic"))
+        theta1 = initial_point(obj, _stream(228, "init"))
+        link = LinkFunction(kind="arctan")
+        sched, votes = cosine_schedule(0.6, 0.05, 1500, 2000), 9
+        oracle = _BlockCountingOracle(obj, "noisy_engage", link, _stream(228, "oracle"))
+        traj = ncrs_vote_run(oracle, theta1, sched, votes, _stream(228, "algorithm"))
+        reference = ConfidenceOracle(obj, "noisy_engage", link, _stream(228, "oracle"))
+        gen = _stream(228, "algorithm")
+        theta = theta1.copy()
+        accepted = []
+        for t in range(1, 2001):
+            candidate = theta + sched.step_at(t) * gen.standard_normal(20)
+            accepted.append(reference.compare_batch(theta, candidate, votes) > 0.0)
+            if accepted[-1]:
+                theta = candidate
+        assert oracle.blocks > 100 and 0 < sum(accepted) < 500
+        assert np.array_equal(traj.accepted, accepted)
+        assert np.array_equal(traj.theta_final, theta)
+        assert oracle.rng.random() == reference.rng.random()
+
     def test_block_answers_are_logged_per_iteration(self):
         """Accepts scripted at chosen iterations land in the strided log where
         they happen, whether a single call or a block answered them."""
@@ -584,14 +609,24 @@ class TestRunnerContract:
     def test_runs_the_schedule_horizon_in_the_start_dimension(
         self, kind, size, horizon, monkeypatch
     ):
-        drawn = []
-        original = algorithms.gaussian_vector
+        """One direction row of the start's size per iteration, whether a
+        single draw (gaussian_vector) or a block's slice (DrawAhead.rows)
+        hands it over."""
+        drawn = []  # the shape of each handed-over direction row
+        single, rows = algorithms.gaussian_vector, DrawAhead.rows
         monkeypatch.setattr(
-            algorithms, "gaussian_vector", lambda rng, n: drawn.append(n) or original(rng, n)
+            algorithms, "gaussian_vector", lambda rng, n: drawn.append((n,)) or single(rng, n)
         )
+
+        def block_rows(draws, count):
+            block = rows(draws, count)
+            drawn.extend(row.shape for row in block)
+            return block
+
+        monkeypatch.setattr(DrawAhead, "rows", block_rows)
         run, per_iteration = self.RUNS[kind]
         traj = run(np.ones(size), constant_schedule(0.1, horizon), _stream(215, "algorithm"))
-        assert drawn == [size] * horizon
+        assert drawn == [(size,)] * horizon
         assert np.array_equal(traj.steps, np.arange(1, horizon + 1))
         assert np.array_equal(traj.queries, per_iteration * np.arange(1, horizon + 1))
         assert traj.theta_final.shape == (size,)
@@ -684,6 +719,27 @@ class TestDrawAhead:
                 self._search(d, horizon, _stream(252, "algorithm"), lambda step, x, s: (x, False))
                 assert len(started) == threads, (d, horizon)
                 assert threading.active_count() == before, (d, horizon)
+
+    def test_rows_equal_row_draws_across_block_boundaries(self):
+        """rows(count) hands over what count single draws would, in one
+        array, across one or two block boundaries; a run of rows that fits
+        in the block is a view of it, and the stream ends where row draws
+        leave it."""
+        rng = _stream(254, "algorithm")
+        draws = DrawAhead(rng, self.D, 35)  # blocks of 10, 10, 10 and 5 rows
+        try:
+            handed = [gaussian_vector(draws, self.D)[None], draws.rows(7), draws.rows(15),
+                      gaussian_vector(draws, self.D)[None], draws.rows(11)]
+            with pytest.raises(RuntimeError, match="no rows left"):
+                draws.rows(1)
+        finally:
+            draws.close()
+        assert [len(rows) for rows in handed] == [1, 7, 15, 1, 11]
+        assert not handed[1].flags.owndata and handed[2].flags.owndata  # a view, then a copy
+        fresh = _stream(254, "algorithm")
+        expected = np.array([gaussian_vector(fresh, self.D) for _ in range(35)])
+        assert np.array_equal(np.concatenate(handed), expected)
+        assert rng.random() == fresh.random()
 
     def test_guards(self):
         rng = _stream(253, "algorithm")

@@ -555,7 +555,15 @@ def _digest_configs():
     vote = _tiny_config(kind="ncrs_vote", horizon=200, votes=3, alpha=0.05)
     vote["oracle"]["kind"] = "noisy_engage"
     rsgf = _tiny_config(kind="rsgf", horizon=200, alpha="auto")
-    return {"ncrs": ncrs, "ncrs_vote": vote, "rsgf": rsgf}
+    engage = _tiny_config(kind="ncrs_vote", horizon=300, votes=4, alpha=0.1)
+    engage["oracle"].update(kind="engage_abstain", link="probit")
+    link = _tiny_config(kind="ncrs_vote", horizon=300, votes=3, alpha=0.1)
+    link["oracle"].update(kind="deterministic_link", link="arctan")
+    # long rejection streaks: 244 blocks, 89 of them won before their last row
+    blocks = _tiny_config(kind="ncrs_vote", horizon=2000, votes=9, alpha=0.3)
+    blocks["oracle"].update(kind="noisy_engage", link="arctan")
+    return {"ncrs": ncrs, "ncrs_vote": vote, "rsgf": rsgf, "ncrs_vote_engage": engage,
+            "ncrs_vote_link": link, "ncrs_vote_blocks": blocks}
 
 
 # (OpenBLAS kernel, numpy SIMD target) -> run -> sha256 of its CSV bytes.
@@ -567,16 +575,25 @@ CSV_DIGESTS = pin_pairs(
         "ncrs": "e3b47e397ec41f67fa6c41d7dfbaf2f85117c623f3d2ba903060651cf86e4126",
         "ncrs_vote": "ddd4c38b02b45cc8eb61a357a2a91e94c5400cea2a038de2557bfe3b55f658bf",
         "rsgf": "638776decabf514b4f9b0f79a078c5616c54d5ae169f1401b72d5585f10bfb13",
+        "ncrs_vote_engage": "ce9bddddf0175039412ad5a41c5b2c35e9135d76887642aadb028672659deb9f",
+        "ncrs_vote_link": "088640b2d4da9dd426f0f48071df54c5d62d04ffe4b71bc9cc39ab4c176d2ca0",
+        "ncrs_vote_blocks": "2f4885e3d442db4a39ddac609e7f194d72267958ea6b92502256b57bc48941be",
     }),
     (("Haswell", "Sandybridge"), NUMPY_TARGETS, {
         "ncrs": "a80593a8e3e12f4377fcce5e690ff07138a5a7dd4736885eb6914888ba80a685",
         "ncrs_vote": "3e47894d32e095b9e5f7b3ef81cf8d4423e66fe06e86acc991f46327d479cb83",
         "rsgf": "76abc8f1a08ce08f8570ad42446eb304765f86dd588eddff78cf26b842998b7d",
+        "ncrs_vote_engage": "5f904b1fd745114ffcab1a4940d34c0d88ebcff7a0acccaebcea18b35e26789e",
+        "ncrs_vote_link": "f7404dff1a4412255c4ee7afe65ab7ab26edd5b0e1ea4c52549ed765bf02fe32",
+        "ncrs_vote_blocks": "24cfe0d87187503d6ca290117cd87c549049e22781a604ff3b5cd90ce0584bd1",
     }),
     (("Prescott",), NUMPY_TARGETS, {
         "ncrs": "a5300118dfdb5b5451f70d5d8e6bd66632856b47a215d6f767becd6a22467d42",
         "ncrs_vote": "19cc47e1b1a63c9afaf0292c41546984a67546d727d5a5ee7f12ecab70eca8b9",
         "rsgf": "82d3e079ddc18b2e88dc9aee242942651a145f3b78e5754dff006f35947cc4a5",
+        "ncrs_vote_engage": "566fab601eee48d82b8ecbefe362579632eccef8b39b5a78045a1a5450a92128",
+        "ncrs_vote_link": "449ba171f8de5da49ff438f31fce24efe14c5f64aad6dd9e301c3ea6b3a5b543",
+        "ncrs_vote_blocks": "cb8968d1f59903b6bb0b6ae9612a843020147ab6e4b6a834dabfa8027b1e932e",
     }),
 )
 
@@ -590,7 +607,10 @@ def csv_digest(name, directory):
 
 
 class TestCsvDigests:
-    """Pin the exact CSV bytes of one small run per algorithm.
+    """Pin the exact CSV bytes of one small run per algorithm and of three
+    more vote runs: one per other confidence model, and a long noisy_engage
+    run whose rejection streaks are answered in blocks, many won before
+    their last row.
 
     The ncrs config draws from all five streams (its tau > 0 adds the
     nuisance term).  A digest changes only when a run's bytes change, so
@@ -599,7 +619,7 @@ class TestCsvDigests:
     and is named.
     """
 
-    @pytest.mark.parametrize("name", ["ncrs", "ncrs_vote", "rsgf"])
+    @pytest.mark.parametrize("name", list(_digest_configs()))
     def test_run_one_csv_bytes(self, tmp_path, name, simd_pair):
         assert csv_digest(name, tmp_path) == pinned(CSV_DIGESTS, simd_pair)[name], (
             "OpenBLAS kernel {}, numpy target {}".format(*simd_pair))

@@ -6,7 +6,7 @@ orders; numpy picks its own SIMD loops by its highest enabled dispatch
 target.  So the digest tests pin bytes per pair.  In-process they check the
 running pair; here a child process forced onto each other pinned pair
 (OPENBLAS_CORETYPE for the kernel, NPY_DISABLE_CPU_FEATURES for every
-dispatch target above the numpy target) computes the same five digests.  A
+dispatch target above the numpy target) computes the same eight digests.  A
 pair is forced only when /proc/cpuinfo lists the instructions of both its
 parts, since code the CPU lacks could crash.  The variables are set in the
 child's environment only.  A failing child's whole report is printed, so
@@ -51,9 +51,9 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from conftest import numpy_target, openblas_core
 from test_diagnostics import SUITE_SEEDS, suite_digest
-from test_harness import csv_digest
+from test_harness import _digest_configs, csv_digest
 with tempfile.TemporaryDirectory() as tmp:
-    csv = {name: csv_digest(name, Path(tmp)) for name in ("ncrs", "ncrs_vote", "rsgf")}
+    csv = {name: csv_digest(name, Path(tmp)) for name in _digest_configs()}
 suite = {seed: suite_digest(seed) for seed in SUITE_SEEDS}
 print(json.dumps({"core": openblas_core(), "target": numpy_target(), "csv": csv,
                   "suite": suite}, indent=1))

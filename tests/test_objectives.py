@@ -226,6 +226,13 @@ class TestRidgeObjective:
         with pytest.raises(ValueError):
             obj.gradient(np.zeros(10))
 
+    @pytest.mark.parametrize("scalar", [3.0, np.float64(3.0), np.array(3.0), 3])
+    def test_a_scalar_point_raises_naming_the_dimension(self, scalar):
+        obj = self._make(52, 9, 2, tau=0.1, m=2)
+        for call in (obj.value, obj.gradient, obj.active.project, obj.nuisance.phases):
+            with pytest.raises(ValueError, match=r"a scalar has no dimension, .* R\^9$"):
+                call(scalar)
+
 
 class TestEvaluate:
     """RidgeObjective.value remembers sealed points by identity, and only them."""

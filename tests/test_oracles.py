@@ -247,8 +247,8 @@ class TestSignOracle:
         assert np.count_nonzero(gaps == 0.0) == 100
         many = SignOracle(obj, advantage, _stream(107, "oracle"))
         got = many.compare_gaps(gaps, 1)
-        assert got.shape == (len(pairs), 1)
-        assert np.array_equal(got[:, 0], answers)
+        assert got.shape == (len(pairs),)
+        assert np.array_equal(got, answers)
         assert many.query_count == one.query_count == len(pairs)
         assert many.rng.random() == one.rng.random()
 
@@ -267,8 +267,8 @@ class TestSignOracle:
             oracle.compare_gaps(np.ones((2, 3)), 1)
         assert _stream_state(oracle) == state
         assert oracle.query_count == 0
-        assert oracle.compare_gaps(1.0, 1).tolist() == [[1.0]]  # a scalar and a vector work
-        assert oracle.compare_gaps(-np.ones(2), 1).tolist() == [[-1.0], [-1.0]]
+        assert oracle.compare_gaps(1.0, 1).tolist() == [1.0]  # a scalar and a vector work
+        assert oracle.compare_gaps(-np.ones(2), 1).tolist() == [-1.0, -1.0]
         assert oracle.query_count == 3
 
 
@@ -279,17 +279,18 @@ class TestConfidenceOracle:
         return obj, ConfidenceOracle(obj, kind, link, _stream(seed, "oracle"))
 
     def test_deterministic_link_scores(self):
-        """The score is sign(gap) * rho(|gap|), which is 2 sigma(gap) - 1."""
+        """The score is sign(gap) * rho(|gap|), which is 2 sigma(gap) - 1, and
+        n of them tally n * sign(gap) * rho(|gap|)."""
         obj, oracle = self._oracle("deterministic_link")
         x, y = _pair_with_gap(obj, 0.8)
         gap = float(obj.value(x)) - float(obj.value(y))
         expected = math.copysign(oracle.link.rho(abs(gap)), gap)
-        assert oracle.compare_batch(x, y, 1)[0] == expected
+        assert oracle.compare_batch(x, y, 1) == expected
         assert expected == pytest.approx(2.0 * oracle.link.probability(gap) - 1.0, abs=1e-15)
         # antisymmetric under swapping the pair
-        assert oracle.compare_batch(y, x, 1)[0] == -expected
+        assert oracle.compare_batch(y, x, 1) == -expected
         assert oracle.second_moment_bound == 1.0
-        assert np.all(oracle.compare_batch(x, y, 5) == expected)
+        assert oracle.compare_batch(x, y, 5) == 5 * expected
         assert oracle.query_count == 7
 
     def test_tie_scores_zero(self):
@@ -304,13 +305,14 @@ class TestConfidenceOracle:
     ])
     def test_moment_certificates(self, kind, c_factor, cap):
         """E[sign * R] equals the certified margin and E[R^2] equals C * margin,
-        both to 4 standard errors at 10^5 draws per gap."""
+        both to 4 standard errors at 10^5 draws per gap.  Each score is the
+        tally of a one-query vote on the pair's gap."""
         obj, oracle = self._oracle(kind)
         n = 100_000
         for gap in (0.05, 0.3, 1.0, 3.0):
             x, y = _pair_with_gap(obj, gap)
             t = abs(float(obj.value(x)) - float(obj.value(y)))
-            scores = oracle.compare_batch(x, y, n)
+            scores = oracle.compare_gaps(np.full(n, t), 1)
             assert np.all(np.isin(scores, [-1.0, 0.0, 1.0]))
             margin = float(oracle.rho_effective(t))
             for samples, theory in (
@@ -344,29 +346,29 @@ class TestConfidenceOracle:
 
     @pytest.mark.parametrize("kind", ["deterministic_link", "engage_abstain", "noisy_engage"])
     def test_many_pairs_equal_consecutive_batches(self, kind):
-        """compare_gaps over many pairs gives, bit for bit, what consecutive
-        compare_batch calls give, with a zero-gap pair in the middle, and
+        """compare_gaps over many pairs tallies, bit for bit, what consecutive
+        compare_batch calls tally, with a zero-gap pair in the middle, and
         leaves the stream where they leave it."""
         obj = _quadratic_ridge(116)
         pairs = [_pair_with_gap(obj, g) for g in (0.05, 0.4, 1.0, 3.0)]
         pairs = [pairs[0], pairs[1][::-1], (pairs[2][0], pairs[2][0]), pairs[2], pairs[3]]
         link = LinkFunction(kind="probit", scale=0.7)
         one = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
-        expected = np.stack([one.compare_batch(x, y, 33) for x, y in pairs])
+        expected = np.array([one.compare_batch(x, y, 33) for x, y in pairs])
         gaps = np.array([obj.value(x) - obj.value(y) for x, y in pairs])
         assert gaps[2] == 0.0 and gaps[1] < 0.0
         many = ConfidenceOracle(obj, kind, link, _stream(116, "oracle"))
         got = many.compare_gaps(gaps, 33)
-        assert got.shape == (5, 33)
+        assert got.shape == (5,)
         assert np.array_equal(got, expected)
-        assert np.all(got[2] == 0.0)
+        assert got[2] == 0.0
         assert many.query_count == one.query_count == 5 * 33
         assert many.rng.random() == one.rng.random()
 
     @pytest.mark.parametrize("model", ["deterministic_link", "engage_abstain", "noisy_engage"])
     @pytest.mark.parametrize("link_kind", ["logistic", "probit", "arctan"])
     def test_a_score_does_not_depend_on_how_its_gap_arrives(self, link_kind, model):
-        """Row i of compare_gaps equals compare_batch on pair i, bit for bit,
+        """Tally i of compare_gaps equals compare_batch on pair i, bit for bit,
         over 2,000 pairs whose gaps span +-8 link scales (every tenth a tie),
         and both leave query_count and the stream at the same place."""
         obj = _quadratic_ridge(118)
@@ -376,7 +378,7 @@ class TestConfidenceOracle:
         ab[::10, 1] = ab[::10, 0]
         pairs = [(a * u1, b * u1) for a, b in ab]
         one = ConfidenceOracle(obj, model, link, _stream(118, "oracle"))
-        expected = np.stack([one.compare_batch(x, y, 3) for x, y in pairs])
+        expected = np.array([one.compare_batch(x, y, 3) for x, y in pairs])
         gaps = np.array([float(obj.value(x)) - float(obj.value(y)) for x, y in pairs])
         assert gaps.min() < -8.0 * link.scale and gaps.max() > 8.0 * link.scale
         assert np.count_nonzero(gaps == 0.0) == 200
@@ -388,13 +390,13 @@ class TestConfidenceOracle:
     @pytest.mark.parametrize("link_kind", ["logistic", "probit", "arctan"])
     def test_a_tiny_gap_keeps_its_sign(self, link_kind):
         """At a gap of 1e-17 link scales 2 sigma - 1 rounds to 0, but the
-        margin rho keeps full relative precision, so the score is not a tie."""
+        margin rho keeps full relative precision, so the tally is not a tie."""
         link = LinkFunction(kind=link_kind)
         _, oracle = self._oracle("deterministic_link", link=link)
-        scores = oracle.compare_gaps(np.array([1e-17, -1e-17]), 2)
+        tallies = oracle.compare_gaps(np.array([1e-17, -1e-17]), 2)
         assert 2.0 * link.probability(1e-17) - 1.0 == 0.0
-        assert scores[0, 0] > 0.0
-        assert scores.tolist() == [[link.rho(1e-17)] * 2, [-link.rho(1e-17)] * 2]
+        assert tallies[0] > 0.0
+        assert tallies.tolist() == [2 * link.rho(1e-17), -2 * link.rho(1e-17)]
 
     def test_query_counting_and_validation(self):
         obj, oracle = self._oracle("engage_abstain")
@@ -501,7 +503,7 @@ class TestFirstPreferred:
             assert np.all((gaps == 0.0) == [c == "0" for c in spec])
             sequential = len(block)
             for i, y in enumerate(block):
-                if one.compare_batch(self.X, y, 33).sum() > 0.0:
+                if one.compare_batch(self.X, y, 33) > 0.0:
                     sequential = i
                     break
             if kind != "sign":
@@ -562,10 +564,140 @@ class TestNanGaps:
         "kind", ["deterministic_link", "engage_abstain", "noisy_engage", "sign"]
     )
     def test_an_infinite_gap_is_scored(self, kind):
+        """Eight one-query votes: each tally is one score, and none abstains."""
         oracle = self._oracle(kind)
-        scores = oracle.compare_gaps(np.array([math.inf, -math.inf]), 4)
+        scores = oracle.compare_gaps(np.repeat([math.inf, -math.inf], 4), 1)
         assert oracle.query_count == 8
         if kind in ("deterministic_link", "engage_abstain"):
-            assert scores.tolist() == [[1.0] * 4, [-1.0] * 4]
+            assert scores.tolist() == [1.0] * 4 + [-1.0] * 4
         else:
             assert np.all(np.isin(scores, [-1.0, 1.0]))
+
+
+def _reference_scores(oracle, gap, shape):
+    """The n scores of a vote at a non-tie gap (or a sign oracle's tie), as the
+    oracles drew and returned them before they answered with tallies: a
+    test-local copy of that per-score response, drawing the same uniforms
+    in the same (rows, uniforms, n) layout."""
+    if isinstance(oracle, SignOracle):
+        sign = 2 * (gap >= 0.0) - 1
+        agree = oracle.rng.random(shape) < 0.5 + oracle.advantage * (gap != 0.0)
+        return sign * (2 * agree - 1)
+    sign = 2.0 * (gap > 0.0) - 1.0
+    rho = oracle.link.rho(abs(gap))
+    if oracle.kind == "deterministic_link":
+        return np.full(shape, sign * rho)
+    u = oracle.rng.random(shape[:-1] + (oracle._uniforms,) + shape[-1:])
+    engaged = u[..., 0, :] < rho
+    if oracle.kind == "engage_abstain":
+        return np.where(engaged, sign, 0.0)
+    return np.where(engaged, np.where(u[..., 1, :] < 0.75, sign, -sign), 0.0)
+
+
+def _reference_vote(oracle, gap, n):
+    """One vote's n reference scores, counted as n queries; a confidence
+    oracle scores a tie 0 and draws nothing."""
+    oracle.query_count += n
+    if gap == 0.0 and isinstance(oracle, ConfidenceOracle):
+        return np.zeros(n)
+    return _reference_scores(oracle, gap, (n,))
+
+
+def _expected_tally(oracle, scores):
+    """The tally the oracle answers for these reference scores: their sum,
+    which is exact for scores in {-1, 0, 1}; for deterministic_link,
+    n * sign(gap) * rho, which has the sum's sign."""
+    if isinstance(oracle, ConfidenceOracle) and oracle.kind == "deterministic_link":
+        assert np.sign(len(scores) * scores[0]) == np.sign(scores.sum())
+        return len(scores) * scores[0]
+    return scores.sum()
+
+
+class _FirstCoordinate:
+    """f(x) = x_0, batched: a gap f(x) - f(y) at x = 0 is exactly -y_0."""
+
+    @staticmethod
+    def value(x):
+        return np.asarray(x)[..., 0]
+
+
+ORACLE_KINDS = [("sign", None)] + [
+    (model, link) for model in ("deterministic_link", "engage_abstain", "noisy_engage")
+    for link in ("logistic", "probit", "arctan")
+]
+
+
+class TestTallies:
+    """A vote answers with its tally: the sum of the n scores it used to
+    return, counted from the same uniforms in the same layout, so the
+    stream and query_count end where the scores left them."""
+
+    X = np.zeros(3)
+
+    @staticmethod
+    def _oracle(kind, link):
+        if kind == "sign":
+            return SignOracle(_FirstCoordinate(), 0.2, _stream(130, "oracle"))
+        return ConfidenceOracle(_FirstCoordinate(), kind, LinkFunction(kind=link, scale=0.5),
+                                _stream(130, "oracle"))
+
+    @staticmethod
+    def _gaps():
+        """60 gaps over +-6 link scales, every fifth a tie."""
+        gaps = np.random.default_rng(130).uniform(-3.0, 3.0, 60)
+        gaps[::5] = 0.0
+        return gaps
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("kind, link", ORACLE_KINDS)
+    def test_a_tally_sums_the_reference_scores(self, kind, link, n):
+        """Alone (compare_batch) and in a block (compare_gaps), every tally is
+        the reference vote's, the same double both ways, with the same
+        query_count and the same next draw."""
+        gaps = self._gaps()
+        reference, alone, block = (self._oracle(kind, link) for _ in range(3))
+        expected = np.array([_expected_tally(reference, _reference_vote(reference, g, n))
+                             for g in gaps])
+        singles = np.array([alone.compare_batch(self.X, [-g, 0.0, 0.0], n) for g in gaps])
+        tallies = block.compare_gaps(gaps, n)
+        assert tallies.shape == gaps.shape
+        assert np.array_equal(singles, expected)
+        assert singles.tobytes() == tallies.tobytes()  # the same doubles, signed zeros too
+        next_draw = reference.rng.random()
+        for oracle in (alone, block):
+            assert oracle.query_count == reference.query_count == gaps.size * n
+            assert oracle.rng.random() == next_draw
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("kind, link", ORACLE_KINDS)
+    def test_first_preferred_wins_where_the_reference_votes_do(self, kind, link, n):
+        """A block of ties and worse rows, then ten much better rows, then
+        more: the first positive reference tally is won, before the last
+        row, and the rewind leaves query_count and the stream where the
+        reference votes leave them."""
+        gaps = self._gaps()
+        gaps = np.concatenate([-np.abs(gaps[:12]), np.full(10, 40.0), gaps[12:30]])
+        block = np.zeros((gaps.size, 3))
+        block[:, 0] = -gaps
+        reference, oracle = self._oracle(kind, link), self._oracle(kind, link)
+        expected = gaps.size
+        for i, g in enumerate(gaps):
+            if _expected_tally(reference, _reference_vote(reference, g, n)) > 0.0:
+                expected = i
+                break
+        assert expected < gaps.size - 1
+        if kind in ("deterministic_link", "engage_abstain"):
+            assert expected == 12  # the first much better row; no worse row or tie wins
+        assert oracle.first_preferred(self.X, block, n) == expected
+        assert oracle.query_count == reference.query_count == (expected + 1) * n
+        assert _stream_state(oracle) == _stream_state(reference)
+        assert oracle.rng.random() == reference.rng.random()
+
+    @pytest.mark.parametrize("kind, link", ORACLE_KINDS)
+    def test_every_tally_is_a_float(self, kind, link):
+        """compare_batch answers a float, a tie included; compare_gaps a
+        float64 vector."""
+        oracle = self._oracle(kind, link)
+        for y in ([-0.4, 0.0, 0.0], [0.3, 1.0, 0.0], self.X.copy()):
+            assert type(oracle.compare_batch(self.X, y, 3)) is float
+        assert oracle.compare_gaps(np.array([0.4, 0.0, -0.2]), 3).dtype == np.float64
