@@ -12,11 +12,18 @@ The config is a YAML mapping with sections problem / oracle / algorithm /
 target and an optional sweep section holding axis lists; the full grammar
 is documented in the README; CONFIG_KEYS holds every key's default, type
 and range.  Unknown keys are rejected by name.
+
+Importing this module loads neither PyYAML nor the process pool: yaml is
+imported by the first config read (load_config or apply_overrides) and
+concurrent.futures.process by the first sweep with more than one worker.  So
+`ncrs validate` and `ncrs params` load neither, and `ncrs run` and a
+one-worker sweep never load the pool.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -25,12 +32,10 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .algorithms import (
     StepSchedule,
@@ -256,34 +261,42 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that rejects a mapping key given twice, which
-    safe_load would let the later one overwrite silently."""
+@functools.cache
+def _unique_key_loader() -> type:
+    """A yaml.SafeLoader that rejects a mapping key given twice, which
+    safe_load would let the later one overwrite silently.  It is built on
+    the first config read, so a command that reads none never imports yaml."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # a << merge: SafeLoader resolves it, and its keys may be overridden
-            key = self.construct_object(key_node, deep=deep)
-            try:
-                repeated = key in seen
-                seen.add(key)
-            except TypeError:  # unhashable: SafeLoader reports it below
-                continue
-            if repeated:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found repeated key {key!r}", key_node.start_mark,
-                )
-        return super().construct_mapping(node, deep=deep)
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # a << merge: SafeLoader resolves it, and its keys may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                    seen.add(key)
+                except TypeError:  # unhashable: SafeLoader reports it below
+                    continue
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark,
+                    )
+            return super().construct_mapping(node, deep=deep)
+
+    return UniqueKeyLoader
 
 
 def load_config(path: str | Path) -> dict:
     """Read and validate a YAML config file; ConfigError names a file that
     fails, including one that repeats a mapping key."""
+    import yaml
+
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=_UniqueKeyLoader)
+        raw = yaml.load(Path(path).read_text(), Loader=_unique_key_loader())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -299,6 +312,8 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     Values are parsed as YAML scalars (so 1e-3, true, and quoted strings all
     work); list values use YAML flow syntax, e.g. 'sweep.k=[5, 10]'.
     """
+    import yaml
+
     out = copy.deepcopy(cfg)
     for item in assignments:
         if "=" not in item:
@@ -308,7 +323,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         if not keys:
             raise ConfigError(f"override {item!r} has an empty key")
         try:
-            value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
+            value = yaml.load(raw_value, Loader=_unique_key_loader())
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has an unparseable value: {exc}") from exc
         node = out
@@ -604,6 +619,8 @@ def _sweep_worker(args: tuple[dict, int, str]) -> dict:
 def _collect(future: Future, seed: int) -> dict:
     """A pooled run's result, or its error row when a worker process died:
     a dead worker breaks the pool and loses every run not yet finished."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -649,6 +666,8 @@ def run_sweep(cfg: dict, out_dir: str | Path, workers: int = 1) -> dict:
     if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
+        from concurrent.futures.process import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_worker, job) for job in jobs]
             results = [_collect(future, job[1]) for future, job in zip(futures, jobs)]

@@ -1,5 +1,7 @@
 import ctypes
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,14 @@ def pin_pairs(*groups):
     """{(kernel, target): pin} from groups (kernels, targets, pin): the pin
     holds for each kernel in `kernels` with each numpy target in `targets`."""
     return {(k, t): pin for kernels, targets, pin in groups for k in kernels for t in targets}
+
+
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def pinned(pins, pair):

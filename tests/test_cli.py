@@ -1,11 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 from importlib.metadata import PathDistribution
 from pathlib import Path
 
 import pytest
+from conftest import src_env
 
 from ncrs.cli import build_parser, main
 from ncrs.diagnostics import CheckReport
@@ -92,19 +92,40 @@ class TestParser:
         assert matches[0].value == "ncrs.cli:main"
 
     def test_import_leaves_scipy_out(self):
-        """The command line starts on numpy and PyYAML alone: importing it in a
-        fresh interpreter loads no scipy module."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        """The command line starts on numpy and the standard library alone:
+        importing it in a fresh interpreter loads no scipy module."""
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, ncrs.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            env=env, capture_output=True, text=True,
+            env=src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_validate_and_params_leave_yaml_and_the_pool_out(self, config_path):
+        """A command pays only for what it runs: in a fresh interpreter,
+        `validate` and `params` load no PyYAML, multiprocessing or process
+        pool module, and the first config read loads PyYAML."""
+        script = (
+            "import json, sys\n"
+            "from ncrs import cli\n"
+            "from ncrs.harness import load_config\n"
+            "codes = [cli.main(['validate', '--scale', '0.02', '--seed', '0']),\n"
+            f"         cli.main({TestParamsCommand.ARGS!r})]\n"
+            "lazy = ('yaml', 'multiprocessing', 'concurrent.futures.process')\n"
+            "before = [m for m in lazy if m in sys.modules]\n"
+            "load_config(sys.argv[1])\n"
+            "after = [m for m in lazy if m in sys.modules]\n"
+            "print(json.dumps({'codes': codes, 'before': before, 'after': after}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config_path)],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {"codes": [0, 0], "before": [], "after": ["yaml"]}
 
 
 class TestRunCommand:

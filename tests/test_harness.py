@@ -4,6 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import NUMPY_TARGETS, pin_pairs, pinned
+from conftest import NUMPY_TARGETS, pin_pairs, pinned, src_env
 from numpy.testing import assert_allclose
 
 from ncrs import harness
@@ -252,7 +254,7 @@ class TestLoadAndOverrides:
 
     def test_merged_keys_may_still_be_overridden(self):
         text = "base: &p {d: 12, k: 3}\nproblem: {<<: *p, d: 20}\n"
-        raw = yaml.load(text, Loader=harness._UniqueKeyLoader)
+        raw = yaml.load(text, Loader=harness._unique_key_loader())
         assert raw["problem"] == {"d": 20, "k": 3}
 
     def test_repeated_key_in_override_is_rejected(self):
@@ -694,6 +696,34 @@ class TestRunSweep:
             twin = tmp_path / "parallel" / csv_path.relative_to(tmp_path / "serial")
             assert csv_path.read_bytes() == twin.read_bytes()
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs no pool")
+    def test_pooled_sweep_in_a_fresh_interpreter(self, tmp_path):
+        """The pool is imported on the first pooled sweep: a two-worker sweep
+        in an interpreter that has imported nothing else writes the bytes of
+        the one-worker sweep.  This module imports the pool itself, so only a
+        fresh interpreter sees a deferred import that is missing."""
+        cfg = self._sweep_config()
+        run_sweep(cfg, tmp_path / "serial", workers=1)
+        script = (
+            "import json, sys\n"
+            "from ncrs.harness import run_sweep\n"
+            "run_sweep(json.loads(sys.argv[1]), sys.argv[2], workers=2)\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(cfg), str(tmp_path / "pooled")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"  # the sweep ran on the pool
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        serial = tree(tmp_path / "serial")
+        assert len(serial) == 5  # aggregate.json and 4 CSVs
+        assert tree(tmp_path / "pooled") == serial
+
     def test_cell_csv_is_independent_of_sweep_layout(self, tmp_path):
         # the advantage=0.5 cell at seed 2 sits at a different position in
         # each sweep, and ncrs run knows no sweep at all
@@ -760,7 +790,7 @@ class TestRunSweep:
         def no_pool(max_workers):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
         for bad in (1.5, True, "2", None):
             with pytest.raises(ConfigError, match="workers must be a positive integer"):
                 run_sweep(self._sweep_config(), tmp_path / "bad", workers=bad)
@@ -816,7 +846,7 @@ class TestRunSweep:
                     future.set_result(result)
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", BreakingExecutor)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", BreakingExecutor)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         out = tmp_path / "out"
         aggregate = run_sweep(self._sweep_config(), out, workers=2)
@@ -845,7 +875,7 @@ class TestRunSweep:
                 future.set_result(fn(job))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InlineExecutor)
         cfg = self._sweep_config()  # 2 cells x 2 seeds = 4 jobs
         serial = run_sweep(cfg, tmp_path / "serial")
         for cores in (64, 3, 1, None):
