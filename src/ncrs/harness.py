@@ -628,6 +628,12 @@ def _collect(future: Future, seed: int) -> dict:
 
 
 def _stat(values: list) -> dict:
+    """The one mean/SE rule, for the sweep aggregate and the acceptance suite.
+
+    values as given, count of the non-None ones, their mean, and stderr =
+    std(ddof=1) / sqrt(count); stderr is 0.0 for one value, and mean and
+    stderr are None for none.
+    """
     present = [v for v in values if v is not None]
     out = {"values": values, "count": len(present)}
     if present:

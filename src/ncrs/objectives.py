@@ -223,10 +223,14 @@ def random_ridge_objective(
 ) -> RidgeObjective:
     """Draw a rotation-invariant active subspace and assemble the objective.
 
-    tau > 0 requires nuisance_dim >= 1; the nuisance basis is drawn
+    nuisance_dim must be a nonnegative integer, checked before the tau
+    rules; tau > 0 requires nuisance_dim >= 1; the nuisance basis is drawn
     orthogonal to the active subspace (from nuisance_rng when given, so the
     active geometry is unchanged by toggling the nuisance).
     """
+    is_int = isinstance(nuisance_dim, (int, np.integer)) and not isinstance(nuisance_dim, bool)
+    if not (is_int and nuisance_dim >= 0):
+        raise ValueError(f"nuisance_dim must be a nonnegative integer, got {nuisance_dim!r}")
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     active = random_subspace(rng, d, k)

@@ -3,8 +3,9 @@
 One test per acceptance criterion, in order; each prints a single
 pass/fail line with its measured quantities. Protocol constants
 (steps, horizons, radii) were pilot-calibrated once and are frozen here.
-The full suite took 92 to 106 s in two runs on a shared 2-vCPU Xeon host,
-criterion 6 the longest at 35 to 40 s.
+Criteria 4-9 and 11 run their cells as two-worker sweeps (run_sweep).
+The full suite took 49 and 54 s in two runs on a shared 2-vCPU Xeon host,
+criterion 6 the longest at 17 and 21 s.
 """
 import math
 import time
@@ -13,11 +14,11 @@ import numpy as np
 
 from ncrs.diagnostics import check_descent_ncrs, check_vote_error, run_default_suite
 from ncrs.geometry import RngStream, stream_id_for
-from ncrs.harness import default_config, fit_scaling, run_one, run_sweep, running_average
+from ncrs.harness import _stat, default_config, fit_scaling, run_sweep, running_average
 from ncrs.objectives import InnerFunction, random_ridge_objective
 from ncrs.oracles import ConfidenceOracle, LinkFunction, rho_inverse
 
-SEEDS = (1, 2, 3, 4, 5)
+SEEDS = [1, 2, 3, 4, 5]
 MASTER = 314159
 
 
@@ -27,35 +28,40 @@ def _report(criterion, ok, detail):
     return line
 
 
-def _mean_se(values):
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return float(arr.mean()), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def _protocol_config(d, k, advantage, inner="quadratic_cosine"):
+def _protocol_config(d, k, advantage, target=None):
     # shared sweep protocol: relative target, auto horizon, theory step
     cfg = default_config()
-    cfg["problem"].update(d=d, k=k, inner=inner)
+    cfg["problem"].update(d=d, k=k, inner="quadratic_cosine")
     cfg["oracle"]["advantage"] = advantage
     cfg["algorithm"].update(horizon="auto", alpha0="auto")
+    if target is not None:
+        cfg["target"]["value"] = target
     return cfg
 
 
-def _iterations_cell(d, k, advantage, target=None):
-    cfg = _protocol_config(d, k, advantage)
-    if target is not None:
-        cfg["target"]["value"] = target
-    targets = []
-    for seed in SEEDS:
-        _, summary = run_one(cfg, master_seed=seed)
-        assert summary.iterations_to_target is not None, (
-            f"run did not reach its target: d={d} k={k} p={advantage} "
-            f"target={cfg['target']['value']} seed={seed}"
-        )
-        targets.append(summary.iterations_to_target)
-    return _mean_se(targets)
+def _sweep(cfg, out_dir, **axes):
+    """The aggregate cells of cfg swept over axes and SEEDS on two workers."""
+    cfg["sweep"] = {**axes, "seeds": SEEDS}
+    return run_sweep(cfg, out_dir, workers=2)["cells"]
+
+
+def _reported(cell, key="iterations_to_target"):
+    """(mean, SE) of a cell's key; every run must report it (reach its target)."""
+    stat = cell[key]
+    assert stat["count"] == len(SEEDS), (
+        f"not every run reported {key}: {cell['axes']} {stat['values']} {cell['errors']}"
+    )
+    return stat["mean"], stat["stderr"]
+
+
+def _grad_norms(out_dir, cell):
+    """Each seed's logged gradient norms, read back from the sweep's CSVs."""
+    assert not any(cell["errors"]), cell["errors"]
+    return [
+        np.loadtxt(out_dir / cell["cell_hash"] / f"{seed}.csv", delimiter=",",
+                   skiprows=1, usecols=2)
+        for seed in cell["seeds"]
+    ]
 
 
 def test_criterion_01_identity_suite_full_scale():
@@ -134,9 +140,10 @@ def test_criterion_03_vote_error_bound_grid():
     assert not failures, f"{line}; failures: {failures}"
 
 
-def test_criterion_04_iterations_scale_with_intrinsic_dimension():
+def test_criterion_04_iterations_scale_with_intrinsic_dimension(tmp_path):
     t0 = time.perf_counter()
-    cells = [(float(k),) + _iterations_cell(200, k, 0.5) for k in (5, 10, 20, 40)]
+    cells = _sweep(_protocol_config(200, 10, 0.5), tmp_path, k=[5, 10, 20, 40])
+    cells = [(float(c["axes"]["k"]),) + _reported(c) for c in cells]
     slope, _, r2 = fit_scaling(cells)
     wall = time.perf_counter() - t0
     ok = 0.7 <= slope <= 1.4 and r2 >= 0.9 and wall < 1800.0
@@ -146,8 +153,9 @@ def test_criterion_04_iterations_scale_with_intrinsic_dimension():
     assert wall < 1800.0, line
 
 
-def test_criterion_05_iterations_ignore_ambient_dimension():
-    cells = [(float(d),) + _iterations_cell(d, 10, 0.5) for d in (50, 200, 800)]
+def test_criterion_05_iterations_ignore_ambient_dimension(tmp_path):
+    cells = _sweep(_protocol_config(200, 10, 0.5), tmp_path, d=[50, 200, 800])
+    cells = [(float(c["axes"]["d"]),) + _reported(c) for c in cells]
     slope, _, r2 = fit_scaling(cells)
     overlaps = []
     for i in range(len(cells)):
@@ -161,27 +169,22 @@ def test_criterion_05_iterations_ignore_ambient_dimension():
     assert all(overlaps), line + f"; cells={cells}"
 
 
-def test_criterion_06_iterations_scale_with_inverse_square_advantage():
-    cells = [(p,) + _iterations_cell(100, 10, p) for p in (0.125, 0.25, 0.5)]
+def test_criterion_06_iterations_scale_with_inverse_square_advantage(tmp_path):
+    cells = _sweep(_protocol_config(100, 10, 0.5), tmp_path, advantage=[0.125, 0.25, 0.5])
+    cells = [(c["axes"]["advantage"],) + _reported(c) for c in cells]
     slope, _, r2 = fit_scaling(cells)
     ok = -2.6 <= slope <= -1.4
     line = _report(6, ok, f"slope={slope:.3f} r2={r2:.3f}")
     assert ok, line + f"; cells={cells}"
 
 
-def test_criterion_07_vote_count_improves_fixed_budget_quality():
-    rows = []
-    for votes in (1, 4, 16, 64):
-        finals = []
-        for seed in SEEDS:
-            cfg = default_config()
-            cfg["problem"].update(d=50, k=5, inner="quadratic_cosine")
-            cfg["oracle"]["kind"] = "engage_abstain"
-            cfg["algorithm"].update(kind="ncrs_vote", alpha=0.02, votes=votes,
-                                    horizon=15_000)
-            _, summary = run_one(cfg, master_seed=seed)
-            finals.append(summary.final_running_avg)
-        rows.append((votes,) + _mean_se(finals))
+def test_criterion_07_vote_count_improves_fixed_budget_quality(tmp_path):
+    cfg = default_config()
+    cfg["problem"].update(d=50, k=5, inner="quadratic_cosine")
+    cfg["oracle"]["kind"] = "engage_abstain"
+    cfg["algorithm"].update(kind="ncrs_vote", alpha=0.02, horizon=15_000)
+    rows = [(c["axes"]["votes"],) + _reported(c, "final_running_avg")
+            for c in _sweep(cfg, tmp_path, votes=[1, 4, 16, 64])]
     monotone = []
     for (_, m0, s0), (_, m1, s1) in zip(rows, rows[1:]):
         monotone.append(m1 <= m0 + math.sqrt(s0**2 + s1**2))
@@ -191,19 +194,16 @@ def test_criterion_07_vote_count_improves_fixed_budget_quality():
     assert ok, line + f"; rows={rows}"
 
 
-def test_criterion_08_nuisance_scale_raises_the_achievable_floor():
+def test_criterion_08_nuisance_scale_raises_the_achievable_floor(tmp_path):
+    cfg = default_config()
+    # tau = 0 ignores nuisance_dim, so that cell is the pure ridge
+    cfg["problem"].update(d=100, k=10, init_radius_scale=0.3, nuisance_dim=5)
+    cfg["algorithm"].update(schedule="constant", alpha0=0.002, horizon=40_000)
     rows = []
-    for tau in (0.0, 0.1, 0.3):
-        bests = []
-        for seed in SEEDS:
-            cfg = default_config()
-            cfg["problem"].update(d=100, k=10, tau=tau, init_radius_scale=0.3,
-                                  nuisance_dim=5 if tau > 0 else 0)
-            cfg["algorithm"].update(schedule="constant", alpha0=0.002,
-                                    horizon=40_000)
-            traj, _ = run_one(cfg, master_seed=seed)
-            bests.append(float(np.min(running_average(traj.grad_norms))))
-        rows.append((tau,) + _mean_se(bests))
+    for cell in _sweep(cfg, tmp_path, tau=[0.0, 0.1, 0.3]):
+        bests = [float(np.min(running_average(g))) for g in _grad_norms(tmp_path, cell)]
+        stat = _stat(bests)
+        rows.append((cell["axes"]["tau"], stat["mean"], stat["stderr"]))
     (_, m0, s0), (_, m1, _), (_, m2, s2) = rows
     ordered = m0 <= m1 <= m2
     separation = (m2 - m0) / math.sqrt(s0**2 + s2**2)
@@ -217,18 +217,14 @@ def test_criterion_08_nuisance_scale_raises_the_achievable_floor():
     assert separation > 2.0, line
 
 
-def test_criterion_09_two_point_baseline_smoothing_bias_floor():
+def test_criterion_09_two_point_baseline_smoothing_bias_floor(tmp_path):
     levels = {}
     for mu in (1e-4, 0.5):
-        per_seed = []
-        for seed in SEEDS:
-            cfg = default_config()
-            cfg["problem"].update(d=100, k=10)
-            cfg["algorithm"].update(kind="rsgf", alpha=1.0 / 48.0, mu=mu,
-                                    horizon=50_000)
-            traj, _ = run_one(cfg, master_seed=seed)
-            per_seed.append(float(np.mean(traj.grad_norms**2)))
-        levels[mu] = _mean_se(per_seed)[0]
+        cfg = default_config()
+        cfg["problem"].update(d=100, k=10)
+        cfg["algorithm"].update(kind="rsgf", alpha=1.0 / 48.0, mu=mu, horizon=50_000)
+        [cell] = _sweep(cfg, tmp_path)
+        levels[mu] = _stat([float(np.mean(g**2)) for g in _grad_norms(tmp_path, cell)])["mean"]
     ratio = levels[0.5] / levels[1e-4]
     ok = ratio >= 10.0
     line = _report(
@@ -263,12 +259,13 @@ def test_criterion_10_sweeps_are_bit_deterministic_across_workers(tmp_path):
     assert ok, line
 
 
-def test_criterion_11_iterations_scale_with_inverse_square_accuracy():
+def test_criterion_11_iterations_scale_with_inverse_square_accuracy(tmp_path):
     """The paper's epsilon-law, T = O(1 / eps^2), through the whole recipe:
     horizon: auto and the theory step both scale with the relative target
     eps, so the mean iterations to reach it should fall as eps^-2.  The
     band is criterion 6's, fixed before this test was first run."""
-    cells = [(eps,) + _iterations_cell(50, 5, 0.5, target=eps) for eps in (0.5, 0.35, 0.25)]
+    cells = [(eps,) + _reported(_sweep(_protocol_config(50, 5, 0.5, target=eps), tmp_path)[0])
+             for eps in (0.5, 0.35, 0.25)]
     slope, _, r2 = fit_scaling(cells)
     ok = -2.6 <= slope <= -1.4 and r2 >= 0.9
     line = _report(11, ok, f"slope={slope:.3f} r2={r2:.5f}")

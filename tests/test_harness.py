@@ -436,6 +436,19 @@ class TestRunOne:
         # value and gradient in run_one, its read-only copy, and the final value
         assert len(mapped) == 1000 + 4
 
+    def test_nuisance_dim_is_ignored_when_tau_is_zero(self, tmp_path):
+        """The README's "(ignored when tau == 0)": such cells hash apart but
+        run the pure ridge, so a tau sweep may carry one nuisance_dim."""
+        rows = []
+        for m in (0, 5):
+            cfg = default_config()
+            cfg["problem"].update(d=100, k=10, nuisance_dim=m)
+            cfg["algorithm"]["horizon"] = 2000
+            rows.append(harness.run_to_csv(cfg, 1, tmp_path))
+        plain, ignored = (Path(row["csv"]) for row in rows)
+        assert plain.parent.name != ignored.parent.name
+        assert plain.read_bytes() == ignored.read_bytes()
+
     @pytest.mark.parametrize(
         "schedule, alpha0",
         [("constant", 0.01), ("theory_constant", 0.7), ("theory_constant", "auto")],

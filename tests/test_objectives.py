@@ -470,6 +470,19 @@ class TestNuisance:
                         _stream(0, "s"), 10, 2, InnerFunction(kind="pure_quadratic"),
                         tau=bad, nuisance_dim=m,
                     )
+        # nuisance_dim is checked before the tau rules, whatever tau is
+        for tau in (0.0, 0.3):
+            for bad in (-1, 2.5, True, "2"):
+                with pytest.raises(ValueError, match="nuisance_dim must be a nonnegative integer"):
+                    random_ridge_objective(
+                        _stream(0, "s"), 10, 2, InnerFunction(kind="pure_quadratic"),
+                        tau=tau, nuisance_dim=bad,
+                    )
+        obj = random_ridge_objective(
+            _stream(0, "s"), 10, 2, InnerFunction(kind="pure_quadratic"),
+            tau=0.3, nuisance_dim=np.int64(2),
+        )
+        assert obj.nuisance.dim == 2
 
 
 class TestInitialPoint:
