@@ -222,11 +222,10 @@ def _search(
     if steps[-1] != horizon:
         steps = np.append(steps, horizon)
     log_at = steps.tolist() + [horizon + 1]  # a sentinel past the last record
-    values = np.full(len(steps), math.nan)
-    grad_norms = np.full(len(steps), math.nan)
-    accepted = np.zeros(len(steps), dtype=bool)
+    values, grad_norms, accepted = [], [], []  # the records, made arrays at the end
     record = 0
-    read_at = None  # the iterate of the last instrument reading
+    f = g = math.nan  # the last instrument reading
+    read_at = None  # its iterate
     pending = np.empty((0, size))  # directions drawn but not yet used, oldest first
     t, streak = 1, 0  # the next iteration; moves rejected in a row
     block_rows = min(BLOCK_ROWS, max(1, BLOCK_QUERIES // queries_per_iteration))
@@ -251,18 +250,24 @@ def _search(
                 last, taken = (t + i, t + i) if i < m else (t + m - 1, 0)
                 pending = pending[last + 1 - t:]
             while log_at[record] <= last:  # the records of iterations t .. last
-                if instrument is not None:
-                    if theta is not read_at:
-                        reading, read_at = instrument(theta), theta
-                    values[record], grad_norms[record] = reading
-                accepted[record] = log_at[record] == taken
+                if instrument is not None and theta is not read_at:
+                    (f, g), read_at = instrument(theta), theta
+                values.append(f)
+                grad_norms.append(g)
+                accepted.append(log_at[record] == taken)
                 record += 1
             streak = 0 if taken else streak + last + 1 - t
             theta, t = moved, last + 1
     finally:
         directions.close()
-    counts = queries_per_iteration * steps
-    return Trajectory(steps, values, grad_norms, accepted, counts, theta.copy())
+    return Trajectory(
+        steps,
+        np.array(values, dtype=np.float64),
+        np.array(grad_norms, dtype=np.float64),
+        np.array(accepted, dtype=bool),
+        queries_per_iteration * steps,
+        theta.copy(),
+    )
 
 
 def _counted(oracle, before: int, traj: Trajectory) -> Trajectory:
@@ -290,7 +295,7 @@ def ncrs_run(
     """
 
     def move(step, theta, direction):
-        candidate = seal(theta + step * direction)
+        candidate = np.frombuffer((theta + step * direction).tobytes())  # seal, inline
         if oracle.compare(theta, candidate) > 0:
             return candidate, True
         return theta, False

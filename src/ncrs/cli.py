@@ -17,11 +17,14 @@ import sys
 
 from .algorithms import vote_params
 from .diagnostics import run_default_suite
-from .harness import (
+# load_config is not called here, but stays importable from this module:
+# bench/layertrace.py wraps cli.load_config and cli.apply_overrides by name.
+from .harness import (  # noqa: F401
     ConfigError,
     apply_overrides,
     check_seed,
     load_config,
+    read_config,
     run_sweep,
     run_to_csv,
 )
@@ -97,15 +100,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> dict:
+    """The --config file with the --set overrides applied, validated once,
+    so an override may repair a file that fails on its own."""
+    return apply_overrides(read_config(args.config), args.overrides)
+
+
 def _cmd_run(args) -> int:
     check_seed(args.seed, "--seed")
-    cfg = apply_overrides(load_config(args.config), args.overrides)
+    cfg = _config(args)
     print(json.dumps(run_to_csv(cfg, args.seed, args.out), sort_keys=True))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.overrides)
+    cfg = _config(args)
     aggregate = run_sweep(cfg, args.out, workers=args.workers)
     print(json.dumps(aggregate, sort_keys=True))
     failed = any(any(e is not None for e in cell["errors"]) for cell in aggregate["cells"])

@@ -14,7 +14,7 @@ is documented in the README; CONFIG_KEYS holds every key's default, type
 and range.  Unknown keys are rejected by name.
 
 Importing this module loads neither PyYAML nor the process pool: yaml is
-imported by the first config read (load_config or apply_overrides) and
+imported by the first config read (read_config or apply_overrides) and
 concurrent.futures.process by the first sweep with more than one worker.  So
 `ncrs validate` and `ncrs params` load neither, and `ncrs run` and a
 one-worker sweep never load the pool.
@@ -75,6 +75,9 @@ SWEEP_AXES = (
 )
 
 CSV_HEADER = "t,f,grad_norm,accepted,queries"
+# write_trajectory_csv formats this many rows with one printf-style % over a
+# repeated row template; converting a block of rows at a time bounds the
+# Python numbers alive at once.
 CSV_BLOCK_ROWS = 1024
 
 # Largest horizon a run accepts, given or resolved from horizon: auto; at
@@ -290,9 +293,10 @@ def _unique_key_loader() -> type:
     return UniqueKeyLoader
 
 
-def load_config(path: str | Path) -> dict:
-    """Read and validate a YAML config file; ConfigError names a file that
-    fails, including one that repeats a mapping key."""
+def read_config(path: str | Path):
+    """The YAML document of a config file as read, not yet validated; an
+    empty file reads as {}.  ConfigError names a file that cannot be read
+    or parsed, including one that repeats a mapping key."""
     import yaml
 
     try:
@@ -301,19 +305,26 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    return validate_config(raw)
+    return {} if raw is None else raw
+
+
+def load_config(path: str | Path) -> dict:
+    """Read and validate a YAML config file (read_config, then validate_config)."""
+    return validate_config(read_config(path))
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
-    """Apply dotted-key overrides like 'oracle.advantage=0.25' and revalidate.
+    """Apply dotted-key overrides like 'oracle.advantage=0.25' to a raw or
+    validated config mapping, then validate the result.
 
     Values are parsed as YAML scalars (so 1e-3, true, and quoted strings all
-    work); list values use YAML flow syntax, e.g. 'sweep.k=[5, 10]'.
+    work); list values use YAML flow syntax, e.g. 'sweep.k=[5, 10]'.  So an
+    override may repair a file that would not validate on its own.
     """
     import yaml
 
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a mapping")
     out = copy.deepcopy(cfg)
     for item in assignments:
         if "=" not in item:
@@ -555,18 +566,40 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """CSV with header t,f,grad_norm,accepted,queries; LF endings; floats at
-    17 significant digits; written atomically."""
+    17 significant digits (%.17g, the text of format(x, ".17g"): nan, inf,
+    -0); accepted as 1 or 0; written atomically.
+
+    Each distinct reading is formatted once: a record whose (f, grad_norm)
+    has the same bits as the previous record's, as a rejected move leaves
+    it, reuses that record's text.  The pairs are compared as int64, so
+    0.0 and -0.0, or NaNs of another sign or payload, are never merged.
+    Each block of CSV_BLOCK_ROWS rows is then one % over "%d,%s,%d,%d\n"
+    repeated, with the reading texts as the %s.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = (traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries)
-    lines = [CSV_HEADER]
-    # Python numbers format faster than numpy scalars; converting a block of
-    # rows at a time bounds the Python numbers alive at once, so the peak
-    # memory is that of the formatted lines.
-    for start in range(0, len(traj.steps), CSV_BLOCK_ROWS):
-        block = zip(*(column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns))
-        lines += [f"{t},{f:.17g},{g:.17g},{acc:d},{q}" for t, f, g, acc, q in block]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    values = np.asarray(traj.values, dtype=np.float64)
+    grad_norms = np.asarray(traj.grad_norms, dtype=np.float64)
+    bits = np.stack((values, grad_norms), axis=1).view(np.int64)
+    fresh = np.ones(len(bits), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    texts = np.array(
+        list(map("%.17g,%.17g".__mod__, zip(values[fresh].tolist(), grad_norms[fresh].tolist()))),
+        dtype=object,
+    )
+    readings = texts[np.cumsum(fresh) - 1]  # each record's text, shared by its repeats
+    blocks = [CSV_HEADER + "\n"]
+    for start in range(0, len(bits), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        rows = zip(
+            traj.steps[block].tolist(),
+            readings[block].tolist(),
+            traj.accepted[block].tolist(),
+            traj.queries[block].tolist(),
+        )
+        fields = tuple(itertools.chain.from_iterable(rows))
+        blocks.append("%d,%s,%d,%d\n" * (len(fields) // 4) % fields)
+    _write_atomic(path, "".join(blocks))
 
 
 def cell_hash(cell_cfg: dict) -> str:

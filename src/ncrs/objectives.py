@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FLOAT64, RngStream, Subspace, gaussian_vector, is_sealed, random_subspace
+from .geometry import FLOAT64, RngStream, Subspace, gaussian_vector, random_subspace
 
 INNER_KINDS = ("pure_quadratic", "quadratic_cosine", "bounded_well")
 
@@ -55,7 +55,8 @@ class InnerFunction:
         return out if out.ndim else float(out)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
+        if type(z) is not np.ndarray or z.dtype != FLOAT64:
+            z = np.asarray(z, dtype=np.float64)
         if self.kind == "pure_quadratic":
             return z.copy()
         if self.kind == "quadratic_cosine":
@@ -184,14 +185,15 @@ class RidgeObjective:
         fx = self.inner.value(z)
         if phases is not None:
             fx = fx + self.nuisance.value(x, phases)
-        if is_sealed(x):
-            self._recent.append((x, fx, z, phases))
-            if len(self._recent) > VALUE_CACHE_SIZE:
-                del self._recent[0]
+        if type(x) is np.ndarray and type(x.base) is bytes and x.ndim == 1:  # is_sealed, inline
+            recent.append((x, fx, z, phases))
+            if len(recent) > VALUE_CACHE_SIZE:
+                del recent[0]
         return fx
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        entry = self._lookup(x)
+        recent = self._recent
+        entry = recent[-1] if recent and recent[-1][0] is x else self._lookup(x)
         if entry is None:
             z = self.active.coordinates(x)
             phases = None

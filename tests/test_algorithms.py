@@ -328,6 +328,37 @@ class TestTrajectoryLogging:
         assert np.all(np.diff(traj.steps[:-1]) == 20)
         assert traj.total_queries == horizon
 
+    @pytest.mark.parametrize("horizon, stride", [(60, 1), (250, 25)])
+    @pytest.mark.parametrize("number", [int, np.float32])
+    @pytest.mark.parametrize("kind", ["ncrs", "ncrs_vote", "rsgf"])
+    def test_columns_keep_their_dtypes(self, kind, number, horizon, stride, monkeypatch):
+        """values and grad_norms are float64 and accepted bool whatever number
+        type the instrument reads, in a full log and in a strided one."""
+        monkeypatch.setattr(algorithms, "FULL_LOG_HORIZON", 100)  # a strided log, cheaply
+        monkeypatch.setattr(algorithms, "TARGET_LOG_POINTS", 10)
+        assert log_stride(horizon) == stride
+        seen = []
+
+        def instrument(theta):
+            seen.append(theta)
+            return number(len(seen)), number(3 * len(seen))
+
+        sched, rng = constant_schedule(0.1, horizon), _stream(217, "algorithm")
+        traj = {
+            "ncrs": lambda: ncrs_run(_FixedAnswerOracle(1), np.zeros(3), sched, rng, instrument),
+            "ncrs_vote": lambda: ncrs_vote_run(_SilentOracle(), np.zeros(3), sched, 2, rng,
+                                               instrument),
+            "rsgf": lambda: rsgf_run(lambda y: float(y.sum()), np.zeros(3), sched, 1e-4, rng,
+                                     instrument),
+        }[kind]()
+        assert np.array_equal(traj.steps, np.append(np.arange(1, horizon + 1, stride), horizon)
+                              if stride > 1 else np.arange(1, horizon + 1))
+        assert (traj.values.dtype, traj.grad_norms.dtype) == (np.float64, np.float64)
+        assert traj.accepted.dtype == bool
+        assert len(traj.values) == len(traj.grad_norms) == len(traj.accepted) == len(traj.steps)
+        assert np.array_equal(traj.grad_norms, 3 * traj.values)
+        assert traj.values[-1] == len(seen) and traj.accepted.any() == (kind != "ncrs_vote")
+
 
 def _counting_instrument(seen):
     """Keeps every point it reads; reads (sum of the point, reads so far)."""

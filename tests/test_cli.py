@@ -252,6 +252,28 @@ class TestRunCommand:
         assert "algorithm.decay_steps=20000" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_set_repairs_a_file_that_fails_on_its_own(self, tmp_path, capsys):
+        """--set applies to the file as read, before validation, so it can fix
+        a key that makes the file fail (here the default k=5 > d=3)."""
+        path = tmp_path / "small.yaml"
+        path.write_text("problem: {d: 3}\nalgorithm: {horizon: 20}\n")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "problem.k=5 exceeds problem.d=3" in capsys.readouterr().err
+        assert main(argv + ["--set", "problem.k=2"]) == 0
+        payload, _ = _stdout_json(capsys)
+        assert payload["total_queries"] == 20 and payload["error"] is None
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_set_on_a_list_root_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "list.yaml"
+        path.write_text("- problem\n- oracle\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--set", "problem.k=2"])
+        assert code == 2
+        assert "config root must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_override_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", "horizon"])
         assert code == 2

@@ -32,6 +32,7 @@ from ncrs.harness import (
     fit_scaling,
     iterations_to_target,
     load_config,
+    read_config,
     run_one,
     run_sweep,
     running_average,
@@ -206,6 +207,24 @@ class TestLoadAndOverrides:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert load_config(path) == default_config()
+
+    def test_read_config_does_not_validate(self, tmp_path):
+        path = tmp_path / "small.yaml"
+        path.write_text("problem: {d: 3}\n")
+        assert read_config(path) == {"problem": {"d": 3}}
+        with pytest.raises(ConfigError, match="problem.k=5 exceeds problem.d=3"):
+            load_config(path)
+        path.write_text("")
+        assert read_config(path) == {}
+
+    def test_overrides_repair_a_raw_mapping(self):
+        out = apply_overrides({"problem": {"d": 3}}, ["problem.k=2"])
+        assert out == validate_config({"problem": {"d": 3, "k": 2}})
+
+    @pytest.mark.parametrize("root", [["problem"], "problem", 5])
+    def test_overrides_on_a_non_mapping_root(self, root):
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            apply_overrides(root, ["problem.k=2"])
 
     def test_override_scalars_and_lists(self):
         cfg = validate_config({})
@@ -488,6 +507,17 @@ class TestRunOne:
         assert summary.horizon == 300 and traj.steps[-1] == 300
 
 
+def _per_row_csv(traj):
+    """The CSV text of traj, formatted one row and one numpy scalar at a time."""
+    rows = [CSV_HEADER] + [
+        f"{int(t)},{float(f):.17g},{float(g):.17g},{int(acc)},{int(q)}"
+        for t, f, g, acc, q in zip(
+            traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries
+        )
+    ]
+    return "\n".join(rows) + "\n"
+
+
 class TestCsv:
     def test_format_and_round_trip(self, tmp_path):
         traj, summary = run_one(_tiny_config(), master_seed=11)
@@ -525,13 +555,48 @@ class TestCsv:
         )
         path = tmp_path / "run.csv"
         write_trajectory_csv(traj, path)
-        expected = [CSV_HEADER] + [
-            f"{int(t)},{float(f):.17g},{float(g):.17g},{int(acc)},{int(q)}"
-            for t, f, g, acc, q in zip(
-                traj.steps, traj.values, traj.grad_norms, traj.accepted, traj.queries
-            )
-        ]
-        assert path.read_text() == "\n".join(expected) + "\n"
+        assert path.read_text() == _per_row_csv(traj)
+
+    @pytest.mark.parametrize("shape", ["runs", "one_row", "all_repeat"])
+    def test_only_bit_identical_readings_share_text(self, tmp_path, shape):
+        """The writer reuses the previous record's text for a reading with the
+        same bits, across block boundaries too; readings that are equal but
+        differ in bits (0.0 and -0.0, NaNs of another sign or payload) keep
+        their own text, so every row still equals the per-row formatting."""
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+        edges = [(0.0, 1.0), (-0.0, 1.0), (np.nan, 0.0), (-np.nan, 0.0), (payload_nan, 0.0),
+                 (np.inf, -np.inf), (-np.inf, np.inf), (2.5, 0.0), (2.5, -0.0)]
+        gen = np.random.default_rng(8)
+        if shape == "runs":
+            readings = edges + [tuple(gen.standard_normal(2)) for _ in range(20)]
+            lengths = gen.integers(1, 300, len(readings))
+        else:
+            readings = [(np.nan, -0.0)]
+            lengths = [1 if shape == "one_row" else 2 * CSV_BLOCK_ROWS + 5]
+        pairs = np.repeat(np.array(readings), lengths, axis=0)
+        n = len(pairs)
+        if shape == "runs":
+            assert n > 2 * CSV_BLOCK_ROWS  # and runs cross both block boundaries:
+            bits = pairs.view(np.int64)
+            for edge in (CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS):
+                assert (bits[edge - 1] == bits[edge]).all()
+        traj = Trajectory(
+            steps=np.arange(1, n + 1, dtype=np.int64),
+            values=pairs[:, 0].copy(),
+            grad_norms=pairs[:, 1].copy(),
+            accepted=gen.random(n) < 0.5,
+            queries=np.arange(1, n + 1, dtype=np.int64),
+            theta_final=np.zeros(3),
+        )
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(traj, path)
+        text = path.read_text()
+        assert text == _per_row_csv(traj)
+        assert text.count("\n") == n + 1
+        if shape == "runs":
+            rows = text.splitlines()[1:]
+            signed_zero = [row.split(",")[1] for row, (f, _) in zip(rows, pairs) if f == 0.0]
+            assert set(signed_zero) == {"0", "-0"}
 
     @pytest.mark.parametrize("fail_at", ["write", "replace"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, fail_at):
