@@ -35,11 +35,16 @@ reason the loop reads the instrument only when theta is a new array: while
 moves are rejected, the logged reading repeats.
 
 Rejection streaks of the vote search are answered in blocks (_search's
-block_move, the oracle's first_preferred).  A block's candidates are
-evaluated in one batched objective value, which may differ from the
-single-point values in their last bits, so a decision at a gap within
-rounding of a tie could in principle differ from a per-candidate loop; the
-logged readings are still single-point values at sealed iterates.
+block_move, the oracle's first_preferred), sized by the run's own
+acceptance rate: a run that rejects almost every candidate asks about
+blocks of candidates, one that accepts often asks one at a time.  The
+oracle's Philox stream can be set back past a block's unused uniforms, so
+a block of any size answers as consecutive single calls do, up to the
+last bits below.  A block's candidates are evaluated in one batched
+objective value, which may differ from the single-point values in their
+last bits, so a decision at a gap within rounding of a tie could in
+principle differ from a per-candidate loop; the logged readings are still
+single-point values at sealed iterates.
 """
 from __future__ import annotations
 
@@ -72,11 +77,17 @@ Move = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]]
 # and theta' is its point (else theta' is theta).
 BlockMove = Callable[[float | np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 
-# With a block move, _search hands over single iterations until BLOCK_AFTER
-# moves in a row are rejected, then blocks of min(streak, BLOCK_ROWS) rows,
-# at most max(1, BLOCK_QUERIES // queries_per_iteration) rows: a block's
-# uniforms, one or two per query, then stay flat in the vote count.
-BLOCK_AFTER = 4
+# With a block move, _search keeps an exponentially weighted estimate q of
+# its acceptance rate, each iteration weighted ACCEPT_WEIGHT.  While the
+# expected rejection streak 1/q is longer than BLOCK_SPAN rows, it hands
+# over blocks of BLOCK_SPAN expected streaks, ceil(BLOCK_SPAN / q) rows,
+# else one iteration at a time: a single call costs about what a few block
+# rows do, and the rows after a block's accepted one are wasted.  A block
+# holds at most BLOCK_ROWS rows and max(1, BLOCK_QUERIES //
+# queries_per_iteration): its uniforms, one or two per query, then stay
+# flat in the vote count.
+ACCEPT_WEIGHT = 1 / 16
+BLOCK_SPAN = 4
 BLOCK_ROWS = 64
 BLOCK_QUERIES = 2**20
 
@@ -182,10 +193,13 @@ def _search(
     Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
     draws one Gaussian direction s and sets
     (theta, accepted) = move(schedule.step_at(t), theta, s); a constant
-    schedule's step is read once.  With a block_move, once BLOCK_AFTER moves
-    in a row are rejected, the loop instead hands over the next
-    m = min(streak, BLOCK_ROWS) iterations at once (fewer past the horizon
-    or BLOCK_QUERIES), with their steps and their directions as one (m, d)
+    schedule's step is read once.  With a block_move, the loop keeps an
+    estimate q of its acceptance rate, which starts at 1 and after each
+    call is multiplied by 1 - ACCEPT_WEIGHT once per iteration answered and
+    raised by ACCEPT_WEIGHT when the call accepted.  While
+    q < 1 / BLOCK_SPAN, it hands over the next m = ceil(BLOCK_SPAN / q)
+    iterations at once, at most BLOCK_ROWS (fewer past the horizon or
+    BLOCK_QUERIES), with their steps and their directions as one (m, d)
     array: (theta, i) = block_move(steps, theta, directions) rejects
     iterations t .. t+i-1, and for i < m accepts iteration t+i, whose point
     theta becomes; the directions after it are kept, drawn but unused, as
@@ -227,13 +241,15 @@ def _search(
     f = g = math.nan  # the last instrument reading
     read_at = None  # its iterate
     pending = np.empty((0, size))  # directions drawn but not yet used, oldest first
-    t, streak = 1, 0  # the next iteration; moves rejected in a row
+    t = 1  # the next iteration
+    rate, keep = 1.0, 1.0 - ACCEPT_WEIGHT  # the acceptance estimate q; its decay per iteration
     block_rows = min(BLOCK_ROWS, max(1, BLOCK_QUERIES // queries_per_iteration))
+    least_rate = BLOCK_SPAN / block_rows  # below it q asks for more rows; a long streak takes q to 0
     step = schedule.min_rate if schedule.decay_steps == 1 else None  # every step, if constant
     directions = DrawAhead(rng, size, horizon)
     try:
         while t <= horizon:
-            if block_move is None or streak < BLOCK_AFTER:
+            if block_move is None or rate * BLOCK_SPAN >= 1.0:
                 if len(pending):
                     direction, pending = pending[0], pending[1:]
                 else:
@@ -241,7 +257,7 @@ def _search(
                 moved, accept = move(step or schedule.step_at(t), theta, direction)
                 last, taken = t, t if accept else 0
             else:
-                m = min(streak, block_rows, horizon + 1 - t)
+                m = min(block_rows, horizon + 1 - t, math.ceil(BLOCK_SPAN / max(rate, least_rate)))
                 if len(pending) < m:
                     drawn = directions.rows(m - len(pending))
                     pending = np.concatenate((pending, drawn)) if len(pending) else drawn
@@ -256,7 +272,8 @@ def _search(
                 grad_norms.append(g)
                 accepted.append(log_at[record] == taken)
                 record += 1
-            streak = 0 if taken else streak + last + 1 - t
+            if block_move is not None:  # the only reader of rate
+                rate = rate * keep ** (last + 1 - t) + (ACCEPT_WEIGHT if taken else 0.0)
             theta, t = moved, last + 1
     finally:
         directions.close()
@@ -316,9 +333,10 @@ def ncrs_vote_run(
 
     The candidate theta + alpha_t * s is accepted exactly when the tally of
     its `votes` scores, their sum, is positive; a zero tally keeps the
-    current point.  Each candidate gets its own compare_batch call until
-    BLOCK_AFTER straight rejections; from then on _search hands over blocks of
-    candidates, and first_preferred answers a block in one call, exactly
+    current point.  Each candidate gets its own compare_batch call while
+    the run's acceptance estimate is at least 1 / BLOCK_SPAN; below it,
+    _search hands over blocks of candidates sized by that estimate, and
+    first_preferred answers a block in one call, exactly
     as consecutive compare_batch calls would up to the last bits of batched
     values (oracles module docstring).  The block is read-only, and the
     accepted row is sealed like a single candidate.

@@ -74,17 +74,18 @@ class _ScriptedOracle:
     def __init__(self, accepts):
         self.accepts = accepts
         self.asked = 0
-        self.blocks = 0  # first_preferred calls
-        self.block_accepts = 0  # those that returned a row
+        self.calls = []  # "single" per compare_batch call, the rows of each first_preferred one
+        self.block_accepts = 0  # first_preferred calls that returned a row
         self.query_count = 0
 
     def compare_batch(self, x, y, n):
+        self.calls.append("single")
         self.asked += 1
         self.query_count += n
         return float(n) if self.asked in self.accepts else 0.0
 
     def first_preferred(self, x, ys, n):
-        self.blocks += 1
+        self.calls.append(len(ys))
         for i in range(len(ys)):
             self.asked += 1
             self.query_count += n
@@ -95,9 +96,13 @@ class _ScriptedOracle:
 
 
 class _BlockCountingOracle(ConfidenceOracle):
-    """A ConfidenceOracle that counts its first_preferred calls."""
+    """A ConfidenceOracle that counts its compare_batch and first_preferred calls."""
 
-    blocks = 0
+    singles = blocks = 0
+
+    def compare_batch(self, x, y, n):
+        self.singles += 1
+        return super().compare_batch(x, y, n)
 
     def first_preferred(self, x, ys, n):
         self.blocks += 1
@@ -448,19 +453,29 @@ class TestNcrsVoteRun:
         assert 0 < sum(accepted) < 300
         _assert_trajectory(traj, values, grad_norms, accepted, 5 * np.arange(1, 301), theta)
 
-    def test_low_acceptance_run_matches_per_candidate_loop(self):
+    @pytest.mark.parametrize(
+        "inner, kind, votes, alpha, horizon, accept_rate, least_calls",
+        [  # least_calls: (single calls, blocks) the run makes at least
+            ("quadratic_cosine", "engage_abstain", 4, 0.02, 3000, (0.0, 0.05), (20, 100)),
+            ("pure_quadratic", "deterministic_link", 1, 0.001, 20_000, (0.35, 0.5), (10_000, 50)),
+        ],
+        ids=["low_acceptance", "high_acceptance"],
+    )
+    def test_low_acceptance_run_matches_per_candidate_loop(
+        self, inner, kind, votes, alpha, horizon, accept_rate, least_calls
+    ):
         """A 3,000-iteration engage_abstain run that rejects almost every
-        candidate, so most iterations are answered in blocks, equals the
-        hand-rolled loop with one compare_batch per candidate, field for field."""
-        obj = random_ridge_objective(_stream(224, "subspace"), 50, 5,
-                                     InnerFunction(kind="quadratic_cosine"))
+        candidate, so most iterations are answered in blocks, and a
+        20,000-iteration deterministic_link run that accepts about 42% of
+        them, so most are single calls, each equal the hand-rolled loop with
+        one compare_batch per candidate, field for field."""
+        obj = random_ridge_objective(_stream(224, "subspace"), 50, 5, InnerFunction(kind=inner))
         theta1 = initial_point(obj, _stream(224, "init"))
         link = LinkFunction(kind="logistic")
-        horizon, votes, alpha = 3000, 4, 0.02
-        oracle = _BlockCountingOracle(obj, "engage_abstain", link, _stream(224, "oracle"))
+        oracle = _BlockCountingOracle(obj, kind, link, _stream(224, "oracle"))
         traj = ncrs_vote_run(oracle, theta1, constant_schedule(alpha, horizon), votes,
                              _stream(224, "algorithm"), instrument=_value_and_grad_norm(obj))
-        reference = ConfidenceOracle(obj, "engage_abstain", link, _stream(224, "oracle"))
+        reference = ConfidenceOracle(obj, kind, link, _stream(224, "oracle"))
         gen = _stream(224, "algorithm")
         theta = theta1.copy()
         values, grad_norms, accepted = [], [], []
@@ -472,8 +487,10 @@ class TestNcrsVoteRun:
             accepted.append(take)
             if take:
                 theta = candidate
-        assert 0 < sum(accepted) < 0.05 * horizon
-        assert oracle.blocks > 100
+        low, high = accept_rate
+        assert low * horizon < sum(accepted) < high * horizon
+        least_singles, least_blocks = least_calls
+        assert oracle.singles > least_singles and oracle.blocks > least_blocks
         _assert_trajectory(traj, values, grad_norms, accepted,
                            votes * np.arange(1, horizon + 1), theta)
         assert oracle.query_count == reference.query_count
@@ -545,13 +562,41 @@ class TestNcrsVoteRun:
             assert max(oracle.blocks) == rows
             assert traj.total_queries == oracle.query_count == 200 * votes
 
+    def test_streaks_go_to_blocks_sized_by_the_acceptance_estimate(self):
+        """The estimate q of the acceptance rate starts at 1 and weighs each
+        iteration ACCEPT_WEIGHT.  While q >= 1 / BLOCK_SPAN each candidate
+        gets its own compare_batch call; once q is below, each call is a
+        block of ceil(BLOCK_SPAN / q) rows, at most BLOCK_ROWS,
+        BLOCK_QUERIES // votes and the iterations left."""
+        assert (algorithms.ACCEPT_WEIGHT, algorithms.BLOCK_SPAN) == (1 / 16, 4)
+        assert algorithms.BLOCK_ROWS == 64 and algorithms.BLOCK_QUERIES // 2**18 == 4
+
+        def calls(accepts, horizon, votes=2):
+            oracle = _ScriptedOracle(accepts)
+            traj = ncrs_vote_run(oracle, np.zeros(2), constant_schedule(0.1, horizon), votes,
+                                 _stream(229, "algorithm"))
+            assert np.array_equal(np.flatnonzero(traj.accepted) + 1, sorted(accepts))
+            return oracle.calls
+
+        # q = (15/16)**t after t rejections: 0.258 at t = 21, 0.242 at t = 22,
+        # so iteration 23 starts a block of ceil(4 / 0.242) = 17 rows; q is
+        # then 0.081 (50 rows), then below 4 / 64.
+        assert calls(set(), 200) == ["single"] * 22 + [17, 50, 64, 47]
+        assert calls(set(), 200, votes=2**18) == ["single"] * 22 + [4] * 44 + [2]
+        # Accepting every other candidate keeps q near 1/2: no block at all.
+        assert calls(set(range(2, 201, 2)), 200) == ["single"] * 200
+        # An accept ends its block (iteration 40, the first row) and raises q
+        # to 0.138, still below 1/4: the next call is a block of
+        # ceil(4 / 0.138) = 29 rows, and the horizon cuts the one after.
+        assert calls({40}, 100) == ["single"] * 22 + [17, 50, 29, 31]
+
     def test_a_miscounting_oracle_is_an_error(self):
         class _Miscounting(_SilentOracle):
             def first_preferred(self, x, ys, n):
                 return len(ys)
 
         with pytest.raises(RuntimeError, match="queries"):
-            ncrs_vote_run(_Miscounting(), np.zeros(3), constant_schedule(0.1, 20), 2,
+            ncrs_vote_run(_Miscounting(), np.zeros(3), constant_schedule(0.1, 40), 2,
                           _stream(226, "algorithm"))
 
     def test_validation(self):

@@ -639,7 +639,7 @@ def _digest_configs():
     engage["oracle"].update(kind="engage_abstain", link="probit")
     link = _tiny_config(kind="ncrs_vote", horizon=300, votes=3, alpha=0.1)
     link["oracle"].update(kind="deterministic_link", link="arctan")
-    # long rejection streaks: 244 blocks, 89 of them won before their last row
+    # long rejection streaks: 269 blocks, 255 of them won before their last row
     blocks = _tiny_config(kind="ncrs_vote", horizon=2000, votes=9, alpha=0.3)
     blocks["oracle"].update(kind="noisy_engage", link="arctan")
     return {"ncrs": ncrs, "ncrs_vote": vote, "rsgf": rsgf, "ncrs_vote_engage": engage,

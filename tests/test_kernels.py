@@ -6,7 +6,8 @@ orders; numpy picks its own SIMD loops by its highest enabled dispatch
 target.  So the digest tests pin bytes per pair.  In-process they check the
 running pair; here a child process forced onto each other pinned pair
 (OPENBLAS_CORETYPE for the kernel, NPY_DISABLE_CPU_FEATURES for every
-dispatch target above the numpy target) computes the same eight digests.  A
+dispatch target above the numpy target) computes the same eight digests.
+The children run two at a time, started together by one module fixture.  A
 pair is forced only when /proc/cpuinfo lists the instructions of both its
 parts, since code the CPU lacks could crash.  The variables are set in the
 child's environment only.  A failing child's whole report is printed, so
@@ -16,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -81,10 +83,9 @@ def _targets_above(target):
     pytest.skip(f"this numpy build has no {target} target")
 
 
-@pytest.mark.parametrize(
-    "pair", sorted(set(SUITE_DIGESTS) | set(CSV_DIGESTS)), ids="-".join
-)
-def test_digests_on_a_forced_pair(pair, simd_pair):
+def _forced_env(pair, simd_pair):
+    """The environment of a child forced onto pair; pytest.skip when the pair
+    is the running one or cannot run on this CPU or numpy build."""
     kernel, target = pair
     if pair == simd_pair:
         pytest.skip(f"{kernel}/{target} is the running pair, which the digest tests check "
@@ -99,10 +100,44 @@ def test_digests_on_a_forced_pair(pair, simd_pair):
         env["NPY_DISABLE_CPU_FEATURES"] = ",".join(off)
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    child = subprocess.run(
+    return env
+
+
+def _run_child(env):
+    return subprocess.run(
         [sys.executable, "-c", CHILD, str(Path(__file__).parent)],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+PAIRS = sorted(set(SUITE_DIGESTS) | set(CSV_DIGESTS))
+
+
+@pytest.fixture(scope="module")
+def children(simd_pair):
+    """{pair: the future of its child's CompletedProcess, or the skip that
+    _forced_env raised}.  The children run two at a time, one per core of a
+    two-core host, while the tests wait on their own pair's."""
+    pool = ThreadPoolExecutor(2, thread_name_prefix="forced-pair")
+    try:
+        runs = {}
+        for pair in PAIRS:
+            try:
+                runs[pair] = pool.submit(_run_child, _forced_env(pair, simd_pair))
+            except pytest.skip.Exception as skip:
+                runs[pair] = skip
+        yield runs
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids="-".join)
+def test_digests_on_a_forced_pair(pair, children):
+    kernel, target = pair
+    run = children[pair]
+    if isinstance(run, pytest.skip.Exception):
+        pytest.skip(run.msg)
+    child = run.result()
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
     expected = {
