@@ -11,7 +11,6 @@ from .algorithms import (
     Trajectory,
     VoteParams,
     constant_schedule,
-    cosine_schedule,
     ncrs_run,
     ncrs_vote_run,
     rsgf_run,
@@ -48,7 +47,6 @@ __all__ = [
     "Trajectory",
     "VoteParams",
     "constant_schedule",
-    "cosine_schedule",
     "gaussian_vector",
     "initial_point",
     "local_linearity_constants",

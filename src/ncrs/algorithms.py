@@ -9,9 +9,9 @@ from first_preferred only an index.  Both oracles answer all four from one
 core (oracles._Oracle), the sign oracle's compare on its own scalar path.
 No objective value, gradient, or intrinsic dimension is visible to them;
 problem structure can enter only through how the harness builds the
-schedule.  A StepSchedule is one cosine formula, and a constant step is
-its case max_rate == min_rate; theory_schedule folds k into such a constant,
-alpha0 / sqrt(k T), before a runner sees it.  The instrument callback is
+schedule.  A StepSchedule is a horizon and one constant step;
+theory_schedule folds k into that step, alpha0 / sqrt(k T), before a
+runner sees it.  The instrument callback is
 likewise opaque: it is a function of the iterate alone, read once per
 distinct iterate, and whatever floats it returns are stored in the
 trajectory and never influence a decision.
@@ -70,12 +70,11 @@ Instrument = Callable[[np.ndarray], tuple[float, float]]
 
 # move(step, theta, direction) -> (theta', accepted): one iteration's decision.
 Move = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, bool]]
-# block_move(steps, theta, directions) -> (theta', i): the decisions of the
-# next m = len(directions) iterations, given their (m, d) directions and
-# their steps, one float when the schedule is constant, else an (m, 1)
-# column.  Those before i are rejected; iteration i, if i < m, is accepted
-# and theta' is its point (else theta' is theta).
-BlockMove = Callable[[float | np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, int]]
+# block_move(step, theta, directions) -> (theta', i): the decisions of the
+# next m = len(directions) iterations, given the step and their (m, d)
+# directions.  Those before i are rejected; iteration i, if i < m, is
+# accepted and theta' is its point (else theta' is theta).
+BlockMove = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 
 # With a block move, _search keeps an exponentially weighted estimate q of
 # its acceptance rate, each iteration weighted ACCEPT_WEIGHT.  While the
@@ -108,43 +107,23 @@ def _real_number(x, name: str) -> float:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step size alpha_t as a function of the iteration index t in [1, horizon].
+    """The horizon of a run and the step every iteration t in [1, horizon] takes.
 
-    alpha_t falls from max_rate to min_rate along a half cosine over
-    t = 1 .. decay_steps and is min_rate from t = decay_steps on.  With
-    decay_steps = 1 every step is min_rate, so a constant step alpha is
-    max_rate = min_rate = alpha (constant_schedule, theory_schedule).  The
-    rates are stored as floats and need 0 < min_rate <= max_rate < inf.
+    The step is stored as a float and needs 0 < step < inf.
     """
 
     horizon: int
-    max_rate: float
-    min_rate: float
-    decay_steps: int = 1
+    step: float
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", positive_count(self.horizon, "horizon"))
-        object.__setattr__(self, "decay_steps", positive_count(self.decay_steps, "decay_steps"))
-        if self.decay_steps > self.horizon:
-            raise ValueError("decay_steps must not exceed horizon")
-        for name in ("max_rate", "min_rate"):
-            object.__setattr__(self, name, _real_number(getattr(self, name), name))
-        if not 0 < self.min_rate <= self.max_rate < math.inf:
-            raise ValueError("need 0 < min_rate <= max_rate < inf")
-
-    def step_at(self, t: int) -> float:
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"iteration {t} outside [1, {self.horizon}]")
-        if t >= self.decay_steps:
-            return self.min_rate
-        progress = (t - 1) / (self.decay_steps - 1)
-        return self.min_rate + 0.5 * (self.max_rate - self.min_rate) * (
-            1.0 + math.cos(math.pi * progress)
-        )
+        object.__setattr__(self, "step", _real_number(self.step, "step"))
+        if not 0 < self.step < math.inf:
+            raise ValueError("need 0 < step < inf")
 
 
 def constant_schedule(alpha: float, horizon: int) -> StepSchedule:
-    return StepSchedule(horizon, alpha, alpha)
+    return StepSchedule(horizon, alpha)
 
 
 def theory_schedule(alpha0: float, intrinsic_dim: int, horizon: int) -> StepSchedule:
@@ -152,12 +131,6 @@ def theory_schedule(alpha0: float, intrinsic_dim: int, horizon: int) -> StepSche
     k = positive_count(intrinsic_dim, "intrinsic_dim")
     horizon = positive_count(horizon, "horizon")
     return constant_schedule(_real_number(alpha0, "alpha0") / math.sqrt(k * horizon), horizon)
-
-
-def cosine_schedule(
-    max_rate: float, min_rate: float, decay_steps: int, horizon: int
-) -> StepSchedule:
-    return StepSchedule(horizon, max_rate, min_rate, decay_steps)
 
 
 @dataclass
@@ -192,15 +165,14 @@ def _search(
 
     Runs schedule.horizon iterations in theta1.size dimensions.  Iteration t
     draws one Gaussian direction s and sets
-    (theta, accepted) = move(schedule.step_at(t), theta, s); a constant
-    schedule's step is read once.  With a block_move, the loop keeps an
-    estimate q of its acceptance rate, which starts at 1 and after each
-    call is multiplied by 1 - ACCEPT_WEIGHT once per iteration answered and
-    raised by ACCEPT_WEIGHT when the call accepted.  While
-    q < 1 / BLOCK_SPAN, it hands over the next m = ceil(BLOCK_SPAN / q)
+    (theta, accepted) = move(schedule.step, theta, s).  With a block_move,
+    the loop keeps an estimate q of its acceptance rate, which starts at 1
+    and after each call is multiplied by 1 - ACCEPT_WEIGHT once per
+    iteration answered and raised by ACCEPT_WEIGHT when the call accepted.
+    While q < 1 / BLOCK_SPAN, it hands over the next m = ceil(BLOCK_SPAN / q)
     iterations at once, at most BLOCK_ROWS (fewer past the horizon or
-    BLOCK_QUERIES), with their steps and their directions as one (m, d)
-    array: (theta, i) = block_move(steps, theta, directions) rejects
+    BLOCK_QUERIES), with their directions as one (m, d) array:
+    (theta, i) = block_move(schedule.step, theta, directions) rejects
     iterations t .. t+i-1, and for i < m accepts iteration t+i, whose point
     theta becomes; the directions after it are kept, drawn but unused, as
     a slice of that array for the iterations that follow.  The horizon's
@@ -245,7 +217,7 @@ def _search(
     rate, keep = 1.0, 1.0 - ACCEPT_WEIGHT  # the acceptance estimate q; its decay per iteration
     block_rows = min(BLOCK_ROWS, max(1, BLOCK_QUERIES // queries_per_iteration))
     least_rate = BLOCK_SPAN / block_rows  # below it q asks for more rows; a long streak takes q to 0
-    step = schedule.min_rate if schedule.decay_steps == 1 else None  # every step, if constant
+    step = schedule.step
     directions = DrawAhead(rng, size, horizon)
     try:
         while t <= horizon:
@@ -254,15 +226,14 @@ def _search(
                     direction, pending = pending[0], pending[1:]
                 else:
                     direction = gaussian_vector(directions, size)
-                moved, accept = move(step or schedule.step_at(t), theta, direction)
+                moved, accept = move(step, theta, direction)
                 last, taken = t, t if accept else 0
             else:
                 m = min(block_rows, horizon + 1 - t, math.ceil(BLOCK_SPAN / max(rate, least_rate)))
                 if len(pending) < m:
                     drawn = directions.rows(m - len(pending))
                     pending = np.concatenate((pending, drawn)) if len(pending) else drawn
-                block_steps = step or np.array([[schedule.step_at(u)] for u in range(t, t + m)])
-                moved, i = block_move(block_steps, theta, pending[:m])
+                moved, i = block_move(step, theta, pending[:m])
                 last, taken = (t + i, t + i) if i < m else (t + m - 1, 0)
                 pending = pending[last + 1 - t:]
             while log_at[record] <= last:  # the records of iterations t .. last
@@ -307,7 +278,7 @@ def ncrs_run(
     """Sign-comparison random search: one oracle query per iteration.
 
     At iteration t a Gaussian direction s is drawn, the candidate
-    theta + alpha_t * s is compared against theta, and it replaces theta
+    theta + alpha * s is compared against theta, and it replaces theta
     exactly when the oracle prefers it.
     """
 
@@ -331,7 +302,7 @@ def ncrs_vote_run(
 ) -> Trajectory:
     """Confidence-vote random search: `votes` queries per iteration.
 
-    The candidate theta + alpha_t * s is accepted exactly when the tally of
+    The candidate theta + alpha * s is accepted exactly when the tally of
     its `votes` scores, their sum, is positive; a zero tally keeps the
     current point.  Each candidate gets its own compare_batch call while
     the run's acceptance estimate is at least 1 / BLOCK_SPAN; below it,
@@ -349,8 +320,8 @@ def ncrs_vote_run(
             return candidate, True
         return theta, False
 
-    def block_move(steps, theta, directions):
-        block = seal(theta + steps * directions).reshape(directions.shape)
+    def block_move(step, theta, directions):
+        block = seal(theta + step * directions).reshape(directions.shape)
         i = oracle.first_preferred(theta, block, votes)
         return (seal(block[i]), i) if i < len(block) else (theta, i)
 
@@ -369,7 +340,7 @@ def rsgf_run(
 ) -> Trajectory:
     """Two-point Gaussian-smoothing gradient descent on exact values.
 
-    theta <- theta - alpha_t * ((f(theta + mu s) - f(theta)) / mu) * s, with
+    theta <- theta - alpha * ((f(theta + mu s) - f(theta)) / mu) * s, with
     two value queries per iteration.
     """
     if not 0 < mu < math.inf:

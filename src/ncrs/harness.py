@@ -41,7 +41,6 @@ from .algorithms import (
     StepSchedule,
     Trajectory,
     constant_schedule,
-    cosine_schedule,
     ncrs_run,
     ncrs_vote_run,
     rsgf_run,
@@ -61,7 +60,7 @@ from .oracles import CONFIDENCE_KINDS, LINK_KINDS, ConfidenceOracle, LinkFunctio
 logger = logging.getLogger("ncrs")
 
 ALGORITHM_KINDS = ("ncrs", "ncrs_vote", "rsgf")
-SCHEDULE_KINDS = ("constant", "theory_constant", "cosine_decay")
+SCHEDULE_KINDS = ("constant", "theory_constant")
 ORACLE_KINDS = ("sign",) + CONFIDENCE_KINDS
 TARGET_KINDS = ("relative", "absolute")
 
@@ -116,9 +115,6 @@ CONFIG_KEYS = {
         "alpha": (0.05, "real > 0 or auto"),
         "votes": (1, "int >= 1 and <= 1000000"),
         "mu": (1.0e-4, "real > 0"),
-        "max_rate": (0.0, "real >= 0"),
-        "min_rate": (0.0, "real >= 0"),
-        "decay_steps": (0, f"int >= 0 and <= {MAX_HORIZON}"),
     },
     "target": {
         "kind": ("relative", TARGET_KINDS),
@@ -225,17 +221,6 @@ def validate_config(raw: dict) -> dict:
         )
     if a["alpha"] == "auto":
         _require(a["kind"] == "rsgf", "algorithm.alpha=auto is defined only for rsgf")
-    if a["kind"] == "ncrs" and a["schedule"] == "cosine_decay":
-        _require(
-            0 < a["min_rate"] <= a["max_rate"],
-            "cosine_decay needs 0 < algorithm.min_rate <= algorithm.max_rate",
-        )
-        longest = MAX_HORIZON if a["horizon"] == "auto" else a["horizon"]
-        _require(
-            1 <= a["decay_steps"] <= longest,
-            f"cosine_decay needs 1 <= algorithm.decay_steps={a['decay_steps']} <= "
-            f"algorithm.horizon={a['horizon']}",
-        )
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -538,17 +523,11 @@ def _build_schedule(
         return constant_schedule(a["alpha"], horizon)
     if a["schedule"] == "constant":
         return constant_schedule(a["alpha0"], horizon)
-    if a["schedule"] == "theory_constant":
-        alpha0 = a["alpha0"]
-        if alpha0 == "auto":
-            # minimizes the horizon bound: alpha0* = sqrt(2 gap / L)
-            alpha0 = math.sqrt(2.0 * value_gap / smoothness)
-        return theory_schedule(alpha0, k, horizon)
-    _require(  # validate_config checks a given horizon, this one a resolved auto
-        a["decay_steps"] <= horizon,
-        f"algorithm.decay_steps={a['decay_steps']} exceeds the auto algorithm.horizon={horizon}",
-    )
-    return cosine_schedule(a["max_rate"], a["min_rate"], a["decay_steps"], horizon)
+    alpha0 = a["alpha0"]
+    if alpha0 == "auto":
+        # minimizes the horizon bound: alpha0* = sqrt(2 gap / L)
+        alpha0 = math.sqrt(2.0 * value_gap / smoothness)
+    return theory_schedule(alpha0, k, horizon)
 
 
 def _write_atomic(path: Path, text: str) -> None:

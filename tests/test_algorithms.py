@@ -11,7 +11,6 @@ from ncrs.algorithms import (
     FULL_LOG_HORIZON,
     StepSchedule,
     constant_schedule,
-    cosine_schedule,
     log_stride,
     ncrs_run,
     ncrs_vote_run,
@@ -137,36 +136,16 @@ class TestStepSchedule:
     def test_theory_constant_value(self):
         sched = theory_schedule(alpha0=1.0, intrinsic_dim=4, horizon=100)
         # 1 / sqrt(4 * 100)
-        assert sched.step_at(1) == 0.05
-        assert sched.step_at(100) == 0.05
+        assert sched.step == 0.05
         assert sched == constant_schedule(0.05, 100)
         for alpha0, k, horizon in [(0.7, 3, 8043), (2.0, 10, 300), (1e-3, 7, 101)]:
             step = alpha0 / math.sqrt(k * horizon)
-            assert theory_schedule(alpha0, k, horizon).step_at(horizon) == step
+            assert theory_schedule(alpha0, k, horizon).step == step
 
     def test_constant(self):
         sched = constant_schedule(0.3, 10)
-        assert all(sched.step_at(t) == 0.3 for t in range(1, 11))
-        assert sched == StepSchedule(horizon=10, max_rate=0.3, min_rate=0.3, decay_steps=1)
-        assert [f.name for f in dataclasses.fields(StepSchedule)] == [
-            "horizon", "max_rate", "min_rate", "decay_steps"
-        ]
-
-    def test_cosine_endpoints_and_floor(self):
-        sched = cosine_schedule(max_rate=0.5, min_rate=4e-3, decay_steps=480, horizon=1000)
-        assert sched.step_at(1) == 0.5
-        assert sched.step_at(480) == 4e-3
-        assert sched.step_at(1000) == 4e-3
-        steps = np.array([sched.step_at(t) for t in range(1, 1001)])
-        assert np.all(np.diff(steps) <= 1e-15)
-        assert np.all(steps >= 4e-3)
-
-    def test_domain_validation(self):
-        sched = constant_schedule(0.1, 5)
-        with pytest.raises(ValueError):
-            sched.step_at(0)
-        with pytest.raises(ValueError):
-            sched.step_at(6)
+        assert sched == StepSchedule(horizon=10, step=0.3)
+        assert [f.name for f in dataclasses.fields(StepSchedule)] == ["horizon", "step"]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -177,42 +156,27 @@ class TestStepSchedule:
             with pytest.raises(ValueError, match="intrinsic_dim must be a positive integer"):
                 theory_schedule(1.0, bad, 10)
         with pytest.raises(ValueError):
-            cosine_schedule(0.1, 0.2, 5, 10)  # min above max
-        with pytest.raises(ValueError):
-            cosine_schedule(0.2, 0.1, 20, 10)  # decay longer than horizon
-        with pytest.raises(ValueError):
             constant_schedule(0.1, 0)
         for bad in (2.5, 10.0, True, np.bool_(True), "10", None, -1):
             with pytest.raises(ValueError, match="horizon must be a positive integer"):
                 constant_schedule(0.1, bad)
             with pytest.raises(ValueError, match="horizon must be a positive integer"):
                 theory_schedule(1.0, 3, bad)
-            with pytest.raises(ValueError, match="decay_steps must be a positive integer"):
-                cosine_schedule(0.2, 0.1, bad, 10)
-        sched = cosine_schedule(0.2, 0.1, np.int64(5), np.uint16(10))
-        assert type(sched.horizon) is int and type(sched.decay_steps) is int
-        assert sched == cosine_schedule(0.2, 0.1, 5, 10)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
+        sched = constant_schedule(0.1, np.uint16(10))
+        assert type(sched.horizon) is int
+        assert sched == constant_schedule(0.1, 10)
+        for bad in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="need 0 < step < inf"):
                 constant_schedule(bad, 10)
             with pytest.raises(ValueError):
                 theory_schedule(bad, 3, 10)
-            with pytest.raises(ValueError):
-                cosine_schedule(bad, 0.1, 5, 10)
-            with pytest.raises(ValueError):
-                cosine_schedule(0.2, bad, 5, 10)
         for bad in (True, np.bool_(True), "0.1", None):
-            with pytest.raises(ValueError, match="max_rate must be a real number"):
+            with pytest.raises(ValueError, match="step must be a real number"):
                 constant_schedule(bad, 10)
             with pytest.raises(ValueError, match="alpha0 must be a real number"):
                 theory_schedule(bad, 3, 10)
-            with pytest.raises(ValueError, match="max_rate must be a real number"):
-                cosine_schedule(bad, 0.1, 5, 10)
-            with pytest.raises(ValueError, match="min_rate must be a real number"):
-                cosine_schedule(0.2, bad, 5, 10)
-        sched = cosine_schedule(1, np.float32(0.5), 5, 10)
-        assert type(sched.max_rate) is float and type(sched.min_rate) is float
-        assert type(constant_schedule(2, 10).step_at(1)) is float
+        assert type(constant_schedule(np.float32(0.5), 10).step) is float
+        assert type(constant_schedule(2, 10).step) is float
 
 
 class TestNcrsRun:
@@ -252,7 +216,7 @@ class TestNcrsRun:
         for t in range(1, 401):
             values.append(float(obj.value(theta)))
             grad_norms.append(float(np.linalg.norm(obj.gradient(theta))))
-            candidate = theta + sched.step_at(t) * gen.standard_normal(15)
+            candidate = theta + sched.step * gen.standard_normal(15)
             take = oracle.compare(theta, candidate) > 0
             accepted.append(take)
             if take:
@@ -494,31 +458,6 @@ class TestNcrsVoteRun:
         _assert_trajectory(traj, values, grad_norms, accepted,
                            votes * np.arange(1, horizon + 1), theta)
         assert oracle.query_count == reference.query_count
-        assert oracle.rng.random() == reference.rng.random()
-
-    def test_a_decaying_schedule_steps_every_block_row(self):
-        """With a cosine schedule each row of a block takes its own step: a
-        2,000-iteration noisy_engage run answered mostly in blocks equals
-        the per-candidate loop, decision for decision."""
-        obj = random_ridge_objective(_stream(228, "subspace"), 20, 4,
-                                     InnerFunction(kind="pure_quadratic"))
-        theta1 = initial_point(obj, _stream(228, "init"))
-        link = LinkFunction(kind="arctan")
-        sched, votes = cosine_schedule(0.6, 0.05, 1500, 2000), 9
-        oracle = _BlockCountingOracle(obj, "noisy_engage", link, _stream(228, "oracle"))
-        traj = ncrs_vote_run(oracle, theta1, sched, votes, _stream(228, "algorithm"))
-        reference = ConfidenceOracle(obj, "noisy_engage", link, _stream(228, "oracle"))
-        gen = _stream(228, "algorithm")
-        theta = theta1.copy()
-        accepted = []
-        for t in range(1, 2001):
-            candidate = theta + sched.step_at(t) * gen.standard_normal(20)
-            accepted.append(reference.compare_batch(theta, candidate, votes) > 0.0)
-            if accepted[-1]:
-                theta = candidate
-        assert oracle.blocks > 100 and 0 < sum(accepted) < 500
-        assert np.array_equal(traj.accepted, accepted)
-        assert np.array_equal(traj.theta_final, theta)
         assert oracle.rng.random() == reference.rng.random()
 
     def test_block_answers_are_logged_per_iteration(self):

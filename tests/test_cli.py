@@ -240,16 +240,23 @@ class TestRunCommand:
         assert "problem.init_radius_scale=1e+200" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_decay_beyond_horizon_exits_2(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("override, message", [
+        ("algorithm.schedule=cosine_decay",
+         "algorithm.schedule must be one of ('constant', 'theory_constant')"),
+        ("algorithm.max_rate=0.5", "unknown config key: algorithm.max_rate"),
+        ("algorithm.min_rate=0.01", "unknown config key: algorithm.min_rate"),
+        ("algorithm.decay_steps=100", "unknown config key: algorithm.decay_steps"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_removed_cosine_schedule_exits_2(
+        self, config_path, tmp_path, capsys, command, override, message
+    ):
         out_dir = tmp_path / "out"
         code = main([
-            "run", "--config", str(config_path), "--out", str(out_dir),
-            "--set", "algorithm.schedule=cosine_decay", "--set", "algorithm.max_rate=0.5",
-            "--set", "algorithm.min_rate=0.01", "--set", "algorithm.decay_steps=20000",
-            "--set", "algorithm.horizon=100",
+            command, "--config", str(config_path), "--out", str(out_dir), "--set", override,
         ])
         assert code == 2
-        assert "algorithm.decay_steps=20000" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_set_repairs_a_file_that_fails_on_its_own(self, tmp_path, capsys):
@@ -311,16 +318,12 @@ class TestSweepCommand:
         )
         code = main([
             "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
-            "--set", "algorithm.horizon=auto",  # resolves to 604 iterations
-            "--set", "algorithm.schedule=cosine_decay",
-            "--set", "algorithm.alpha0=1.0",
-            "--set", "algorithm.max_rate=0.1",
-            "--set", "algorithm.min_rate=0.01",
-            "--set", "algorithm.decay_steps=999",
+            "--set", "algorithm.horizon=auto",  # beyond MAX_HORIZON for this target
+            "--set", "target.value=1e-9",
         ])
         assert code == 1
         payload, _ = _stdout_json(capsys)
-        assert payload["cells"][0]["errors"][0] is not None
+        assert "horizon=auto resolved to" in payload["cells"][0]["errors"][0]
 
     def test_repeated_axis_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.yaml"

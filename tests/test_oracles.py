@@ -200,16 +200,29 @@ class TestSignOracle:
             got = oracle.compare(x, y)
             assert got == (1 if fx > fy else -1)
 
+    @staticmethod
+    def _answers(obj, advantage, seed, x, y, n):
+        """n answers of SignOracle.compare(x, y) on the stream of seed, drawn
+        as one compare_gaps vector, which test_many_gaps_answer_like_compare
+        pins to compare answer for answer; its first 1,000 are checked
+        against compare calls on a twin oracle."""
+        twin = SignOracle(obj, advantage, _stream(seed, "oracle"))
+        head = [twin.compare(x, y) for _ in range(1_000)]
+        oracle = SignOracle(obj, advantage, _stream(seed, "oracle"))
+        gap = float(obj.value(x)) - float(obj.value(y))
+        answers = oracle.compare_gaps(np.full(n, gap), 1)
+        assert np.array_equal(answers[:1_000], head)
+        assert oracle.query_count == n
+        return answers
+
     def test_correct_frequency_matches_advantage(self):
         """Across 2*10^5 queries the correct-answer rate sits within 4 binomial SE."""
         obj = _quadratic_ridge(103)
         x, y = _pair_with_gap(obj, 1.0)
-        oracle = SignOracle(obj, 0.25, _stream(103, "oracle"))
         n = 200_000
-        hits = sum(oracle.compare(x, y) == 1 for _ in range(n))
+        hits = np.count_nonzero(self._answers(obj, 0.25, 103, x, y, n) == 1)
         se = math.sqrt(0.75 * 0.25 / n)
         assert abs(hits / n - 0.75) < 4 * se
-        assert oracle.query_count == n
 
     def test_advantage_does_not_depend_on_gap_size(self):
         obj = _quadratic_ridge(104)
@@ -217,16 +230,14 @@ class TestSignOracle:
         se = math.sqrt(0.75 * 0.25 / n)
         for gap in (1e-8, 1e3):
             x, y = _pair_with_gap(obj, gap)
-            oracle = SignOracle(obj, 0.25, _stream(104, "oracle"))
-            hits = sum(oracle.compare(x, y) == 1 for _ in range(n))
+            hits = np.count_nonzero(self._answers(obj, 0.25, 104, x, y, n) == 1)
             assert abs(hits / n - 0.75) < 4 * se
 
     def test_ties_are_fair_coin(self):
         obj = _quadratic_ridge(105)
         x = obj.active.basis[0].copy()
-        oracle = SignOracle(obj, 0.5, _stream(105, "oracle"))
         n = 100_000
-        plus = sum(oracle.compare(x, x) == 1 for _ in range(n))
+        plus = np.count_nonzero(self._answers(obj, 0.5, 105, x, x, n) == 1)
         se = math.sqrt(0.25 / n)
         assert abs(plus / n - 0.5) < 4 * se
 
@@ -487,28 +498,37 @@ class TestFirstPreferred:
         return ConfidenceOracle(obj, kind, LinkFunction(kind="logistic", scale=0.5),
                                 _stream(117, "oracle"))
 
+    @pytest.mark.parametrize("lead", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 33])
     @pytest.mark.parametrize(
         "kind", ["deterministic_link", "engage_abstain", "noisy_engage", "sign"]
     )
-    def test_equals_consecutive_compare_batch(self, kind):
-        """The sign oracle's ties are coins, so its index is checked against
-        the sequential loop only, not against CASES."""
+    def test_equals_consecutive_compare_batch(self, kind, n, lead):
+        """After lead raw draws on both streams, so that a rewind starts at
+        every position of Philox's four-word buffer, and with one uniform
+        or two per row at n = 1, so that it ends within a block or two of
+        where it starts.  The sign oracle's ties are coins, and one vote of
+        a random model often abstains, so CASES is checked for the
+        confidence oracles at n = 33 only; every index is checked against
+        the sequential loop."""
         obj = _axis_objective()
         one, many = self._oracle(obj, kind), self._oracle(obj, kind)
+        for oracle in (one, many):
+            oracle.rng.bit_generator.random_raw(lead)
         rewound = 0
-        for spec, expected in self.CASES:
+        for spec, expected in self.CASES * 2:  # the second pass rewinds from other positions
             block = self._rows(spec)
             gaps = obj.value(self.X) - obj.value(block)
             assert np.array_equal(gaps, [obj.value(self.X) - obj.value(y) for y in block])
             assert np.all((gaps == 0.0) == [c == "0" for c in spec])
             sequential = len(block)
             for i, y in enumerate(block):
-                if one.compare_batch(self.X, y, 33) > 0.0:
+                if one.compare_batch(self.X, y, n) > 0.0:
                     sequential = i
                     break
-            if kind != "sign":
+            if kind != "sign" and n == 33:
                 assert sequential == expected, (spec, kind)
-            assert many.first_preferred(self.X, block, 33) == sequential, (spec, kind)
+            assert many.first_preferred(self.X, block, n) == sequential, (spec, kind)
             assert many.query_count == one.query_count
             assert _stream_state(many) == _stream_state(one)
             rewound += sequential < len(block) - 1
