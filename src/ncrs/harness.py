@@ -94,8 +94,6 @@ CONFIG_KEYS = {
         "d": (50, "int >= 1 and <= 1000000"),
         "k": (5, "int >= 1 and <= 1000000"),
         "inner": ("pure_quadratic", INNER_KINDS),
-        "amplitude": (1.0, "real >= 0"),
-        "frequency": (3.0, "real > 0"),
         "tau": (0.0, "real >= 0"),
         "nuisance_dim": (0, "int >= 0 and <= 1000000"),
         "init_radius_scale": (3.0, "real > 0"),
@@ -104,12 +102,10 @@ CONFIG_KEYS = {
         "kind": ("sign", ORACLE_KINDS),
         "advantage": (0.5, "real > 0 and <= 0.5"),
         "link": ("logistic", LINK_KINDS),
-        "scale": (1.0, "real > 0"),
     },
     "algorithm": {
         "kind": ("ncrs", ALGORITHM_KINDS),
         "horizon": (10_000, f"int >= 1 and <= {MAX_HORIZON} or auto"),
-        "horizon_scale": (2.0, "real > 0"),
         "schedule": ("theory_constant", SCHEDULE_KINDS),
         "alpha0": ("auto", "real > 0 or auto"),
         "alpha": (0.05, "real > 0 or auto"),
@@ -344,7 +340,6 @@ class RunSummary:
     final_running_avg: float
     total_queries: int
     wall_time: float
-    error: str | None = None
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -401,7 +396,7 @@ def _streams(master_seed: int) -> dict[str, RngStream]:
 
 def _build_problem(cfg: dict, streams: dict[str, RngStream]) -> tuple[RidgeObjective, np.ndarray]:
     p = cfg["problem"]
-    inner = InnerFunction(kind=p["inner"], amplitude=p["amplitude"], frequency=p["frequency"])
+    inner = InnerFunction(kind=p["inner"])
     objective = random_ridge_objective(
         streams["subspace"],
         p["d"],
@@ -451,16 +446,16 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
     o = cfg["oracle"]
     advantage = o["advantage"]
     if a["horizon"] == "auto":
-        # Horizon recipe T = O(k / (p^2 eps^2)): horizon_scale * pi * L * gap
-        # * k / (p^2 eps^2), with the run's own certified gap and target.
-        # A tiny eps can square to 0 or overflow the budget to inf; a huge
-        # eps squares out of range and leaves a budget of 0.
+        # Horizon recipe T = O(k / (p^2 eps^2)): 2 pi L gap k / (p^2 eps^2),
+        # with the run's own certified gap and target.  A tiny eps can square
+        # to 0 or overflow the budget to inf; a huge eps squares out of range
+        # and leaves a budget of 0.
         try:
             denominator = advantage**2 * epsilon**2
         except OverflowError:
             denominator = math.inf
         budget = (
-            a["horizon_scale"] * math.pi * smoothness * value_gap * k / denominator
+            2.0 * math.pi * smoothness * value_gap * k / denominator
             if denominator > 0
             else math.inf
         )
@@ -485,7 +480,7 @@ def run_one(cfg: dict, master_seed: int) -> tuple[Trajectory, RunSummary]:
         oracle = SignOracle(objective, advantage, streams["oracle"])
         traj = ncrs_run(oracle, theta1, schedule, rng, instrument)
     elif a["kind"] == "ncrs_vote":
-        link = LinkFunction(kind=o["link"], scale=o["scale"])
+        link = LinkFunction(kind=o["link"])
         oracle = ConfidenceOracle(objective, o["kind"], link, streams["oracle"])
         traj = ncrs_vote_run(oracle, theta1, schedule, a["votes"], rng, instrument)
     else:

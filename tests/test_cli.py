@@ -139,7 +139,7 @@ class TestRunCommand:
         payload, _ = _stdout_json(capsys)
         assert payload["seed"] == 7
         assert payload["total_queries"] == 200
-        assert payload["error"] is None
+        assert "error" not in payload
         csv_file = Path(payload["csv"])
         assert csv_file.exists()
         assert csv_file.read_text().splitlines()[0] == "t,f,grad_norm,accepted,queries"
@@ -174,9 +174,9 @@ class TestRunCommand:
 
     def test_out_of_range_number_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
-        path.write_text(f"problem:\n  amplitude: {10**400}\n")
+        path.write_text(f"problem:\n  tau: {10**400}\n")
         assert main(["run", "--config", str(path)]) == 2
-        assert "problem.amplitude" in capsys.readouterr().err
+        assert "problem.tau must be real >= 0" in capsys.readouterr().err
 
     def test_huge_dimension_exits_2(self, config_path, capsys):
         code = main(["run", "--config", str(config_path), "--set", f"problem.d={10**30}"])
@@ -246,9 +246,13 @@ class TestRunCommand:
         ("algorithm.max_rate=0.5", "unknown config key: algorithm.max_rate"),
         ("algorithm.min_rate=0.01", "unknown config key: algorithm.min_rate"),
         ("algorithm.decay_steps=100", "unknown config key: algorithm.decay_steps"),
+        ("problem.amplitude=1.0", "unknown config key: problem.amplitude"),
+        ("problem.frequency=3.0", "unknown config key: problem.frequency"),
+        ("oracle.scale=1.0", "unknown config key: oracle.scale"),
+        ("algorithm.horizon_scale=2.0", "unknown config key: algorithm.horizon_scale"),
     ])
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_removed_cosine_schedule_exits_2(
+    def test_removed_config_keys_exit_2(
         self, config_path, tmp_path, capsys, command, override, message
     ):
         out_dir = tmp_path / "out"
@@ -269,7 +273,7 @@ class TestRunCommand:
         assert "problem.k=5 exceeds problem.d=3" in capsys.readouterr().err
         assert main(argv + ["--set", "problem.k=2"]) == 0
         payload, _ = _stdout_json(capsys)
-        assert payload["total_queries"] == 20 and payload["error"] is None
+        assert payload["total_queries"] == 20 and "error" not in payload
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_set_on_a_list_root_exits_2(self, tmp_path, capsys, command):

@@ -79,6 +79,10 @@ class TestValidateConfig:
         ({"algorithm": {"max_rate": 0.1}}, "algorithm.max_rate"),  # the removed cosine keys
         ({"algorithm": {"min_rate": 0.01}}, "algorithm.min_rate"),
         ({"algorithm": {"decay_steps": 5}}, "algorithm.decay_steps"),
+        ({"problem": {"amplitude": 1.0}}, "problem.amplitude"),  # removed, only read at default
+        ({"problem": {"frequency": 3.0}}, "problem.frequency"),
+        ({"oracle": {"scale": 1.0}}, "oracle.scale"),
+        ({"algorithm": {"horizon_scale": 2.0}}, "algorithm.horizon_scale"),
     ])
     def test_unknown_keys_are_named(self, raw, fragment):
         message = "unknown config key: " + fragment.replace(".", r"\.")
@@ -93,11 +97,11 @@ class TestValidateConfig:
         {"problem": {"tau": 0.2}},  # nuisance_dim still 0
         {"problem": {"tau": 0.2, "nuisance_dim": 46, "d": 50, "k": 5}},
         {"problem": {"inner": "cubic"}},
-        {"problem": {"frequency": 0}},
+        {"problem": {"init_radius_scale": 0}},
         {"oracle": {"advantage": 0.0}},
         {"oracle": {"advantage": 0.8}},
         {"oracle": {"kind": "psychic"}},
-        {"oracle": {"scale": -1}},
+        {"algorithm": {"alpha0": -1}},
         {"algorithm": {"kind": "sgd"}},
         {"algorithm": {"kind": "ncrs"}, "oracle": {"kind": "engage_abstain"}},
         {"algorithm": {"kind": "ncrs_vote"}},  # oracle stays sign
@@ -117,7 +121,7 @@ class TestValidateConfig:
         {"sweep": {"k": 5}},  # axis must be a list
         {"sweep": 3},
         {"problem": "fast"},
-        {"problem": {"amplitude": 10**400}},  # beyond float range
+        {"algorithm": {"mu": 10**400}},  # beyond float range
         {"problem": {"d": "1e3"}},  # exponent strings are read only for reals
         {"algorithm": {"mu": "nan"}},
         {"problem": {"d": 10**30}},  # int keys have a ceiling
@@ -707,7 +711,7 @@ class TestCellsAndHashes:
 
     def test_int_and_float_values_hash_alike(self):
         default = cell_hash(validate_config({}))
-        assert default == "b5dc8d9a2a04"
+        assert default == "8c4732742115"
         overridden = apply_overrides(validate_config({}), ["problem.tau=0"])
         assert type(overridden["problem"]["tau"]) is float
         assert cell_hash(overridden) == default
